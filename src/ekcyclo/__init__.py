@@ -1,6 +1,9 @@
 """Euler-Kronecker constants, Kummer ratios and prime-sum statistics
 for prime cyclotomic fields."""
 
+# before the submodule imports: store binds it into its checkpoints
+__version__ = "0.1.0"
+
 from .admissible import (AdmissibleSet, NamedConstant, c1_sum, c2_minimum, c2_sum,
                          constants_table, harmonic_threshold, is_admissible, omega,
                          singular_series_c1)
@@ -9,15 +12,11 @@ from .analysis import (EnvelopeAnomaly, HistogramSummary, SpikeReport, delta_sta
 from .charsum import (CharacterSums, KernelId, KernelError, character_sums,
                       character_sums_dd, dft, kernel_values)
 from .ek_core import (ComputationError, EkRecord, KummerCheck, compute_record,
-                      envelope_ok, gamma_pair, kappa, kummer_check, kummer_r,
-                      log_deriv_ratios)
-from .prime_sums import (OrderSums, TruncatedSums, bias, f_q_trunc, g_q_trunc, s12,
-                         truncated_sums, v_q_trunc, w_q_trunc)
+                      gamma_pair, kappa, kummer_check, kummer_r, log_deriv_ratios)
+from .prime_sums import OrderSums, TruncatedSums, bias, s12, truncated_sums
 from .primes import (NeighborFlags, PrimeContext, count_primes_in, is_prime,
                      mult_order, neighbor_flags, primes_in, primitive_root)
 from .special_functions import (CONSTANTS, Constants, HurwitzAtZero, compensated_sum,
                                 hurwitz_at_zero, ln_gamma)
 from .store import (CSV_HEADER, RunConfig, StoreError, VerificationResult,
                     format_record, read_records, run_range, verify_reference)
-
-__version__ = "0.1.0"

@@ -49,10 +49,13 @@ class HistogramSummary:
 
 def histogram(values: Sequence[float], bin_width: float = DEFAULT_BIN_WIDTH,
               lo: float = DEFAULT_RANGE[0], hi: float = DEFAULT_RANGE[1]) -> HistogramSummary:
-    """Counts on [lo, hi) with explicit under/overflow cells."""
+    """Counts on [lo, hi) with explicit under/overflow cells; NaN is rejected."""
     if bin_width <= 0 or lo >= hi:
         raise ValueError("need bin_width > 0 and lo < hi")
     v = np.asarray(values, dtype=np.float64).reshape(-1)
+    nan = np.flatnonzero(np.isnan(v))
+    if nan.size:
+        raise ValueError(f"histogram value {int(nan[0])} is NaN (no cell holds it)")
     nbins = int(round((hi - lo) / bin_width))
     n = v.size
     if n == 0:

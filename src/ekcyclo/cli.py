@@ -98,7 +98,11 @@ def _cmd_analyze(args) -> int:
         return 2
     prefix = args.out_prefix
 
-    hist = analysis.histogram([r.kappa for r in records], args.bins, lo, hi)
+    try:
+        hist = analysis.histogram([r.kappa for r in records], args.bins, lo, hi)
+    except ValueError as exc:
+        print(f"error: {args.in_path}: {exc}", file=sys.stderr)
+        return 2
     centers = hist.bin_centers()
     with open(prefix + "histogram.csv", "w", encoding="ascii", newline="\n") as f:
         f.write("bin_center,count,normal_overlay\n")

@@ -19,13 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .special_functions import (
-    BERNOULLI_2K,
+    EM_COEFFS,
     EULER_GAMMA_STR,
     LN2_STR,
     LOG_2PI_STR,
     LOG_PI_STR,
     PI_STR,
-    harmonic_fraction,
+    IntegerLogCache,
+    euler_maclaurin_tails,
 )
 
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -135,6 +136,8 @@ class DD:
         return DD(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, float) and math.frexp(other)[0] == 0.5:
+            return self.scale_pow2(other)  # a power of two scales exactly
         if not isinstance(other, DD):
             other = DD(other)
         p1, p2 = _two_prod(self.hi, other.hi)
@@ -168,11 +171,6 @@ class DD:
         """Multiply by an exact power of two (per-element allowed)."""
         return DD(self.hi * f, self.lo * f)
 
-    def abs(self) -> "DD":
-        neg = self.hi < 0
-        sign = np.where(neg, -1.0, 1.0)
-        return DD(self.hi * sign, self.lo * sign)
-
     def square(self) -> "DD":
         return self * self
 
@@ -193,7 +191,6 @@ class DD:
 
 # -- transcendental constants ------------------------------------------
 PI_DD = DD.from_str(PI_STR)
-TWO_PI_DD = PI_DD.scale_pow2(2.0)
 LN2_DD = DD.from_str(LN2_STR)
 LOG_2PI_DD = DD.from_str(LOG_2PI_STR)
 LOG_PI_DD = DD.from_str(LOG_PI_STR)
@@ -252,10 +249,6 @@ class DDC:
     @staticmethod
     def zeros(shape) -> "DDC":
         return DDC(DD.zeros(shape), DD.zeros(shape))
-
-    @staticmethod
-    def from_real(re: DD) -> "DDC":
-        return DDC(re, DD.zeros(re.shape))
 
     @property
     def shape(self):
@@ -320,28 +313,28 @@ def _root_of_unity(m: int, numerator: int = 2) -> DDC:
     return DDC(c, s)
 
 
+def _powers(w: DDC, count: int) -> DDC:
+    """w^k for k < count, by doubling the computed prefix."""
+    out = DDC.zeros(count)
+    out[0] = DDC(DD(1.0), DD(0.0))
+    wp = w
+    size = 1
+    while size < count:
+        take = min(size, count - size)
+        out[size:size + take] = out[0:take] * wp
+        wp = wp * wp
+        size *= 2
+    return out
+
+
 def _twiddle_table(m: int, sign: int) -> DDC:
     """T[k] = exp(sign * 2 pi i k / m) for k < m // 2; m a power of two."""
     key = (m, sign)
     cached = _twiddle_cache.get(key)
-    if cached is not None:
-        return cached
-    half = m // 2
-    table = DDC.zeros(half)
-    table[0] = DDC(DD(1.0), DD(0.0))
-    if half > 1:
+    if cached is None:
         w = _root_of_unity(m)
-        if sign < 0:
-            w = w.conj()
-        wp = w
-        size = 1
-        while size < half:
-            take = min(size, half - size)
-            table[size:size + take] = table[0:take] * wp
-            wp = wp * wp
-            size *= 2
-    _twiddle_cache[key] = table
-    return table
+        cached = _twiddle_cache[key] = _powers(w if sign > 0 else w.conj(), m // 2)
+    return cached
 
 
 def _bit_reverse_indices(m: int) -> np.ndarray:
@@ -396,31 +389,16 @@ class _BluesteinPlan:
     __slots__ = ("n", "m", "chirp", "filter_fft")
 
     def __init__(self, n: int):
+        # n >= 2: dd_dft returns length-1 input as it is
         self.n = n
-        self.m = 1 << (2 * n - 1).bit_length() if n > 1 else 1
-        if n == 1:
-            self.chirp = None
-            self.filter_fft = None
-            return
+        self.m = 1 << (2 * n - 1).bit_length()
         # chirp[j] = exp(i pi j^2 / n); exponents reduce modulo 2n
-        u = DDC.zeros(2 * n)
-        u[0] = DDC(DD(1.0), DD(0.0))
-        w = _root_of_unity(n, numerator=1)
-        wp = w
-        size = 1
-        while size < 2 * n:
-            take = min(size, 2 * n - size)
-            u[size:size + take] = u[0:take] * wp
-            wp = wp * wp
-            size *= 2
-        idx = (np.arange(n, dtype=np.int64) ** 2) % (2 * n)
-        self.chirp = u.take(idx)
+        u = _powers(_root_of_unity(n, numerator=1), 2 * n)
+        self.chirp = u.take((np.arange(n, dtype=np.int64) ** 2) % (2 * n))
         filt = DDC.zeros(self.m)
         b = self.chirp.conj()
         filt[0:n] = b
-        if n > 1:
-            rev = b.take(np.arange(n - 1, 0, -1))
-            filt[self.m - (n - 1):self.m] = rev
+        filt[self.m - (n - 1):self.m] = b.take(np.arange(n - 1, 0, -1))
         self.filter_fft = dd_fft_pow2(filt, sign=-1)
 
 
@@ -456,29 +434,11 @@ def dd_dft(x: DDC) -> DDC:
 
 # -- double-double kernels at rational points a/q -----------------------
 _EM_SHIFT_DD = 32
-_EM_COEFF_DD = [
-    (DD.from_fraction(BERNOULLI_2K[2 * k] / (2 * k * (2 * k - 1))),
-     DD.from_fraction(harmonic_fraction(2 * k - 2)))
-    for k in range(1, 13)
-]
+_EM_COEFF_DD = [(DD.from_fraction(c), DD.from_fraction(h)) for c, h in EM_COEFFS]
 
-# every log in the kernels is log(integer); for range runs a shared table of
-# integer logs turns the transcendental work into gathers
+_INT_LOG_FLOOR = 4096
 _INT_LOG_CAP = 4_000_000
-_int_log_state: dict[str, object] = {"limit": 0, "table": None}
-
-
-def _integer_logs(m: np.ndarray) -> DD:
-    """log(m) for positive integer arrays, table-backed below the cap."""
-    top = int(m.max())
-    if top > _INT_LOG_CAP:
-        return dd_log(DD(m.astype(np.float64)))
-    if top > int(_int_log_state["limit"]):
-        limit = min(max(2 * top, 4096), _INT_LOG_CAP)
-        _int_log_state["table"] = dd_log(DD(np.arange(1, limit + 1, dtype=np.float64)))
-        _int_log_state["limit"] = limit
-    table: DD = _int_log_state["table"]
-    return table.take(np.asarray(m, dtype=np.int64) - 1)
+_integer_logs = IntegerLogCache(lambda m: dd_log(DD(m)), _INT_LOG_FLOOR, _INT_LOG_CAP)
 
 
 def dd_gamma_zeta_kernels(a: np.ndarray, q: int) -> tuple[DD, DD]:
@@ -489,23 +449,12 @@ def dd_gamma_zeta_kernels(a: np.ndarray, q: int) -> tuple[DD, DD]:
     rounding enters before the double-double stage.
     """
     a = np.asarray(a, dtype=np.int64)
-    log_q = _integer_logs(np.asarray([q]))[0]
+    grid = _integer_logs.upto((_EM_SHIFT_DD + 1) * q - 1)
+    log_q = grid[q - 1]
     shifted = a[None, :] + q * np.arange(_EM_SHIFT_DD + 1, dtype=np.int64)[:, None]
-    all_logs = _integer_logs(shifted)
+    all_logs = grid.take(shifted - 1)
     logs = all_logs[:_EM_SHIFT_DD] - log_q  # log(a/q + n), n < 32
-    sum_logs = logs.sum(axis=0)
-    sum_logs2 = logs.square().sum(axis=0)
     w = DD(a + q * _EM_SHIFT_DD) / DD(float(q))
-    big_l = all_logs[_EM_SHIFT_DD] - log_q
-    z1 = -sum_logs + w * (big_l - 1.0) - big_l.scale_pow2(0.5)
-    l2 = big_l.square()
-    z2 = sum_logs2 + w * (big_l.scale_pow2(2.0) - l2 - 2.0) + l2.scale_pow2(0.5)
-    winv = DD(1.0) / w
-    w2 = winv.square()
-    wp = winv
-    for c, h in _EM_COEFF_DD:
-        z1 = z1 + c * wp
-        z2 = z2 + (c * (h - big_l) * wp).scale_pow2(2.0)
-        wp = wp * w2
-    ln_gamma = z1 + LOG_2PI_DD.scale_pow2(0.5)
-    return ln_gamma, z2
+    z1, z2 = euler_maclaurin_tails(w, all_logs[_EM_SHIFT_DD] - log_q, _EM_COEFF_DD,
+                                   logs.square().sum(axis=0), -logs.sum(axis=0))
+    return z1 + LOG_2PI_DD.scale_pow2(0.5), z2

@@ -107,9 +107,10 @@ def kummer_r(ctx: PrimeContext, b1: CharacterSums) -> float:
     return base + compensated_sum(w * np.log(mags))
 
 
-def gamma_pair(ctx: PrimeContext, b1: CharacterSums, lg: CharacterSums,
+def gamma_pair(ctx: PrimeContext, kap: float, lg: CharacterSums,
                z2: CharacterSums) -> tuple[float, float]:
-    """(gamma_q+, gamma_q); the even sum is empty for q = 3 (gamma_q+ = gamma)."""
+    """(gamma_q+, gamma_q) given kappa(q); the even sum is empty for q = 3
+    (gamma_q+ = gamma)."""
     j, w = _fold(ctx.n, parity=0)
     gamma_e = CONSTANTS.euler_gamma
     if j.size == 0:
@@ -120,7 +121,7 @@ def gamma_pair(ctx: PrimeContext, b1: CharacterSums, lg: CharacterSums,
             raise ComputationError(f"vanishing L'(0) sum at q={ctx.q}")
         u = (_half_spectrum(z2)[j] / (2.0 * sl)).real
         gplus = gamma_e + compensated_sum(w * (_C - u))
-    g = gplus - kappa(ctx, b1, lg) * math.log(ctx.q)
+    g = gplus - kap * math.log(ctx.q)
     return gplus, g
 
 
@@ -186,7 +187,7 @@ def _check_spectrum(cs: CharacterSums, vals: np.ndarray) -> None:
                 f"spectrum invariant '{name}' failed at q={cs.q}: {residual:.3e}")
 
 
-def compute_record(q: int, mode: str = "double", validate: bool = True) -> EkRecord:
+def compute_record(q: int, mode: str = "double") -> EkRecord:
     """Full pipeline for one odd prime q.
 
     mode "double" runs in binary64; mode "dd" recomputes kernels, twiddle
@@ -201,22 +202,20 @@ def compute_record(q: int, mode: str = "double", validate: bool = True) -> EkRec
         sums = {}
         for i, kernel in enumerate(kernels):
             cs = CharacterSums(q=q, kernel=kernel, s=spec[i], half=True)
-            if validate:
-                _check_spectrum(cs, vals[i])
+            _check_spectrum(cs, vals[i])
             sums[kernel] = cs
         b1, lg, z2 = sums[KernelId.LINEAR], sums[KernelId.LNGAMMA], sums[KernelId.ZETA2]
         kap = kappa(ctx, b1, lg)
         r = kummer_r(ctx, b1)
-        gplus, g = gamma_pair(ctx, b1, lg, z2)
+        gplus, g = gamma_pair(ctx, kap, lg, z2)
     elif mode == "dd":
         sums_dd = character_sums_dd(ctx)
-        if validate:
-            for kernel, spec in ((KernelId.LINEAR, sums_dd.b1),
-                                 (KernelId.LNGAMMA, sums_dd.lg),
-                                 (KernelId.ZETA2, sums_dd.z2)):
-                vals = kernel_values(ctx, kernel)
-                cs = CharacterSums(q=q, kernel=kernel, s=spec.to_complex(), half=False)
-                _check_spectrum(cs, vals)
+        for kernel, spec in ((KernelId.LINEAR, sums_dd.b1),
+                             (KernelId.LNGAMMA, sums_dd.lg),
+                             (KernelId.ZETA2, sums_dd.z2)):
+            vals = kernel_values(ctx, kernel)
+            cs = CharacterSums(q=q, kernel=kernel, s=spec.to_complex(), half=False)
+            _check_spectrum(cs, vals)
         parts = assemble_dd(ctx, sums_dd)
         kap = float(parts["kappa"].hi)
         r = float(parts["r"].hi)
@@ -247,10 +246,3 @@ def kummer_check(q: int, r: float | None = None) -> KummerCheck:
     nearest = int(round(float(h1.hi)))
     gap = abs(float((h1 - float(nearest)).to_float()))
     return KummerCheck(q=q, h1_approx=float(h1.to_float()), nearest_int=nearest, gap=gap)
-
-
-def envelope_ok(q: int, kap: float) -> bool:
-    """Monitoring envelope |kappa(q)| < log log q + 1.41 (meaningful for q >= 17)."""
-    if q < 17:
-        return True
-    return abs(kap) < math.log(math.log(q)) + 1.41

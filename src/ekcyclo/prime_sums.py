@@ -75,6 +75,8 @@ def _power_terms(x: float) -> list[tuple[int, int, int]]:
 
 def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> dict[int, TruncatedSums]:
     """f/g/v/w for several moduli in a single pass over the primes <= x."""
+    if x < 2:
+        raise ValueError("x must be >= 2")
     qs = [int(q) for q in qs]
     acc = {q: {"inv": _Acc(), "logp": _Acc()} for q in qs}  # signed class sums, m = 1
     for start, mask in _sieve_segments(0, int(x), segment_size):
@@ -110,34 +112,6 @@ def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> di
         v = math.fsum(v_pow) / math.log(q)
         out[q] = TruncatedSums(q=q, x=float(x), f=f, g=g, v=v, w=w)
     return out
-
-
-def f_q_trunc(q: int, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
-    """Signed sum of 1/(m p^m) over prime powers p^m <= x, classes +-1 mod q."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    return truncated_sums([q], x, segment_size)[q].f
-
-
-def g_q_trunc(q: int, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
-    """Signed sum of 1/p over primes p <= x in the classes +-1 mod q."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    return truncated_sums([q], x, segment_size)[q].g
-
-
-def w_q_trunc(q: int, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
-    """(1/log q) times the signed sum of log(p)/p over primes p <= x."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    return truncated_sums([q], x, segment_size)[q].w
-
-
-def v_q_trunc(q: int, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
-    """(1/log q) times the signed sum of log(p)/p^m, m >= 2, p^m <= x."""
-    if x < 4:
-        raise ValueError("x must be >= 4")
-    return truncated_sums([q], x, segment_size)[q].v
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ expansion differentiated analytically in s: with w = x + N and L = log w,
     zeta''(0,x) = sum_{n<N} log^2(x+n) + w(2L - L^2 - 2) + L^2/2
                   + 2 sum_k B_{2k}/(2k(2k-1)) (H_{2k-2} - L) w^{1-2k}
 
-N = 12 with Bernoulli terms through B_16 keeps the absolute error below
-1e-13 on (0, 1), comfortably inside the 1e-10 contract.
+Binary64 uses N = 6 with Bernoulli terms through B_20 (truncation near
+2e-15 on (0, 1), far inside the 1e-10 contract); the double-double kernels
+in ``dd`` run the same tails with N = 32 through B_24.
 """
 from __future__ import annotations
 
@@ -84,31 +85,48 @@ class HurwitzAtZero:
     z2: float
 
 
-_EM_SHIFT = 12
-_EM_BMAX = 16
-_EM_COEFF = [
-    (float(BERNOULLI_2K[2 * k] / (2 * k * (2 * k - 1))),
-     float(harmonic_fraction(2 * k - 2)))
-    for k in range(1, _EM_BMAX // 2 + 1)
+# (B_2k/(2k(2k-1)), H_{2k-2}) for k = 1..12, exact; each precision converts
+# the prefix it uses once
+EM_COEFFS: list[tuple[Fraction, Fraction]] = [
+    (BERNOULLI_2K[2 * k] / (2 * k * (2 * k - 1)), harmonic_fraction(2 * k - 2))
+    for k in range(1, 13)
 ]
+
+# binary64: shift 6 with Bernoulli terms through B_20 leaves the truncation
+# near 2e-15, far inside the 1e-10 kernel contract
+_EM_SHIFT = 6
+_EM_COEFF = [(float(c), float(h)) for c, h in EM_COEFFS[:10]]
+
+
+def euler_maclaurin_tails(w, L, coeff, s2, s1=None):
+    """(zeta'(0, x), zeta''(0, x)) from their heads, with w = x + N, L = log w.
+
+    s2 = sum_{n<N} log^2(x+n) and s1 = -sum_{n<N} log(x+n); without s1 the
+    first derivative is skipped and returned as None.  Only arithmetic
+    operators are used, so w, L and the heads may be float64 or DD arrays,
+    with coeff converted to the same precision.
+    """
+    z2 = s2 + w * (2.0 * L - L * L - 2.0) + 0.5 * L * L
+    z1 = None if s1 is None else s1 + w * (L - 1.0) - 0.5 * L
+    # not (1/w)^2: in binary64 that moves gamma_q+ by up to 2.2e-12 near q = 1e6
+    w2 = 1.0 / (w * w)
+    wp = 1.0 / w
+    for c, h in coeff:
+        z2 += 2.0 * c * (h - L) * wp
+        if z1 is not None:
+            z1 += c * wp
+        wp = wp * w2
+    return z1, z2
 
 
 def hurwitz_derivatives_at_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised (z0, z1, z2) of the Hurwitz zeta at s = 0 for x in (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
     w = x + _EM_SHIFT
-    L = np.log(w)
     logs = np.log(x[..., None] + np.arange(_EM_SHIFT, dtype=np.float64))
-    z0 = 0.5 - x
-    z1 = -logs.sum(axis=-1) + w * (L - 1.0) - 0.5 * L
-    z2 = (logs * logs).sum(axis=-1) + w * (2.0 * L - L * L - 2.0) + 0.5 * L * L
-    w2 = 1.0 / (w * w)
-    wp = 1.0 / w
-    for c, h in _EM_COEFF:
-        z1 = z1 + c * wp
-        z2 = z2 + 2.0 * c * (h - L) * wp
-        wp = wp * w2
-    return z0, z1, z2
+    z1, z2 = euler_maclaurin_tails(w, np.log(w), _EM_COEFF,
+                                   (logs * logs).sum(axis=-1), -logs.sum(axis=-1))
+    return 0.5 - x, z1, z2
 
 
 def hurwitz_at_zero(x: float) -> HurwitzAtZero:
@@ -119,61 +137,51 @@ def hurwitz_at_zero(x: float) -> HurwitzAtZero:
     return HurwitzAtZero(z0=float(z0), z1=float(z1), z2=float(z2))
 
 
-# production fast path: every log in the zeta'' kernel is log of an integer
-# a + n q, so range runs share one log table of contiguous slices instead of
-# recomputing; shift 6 with Bernoulli terms through B_20 leaves the
-# truncation near 2e-15, far inside the 1e-10 kernel contract
-_EM_SHIFT_FAST = 6
-_EM_COEFF_FAST = [
-    (float(BERNOULLI_2K[2 * k] / (2 * k * (2 * k - 1))),
-     float(harmonic_fraction(2 * k - 2)))
-    for k in range(1, 11)
-]
+class IntegerLogCache:
+    """log 1, ..., log m from one table, grown by doubling up to a cap.
+
+    Every log in the rational-point kernels is the log of an integer
+    a + n q, so a range run slices or gathers them from the table instead
+    of recomputing; above the cap they are computed on each call.
+    ``log`` maps a float64 array of integers to their logs (float or DD).
+    """
+
+    def __init__(self, log, floor: int, cap: int):
+        self.log = log
+        self.floor = floor
+        self.cap = cap
+        self.limit = 0
+        self.table = None
+
+    def upto(self, top: int):
+        """log m for m = 1..top; element m - 1 holds log m."""
+        if top > self.cap:
+            return self.log(np.arange(1, top + 1, dtype=np.float64))
+        if top > self.limit:
+            self.limit = min(max(2 * top, self.floor), self.cap)
+            self.table = self.log(np.arange(1, self.limit + 1, dtype=np.float64))
+        return self.table[:top]
+
+
+_LOG_TABLE_FLOOR = 1 << 16
 _LOG_TABLE_CAP = 2_000_000
-_log_table_state: dict[str, object] = {"limit": 0, "table": None}
-
-
-def _integer_log_table(top: int) -> np.ndarray | None:
-    if top > _LOG_TABLE_CAP:
-        return None
-    if top > int(_log_table_state["limit"]):
-        limit = min(max(2 * top, 1 << 16), _LOG_TABLE_CAP)
-        table = np.empty(limit + 1, dtype=np.float64)
-        table[0] = np.nan  # index 0 never queried
-        np.log(np.arange(1, limit + 1, dtype=np.float64), out=table[1:])
-        _log_table_state["table"] = table
-        _log_table_state["limit"] = limit
-    return _log_table_state["table"]
-
-
-def hurwitz_z2_natural(q: int) -> np.ndarray:
-    """zeta''(0, a/q) for a = 1..q-1 in natural order (same expansion)."""
-    top = (_EM_SHIFT_FAST + 1) * q
-    table = _integer_log_table(top)
-    lq = math.log(q)
-    if table is None:
-        grid = np.log(np.arange(1, top, dtype=np.float64))
-    else:
-        grid = table[1:top]
-    a = np.arange(1, q, dtype=np.float64)
-    acc = np.zeros(q - 1)
-    for n in range(_EM_SHIFT_FAST):
-        logs = grid[n * q: (n + 1) * q - 1] - lq
-        acc += logs * logs
-    L = grid[_EM_SHIFT_FAST * q: (_EM_SHIFT_FAST + 1) * q - 1] - lq
-    w = (a + q * _EM_SHIFT_FAST) / q
-    z2 = acc + w * (2.0 * L - L * L - 2.0) + 0.5 * L * L
-    w2 = 1.0 / (w * w)
-    wp = 1.0 / w
-    for c, h in _EM_COEFF_FAST:
-        z2 += 2.0 * c * (h - L) * wp
-        wp = wp * w2
-    return z2
+_integer_logs = IntegerLogCache(np.log, _LOG_TABLE_FLOOR, _LOG_TABLE_CAP)
 
 
 def hurwitz_z2_at_rationals(a: np.ndarray, q: int) -> np.ndarray:
     """zeta''(0, a/q) for integer arrays 0 < a < q."""
-    return hurwitz_z2_natural(q)[np.asarray(a, dtype=np.int64) - 1]
+    # evaluated for a = 1..q-1 in natural order, where every log(a + n q)
+    # is a contiguous slice of the table
+    grid = _integer_logs.upto((_EM_SHIFT + 1) * q - 1)
+    lq = math.log(q)
+    acc = np.zeros(q - 1)
+    for n in range(_EM_SHIFT):
+        logs = grid[n * q: (n + 1) * q - 1] - lq
+        acc += logs * logs
+    L = grid[_EM_SHIFT * q: (_EM_SHIFT + 1) * q - 1] - lq
+    w = (np.arange(1, q, dtype=np.float64) + q * _EM_SHIFT) / q
+    _, z2 = euler_maclaurin_tails(w, L, _EM_COEFF, acc)
+    return z2[np.asarray(a, dtype=np.int64) - 1]
 
 
 def compensated_sum(values) -> float:

@@ -5,9 +5,11 @@ CSV schema (one row per odd prime, ordered by q, LF endings):
     q,kappa,r,delta,gamma_plus,gamma,sg2p,sg2m,sg4p,sg4m
 
 Reals carry 17 significant digits (lossless binary64 round-trip), booleans
-are 0/1.  A run writes a sidecar checkpoint (last completed q, byte count
+are 0/1.  A run writes a sidecar checkpoint (the run's range, precision,
+CSV header and library version, the last completed q, and the byte count
 and digest of everything emitted) so an interrupted range resumes to a
-byte-identical file; output bytes do not depend on the worker count.
+byte-identical file, and a checkpoint of another run is refused; output
+bytes do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .ek_core import EkRecord, compute_record
 from .primes import NeighborFlags, primes_in
 from .reference import kappa_reference
@@ -94,6 +97,12 @@ def _checkpoint_path(out_path: str) -> Path:
     return Path(str(out_path) + ".checkpoint")
 
 
+def _run_identity(cfg: RunConfig) -> dict:
+    """The checkpoint fields a resume must match."""
+    return {"q_min": cfg.q_min, "q_max": cfg.q_max, "precision": cfg.precision,
+            "header": CSV_HEADER, "version": __version__}
+
+
 def _load_checkpoint(cfg: RunConfig) -> tuple[int, "hashlib._Hash"] | None:
     ck_path = _checkpoint_path(cfg.out_path)
     out = Path(cfg.out_path)
@@ -103,6 +112,12 @@ def _load_checkpoint(cfg: RunConfig) -> tuple[int, "hashlib._Hash"] | None:
         ck_path.unlink()
         return None
     state = json.loads(ck_path.read_text())
+    # checked before the CSV is truncated, so a refused resume leaves it as it is
+    for field, want in _run_identity(cfg).items():
+        got = state.get(field, "missing")
+        if got != want:
+            raise StoreError(f"checkpoint {ck_path} belongs to another run: "
+                             f"{field} is {got!r}, this run has {want!r}")
     with open(out, "r+b") as f:
         f.truncate(state["nbytes"])
     digest = hashlib.sha256(out.read_bytes())
@@ -114,8 +129,8 @@ def _load_checkpoint(cfg: RunConfig) -> tuple[int, "hashlib._Hash"] | None:
 def _write_checkpoint(cfg: RunConfig, last_q: int, nbytes: int, digest) -> None:
     ck_path = _checkpoint_path(cfg.out_path)
     tmp = ck_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(
-        {"last_q": last_q, "nbytes": nbytes, "sha256": digest.hexdigest()}))
+    tmp.write_text(json.dumps({**_run_identity(cfg), "last_q": last_q, "nbytes": nbytes,
+                               "sha256": digest.hexdigest()}))
     tmp.replace(ck_path)
 
 
@@ -167,6 +182,7 @@ def run_range(cfg: RunConfig) -> int:
             rows += 1
             if rows % cfg.checkpoint_every == 0:
                 f.flush()
+                os.fsync(f.fileno())  # the rows reach the disk before the checkpoint names them
                 _write_checkpoint(cfg, last_q, nbytes, digest.copy())
     ck = _checkpoint_path(cfg.out_path)
     if ck.exists():

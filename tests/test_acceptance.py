@@ -148,7 +148,7 @@ def test_criterion_7_property_battery(desk_run, tmp_path):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         ok_dft &= bool(np.max(np.abs(dft(x) - dft_direct(x))) < 1e-11 * max(1.0, n))
 
-    # conjugate symmetry and Parseval: validate=True already enforced both on
+    # conjugate symmetry and Parseval: compute_record already enforced both on
     # every production q during the desk run; re-check explicitly on a sample
     ok_spec = True
     for q in (3, 7, 61, 499, 1009, 4001):

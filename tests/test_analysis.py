@@ -127,6 +127,12 @@ def test_delta_stats_trivial():
 def test_envelope_check(table_records):
     hard = [a for a in envelope_check(table_records) if a.kind == "hard"]
     assert hard == []
-    bad = envelope_check([_fake_record(101, 5.0)])
-    assert len(bad) == 1 and bad[0].kind == "hard" and bad[0].q == 101
+    for q in (100, 101):
+        bad = envelope_check([_fake_record(q, 5.0)])
+        assert len(bad) == 1 and bad[0].kind == "hard" and bad[0].q == q
     assert envelope_check([]) == []
+
+
+def test_histogram_rejects_nan():
+    with pytest.raises(ValueError, match="value 1 is NaN"):
+        histogram([0.1, float("nan"), 0.2])

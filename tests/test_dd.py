@@ -96,22 +96,27 @@ def test_gamma_zeta_kernels_against_mpmath():
 def test_integer_log_table_consistency():
     from ekcyclo.dd import _integer_logs
     m = np.array([1, 2, 3, 10, 12345, 999983], dtype=np.int64)
-    table = _integer_logs(m)
+    table = _integer_logs.upto(int(m.max())).take(m - 1)
     direct = dd_log(DD(m.astype(np.float64)))
     diff = (table - direct).to_float()
     assert np.max(np.abs(diff)) < 1e-30
 
 
 def test_kernels_beyond_table_cap(monkeypatch):
-    # forcing the direct-log fallback must not change the kernel values
+    # forcing the direct-log fallback must not change the kernel values, in
+    # double-double and in the binary64 zeta'' kernel (which needs logs up to 7q)
     import ekcyclo.dd as mod
+    import ekcyclo.special_functions as sf
     q = 211
     a = np.arange(1, q)
     with_table = dd_gamma_zeta_kernels(a, q)
-    monkeypatch.setattr(mod, "_INT_LOG_CAP", 10)
+    z2_table = sf.hurwitz_z2_at_rationals(a, q)
+    monkeypatch.setattr(mod._integer_logs, "cap", 10)
+    monkeypatch.setattr(sf._integer_logs, "cap", 7 * q - 2)
     without = dd_gamma_zeta_kernels(a, q)
     for lhs, rhs in zip(with_table, without):
         assert np.max(np.abs((lhs - rhs).to_float())) < 1e-28
+    assert np.max(np.abs(sf.hurwitz_z2_at_rationals(a, q) - z2_table)) < 1e-14
 
 
 def test_from_string_round_trip():

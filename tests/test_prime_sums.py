@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ekcyclo.prime_sums import (bias, f_q_trunc, g_q_trunc, s12, truncated_sums,
-                                v_q_trunc, w_q_trunc)
+from ekcyclo.prime_sums import bias, s12, truncated_sums
 from ekcyclo.primes import mult_order
 
 from _oracles import mirrored_prime_sum, naive_primes_upto
@@ -12,45 +11,39 @@ from _oracles import mirrored_prime_sum, naive_primes_upto
 LOG2, LOG3, LOG5, LOG7 = (math.log(k) for k in (2, 3, 5, 7))
 
 
+def _sums(q, x):
+    return truncated_sums([q], x)[q]
+
+
 def test_f_q_hand_enumeration():
     # prime powers <= 10: classes mod 3: +1 {4, 7}, -1 {2, 5, 8}
     want = (1 / 8 + 1 / 7) - (1 / 2 + 1 / 5 + 1 / 24)
-    assert abs(f_q_trunc(3, 10) - want) < 1e-15
-    assert f_q_trunc(3, 2) == -0.5
-    assert f_q_trunc(5, 3) == 0.0
+    assert abs(_sums(3, 10).f - want) < 1e-15
+    assert _sums(3, 2).f == -0.5
+    assert _sums(5, 3).f == 0.0
 
 
 def test_g_q_hand_enumeration():
-    assert abs(g_q_trunc(3, 10) - (1 / 7 - 1 / 2 - 1 / 5)) < 1e-15
-    assert abs(g_q_trunc(5, 11) - 1 / 11) < 1e-16
-    assert g_q_trunc(7, 6) == 0.0
+    assert abs(_sums(3, 10).g - (1 / 7 - 1 / 2 - 1 / 5)) < 1e-15
+    assert abs(_sums(5, 11).g - 1 / 11) < 1e-16
+    assert _sums(7, 6).g == 0.0
 
 
 def test_w_q_hand_enumeration():
-    assert abs(w_q_trunc(3, 10) - (LOG7 / 7 - LOG2 / 2 - LOG5 / 5) / LOG3) < 1e-15
-    assert abs(w_q_trunc(3, 2) - (-(LOG2 / 2) / LOG3)) < 1e-16
-    assert w_q_trunc(11, 20) == 0.0
+    assert abs(_sums(3, 10).w - (LOG7 / 7 - LOG2 / 2 - LOG5 / 5) / LOG3) < 1e-15
+    assert abs(_sums(3, 2).w - (-(LOG2 / 2) / LOG3)) < 1e-16
+    assert _sums(11, 20).w == 0.0
 
 
 def test_v_q_hand_enumeration():
-    assert abs(v_q_trunc(3, 10) - (LOG2 / 4 - LOG2 / 8) / LOG3) < 1e-16
-    assert abs(v_q_trunc(5, 8) - (-(LOG2 / 4) / LOG5)) < 1e-16
-    assert v_q_trunc(7, 7) == 0.0
+    assert abs(_sums(3, 10).v - (LOG2 / 4 - LOG2 / 8) / LOG3) < 1e-16
+    assert abs(_sums(5, 8).v - (-(LOG2 / 4) / LOG5)) < 1e-16
+    assert _sums(7, 7).v == 0.0
 
 
 def test_domain_guards():
     with pytest.raises(ValueError):
-        f_q_trunc(3, 1.5)
-    with pytest.raises(ValueError):
-        v_q_trunc(3, 3.0)
-
-
-def test_bundle_matches_singletons():
-    bundle = truncated_sums([3, 5], 10 ** 4)
-    assert bundle[3].f == f_q_trunc(3, 10 ** 4)
-    assert bundle[5].w == w_q_trunc(5, 10 ** 4)
-    assert bundle[3].g == g_q_trunc(3, 10 ** 4)
-    assert bundle[5].v == v_q_trunc(5, 10 ** 4)
+        truncated_sums([3], 1.5)
 
 
 def test_segment_size_determinism():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -55,11 +56,11 @@ def test_checkpoint_resume_identical(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = store.compute_record
 
-    def flaky(q, mode="double", validate=True):
+    def flaky(q, mode="double"):
         calls["n"] += 1
         if calls["n"] > 55:
             raise KeyboardInterrupt
-        return real(q, mode=mode, validate=validate)
+        return real(q, mode=mode)
 
     monkeypatch.setattr(store, "compute_record", flaky)
     with pytest.raises(KeyboardInterrupt):
@@ -76,11 +77,11 @@ def test_checkpoint_digest_mismatch_detected(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = store.compute_record
 
-    def flaky(q, mode="double", validate=True):
+    def flaky(q, mode="double"):
         calls["n"] += 1
         if calls["n"] > 25:
             raise KeyboardInterrupt
-        return real(q, mode=mode, validate=validate)
+        return real(q, mode=mode)
 
     monkeypatch.setattr(store, "compute_record", flaky)
     with pytest.raises(KeyboardInterrupt):
@@ -91,6 +92,49 @@ def test_checkpoint_digest_mismatch_detected(tmp_path, monkeypatch):
     out.write_bytes(bytes(data))
     with pytest.raises(StoreError, match="digest"):
         run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
+
+
+def _interrupted_run(tmp_path, monkeypatch):
+    """A --max 200 --checkpoint-every 10 double run broken after its first checkpoint."""
+    out = tmp_path / "run.csv"
+    real = store.compute_record
+    calls = {"n": 0}
+
+    def flaky(q, mode="double"):
+        calls["n"] += 1
+        if calls["n"] > 15:
+            raise KeyboardInterrupt
+        return real(q, mode=mode)
+
+    monkeypatch.setattr(store, "compute_record", flaky)
+    with pytest.raises(KeyboardInterrupt):
+        cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
+                  "--checkpoint-every", "10"])
+    monkeypatch.setattr(store, "compute_record", real)
+    return out
+
+
+@pytest.mark.parametrize("q_min, q_max, precision", [("3", "400", "dd"), ("3", "400", "double"),
+                                                     ("5", "200", "double")])
+def test_resume_refuses_other_run(tmp_path, monkeypatch, capsys, q_min, q_max, precision):
+    out = _interrupted_run(tmp_path, monkeypatch)
+    before = out.read_bytes()
+    assert cli_main(["compute", "--min", q_min, "--max", q_max, "--precision", precision,
+                     "--out", str(out), "--checkpoint-every", "10"]) == 2
+    assert "another run" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_resume_refuses_checkpoint_without_binding(tmp_path, monkeypatch):
+    out = _interrupted_run(tmp_path, monkeypatch)
+    ck = Path(str(out) + ".checkpoint")
+    state = json.loads(ck.read_text())
+    del state["version"]
+    ck.write_text(json.dumps(state))
+    before = out.read_bytes()
+    with pytest.raises(StoreError, match="version is 'missing'"):
+        run_range(RunConfig(3, 200, str(out), checkpoint_every=10))
+    assert out.read_bytes() == before
 
 
 def test_read_records_rejects_malformed(tmp_path):
@@ -185,6 +229,18 @@ def test_cli_analyze_missing_and_empty(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(CSV_HEADER + "\n")
     assert cli_main(["analyze", "--in", str(empty)]) == 2
+
+
+def test_cli_analyze_rejects_nan_kappa(tmp_path, capsys):
+    out = tmp_path / "nan.csv"
+    run_range(RunConfig(3, 20, str(out)))
+    lines = out.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[1] = "nan"
+    lines[2] = ",".join(fields)
+    out.write_text("\n".join(lines) + "\n")
+    assert cli_main(["analyze", "--in", str(out), "--out-prefix", str(tmp_path / "p_")]) == 2
+    assert "value 1 is NaN" in capsys.readouterr().err
 
 
 def test_cli_analyze_names_bad_line(tmp_path, capsys):
