@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ekcyclo.analysis import envelope_check
 from ekcyclo.charsum import KernelId, character_sums
 from ekcyclo.ek_core import (ComputationError, compute_record, gamma_pair, kappa,
                              kummer_check, kummer_r, log_deriv_ratios)
@@ -111,6 +113,13 @@ def test_operations_match_compute_record():
     assert kummer_r(ctx, b1) == rec.r
     gp, g = gamma_pair(ctx, kappa(ctx, b1, lg), lg, z2)
     assert (gp, g) == (rec.gamma_plus, rec.gamma)
+
+
+def test_envelope_monitor():
+    recs = [compute_record(q) for q in list(REF)[:40]]
+    assert [a for a in envelope_check(recs) if a.kind == "hard"] == []
+    bad = dataclasses.replace(recs[-1], q=100, kappa=5.0)
+    assert [(a.q, a.kind) for a in envelope_check([bad])] == [(100, "hard")]
 
 
 def test_mode_agreement():
