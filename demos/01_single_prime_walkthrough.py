@@ -1,14 +1,19 @@
 """Walk through everything the pipeline computes for a single odd prime.
 
 The route: index the Dirichlet characters mod q by the smallest primitive
-root, evaluate three real kernels at the points a/q, take one DFT per
-kernel, and assemble kappa(q), r(q) and both Euler-Kronecker constants
-from the spectra.
+root, evaluate three real kernels at the points a/q, take their DFTs, and
+assemble kappa(q), r(q) and both Euler-Kronecker constants from the
+spectra.  The pipeline needs each kernel at one parity of characters only,
+so it takes two packed transforms of length (q-1)/2 instead of three of
+length q-1.
 """
 import math
 
+import numpy as np
+
 from ekcyclo import (KernelId, character_sums, compute_record, kernel_values,
                      primitive_root)
+from ekcyclo.ek_core import parity_transforms
 
 q = 101
 ctx = primitive_root(q)
@@ -20,6 +25,14 @@ for kernel in KernelId:
     cs = character_sums(ctx, kernel)
     print(f"  kernel {kernel.value:8s}: f(g^0/q) = {vals[0]:+.6f}, "
           f"principal sum s[0] = {cs.s[0].real:+.6f}")
+
+# the parity split: odd-j LINEAR sums and even-j ZETA2 sums from the packed transforms
+sums = parity_transforms(ctx).sums()
+full_b1 = character_sums(ctx, KernelId.LINEAR).s
+full_z2 = character_sums(ctx, KernelId.ZETA2).s
+print(f"  parity split, length {ctx.n // 2}: max |B1 odd - full| = "
+      f"{np.max(np.abs(sums.b1 - full_b1[1::2][:sums.b1.size])):.1e}, "
+      f"max |Z even - full| = {np.max(np.abs(sums.z2 - full_z2[0::2][:sums.z2.size])):.1e}")
 
 rec = compute_record(q)
 print(f"\nkappa({q})       = {rec.kappa:+.15f}")

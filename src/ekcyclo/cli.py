@@ -9,6 +9,8 @@ import sys
 
 from . import analysis
 from .admissible import constants_table, harmonic_threshold
+from .charsum import KernelError
+from .ek_core import ComputationError
 from .store import RunConfig, StoreError, read_records, run_range, verify_reference
 
 
@@ -55,7 +57,8 @@ def _cmd_compute(args) -> int:
         return 2
     try:
         rows = run_range(cfg)
-    except (OSError, StoreError) as exc:
+    except (OSError, StoreError, ComputationError, KernelError) as exc:
+        # a failed record names its q, kernel and stage; the last checkpoint stays
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {rows} rows to {cfg.out_path}")

@@ -11,7 +11,8 @@ with B1(chi) = sum_a chi(a) a/q (the LINEAR spectrum), G(chi) =
 sum_a chi(a) log Gamma(a/q) (LNGAMMA) and Z(chi) = sum_a chi(a)
 zeta''(0, a/q) (ZETA2).  Summed over a conjugation-closed family the
 conjugations drop out, so the per-parity totals fold into sums of real
-parts over j <= (q-1)/2.
+parts over j <= (q-1)/2: kappa and r read the odd spectra of
+charsum.ParitySums, gamma_q+ the even ones.
 
     kappa(q)   = -[ (q-1)/2 (log 2pi + gamma) + sum_{odd j} Re G_j/B1_j ] / log q
     r(q)       = (q-1)/2 log(pi/sqrt q) + sum_{odd j} log |B1_j|
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dd as ddm
-from .charsum import (CharacterSums, CharacterSumsDD, KernelId, character_sums_dd,
-                      kernel_values, spectrum_checks, transform_kernel)
+from .charsum import (CharacterSums, KernelId, PackedTransforms, ParitySums,
+                      character_sums_dd, kernel_values, pack_parities, spectrum_checks,
+                      transform_kernel)
 from .dd import DD, dd_exp, dd_log
 from .primes import NeighborFlags, PrimeContext, neighbor_flags, primitive_root
 from .special_functions import CONSTANTS, compensated_sum
@@ -60,66 +62,56 @@ class KummerCheck:
     gap: float
 
 
-def _half_spectrum(cs: CharacterSums) -> np.ndarray:
-    if cs.half:
-        return cs.s
-    return cs.s[: (cs.q - 1) // 2 + 1]
-
-
-def _full_spectrum(cs: CharacterSums) -> np.ndarray:
-    if not cs.half:
-        return cs.s
-    # real kernel: s[n-j] = conj(s[j])
-    return np.concatenate([cs.s, np.conj(cs.s[-2:0:-1])])
-
-
 def _fold(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of one conjugacy representative per character of a parity.
+    """One conjugacy representative per character of a parity.
 
-    Returns (j, w): j ascending in 1..n/2 with j = parity mod 2, and fold
-    weight w in {1, 2} (the middle index n/2 is self-conjugate).
+    Returns (m, w): indices m into that parity's spectra (ParitySums), for
+    the characters j = 2m + parity with 0 < j <= n/2, ascending in j, and
+    fold weight w in {1, 2} (the middle index n/2 is self-conjugate).
     """
     mid = n // 2
     j = np.arange(2 - parity, mid + 1, 2, dtype=np.int64)
     w = np.where(j < mid, 2.0, 1.0)
-    return j, w
+    return j // 2, w
 
 
-def kappa(ctx: PrimeContext, b1: CharacterSums, lg: CharacterSums) -> float:
-    """kappa(q) = (gamma_q+ - gamma_q)/log q from LINEAR and LNGAMMA sums."""
-    j, w = _fold(ctx.n, parity=1)
-    sb = _half_spectrum(b1)[j]
+def _assembly_error(what: str, q: int, kernel: KernelId) -> ComputationError:
+    return ComputationError(f"{what} (q={q}, kernel {kernel.value}, stage assembly)")
+
+
+def kappa(ctx: PrimeContext, sums: ParitySums) -> float:
+    """kappa(q) = (gamma_q+ - gamma_q)/log q from the odd LINEAR and LNGAMMA sums."""
+    m, w = _fold(ctx.n, parity=1)
+    sb = sums.b1[m]
     if np.any(sb == 0):
-        raise ComputationError(f"vanishing B1 sum at q={ctx.q}")
-    ratios = _half_spectrum(lg)[j] / sb
+        raise _assembly_error("vanishing B1 sum", ctx.q, KernelId.LINEAR)
+    ratios = sums.lg_odd[m] / sb
     total = compensated_sum(w * ratios.real)
     return -(0.5 * ctx.n * _C + total) / math.log(ctx.q)
 
 
-def kummer_r(ctx: PrimeContext, b1: CharacterSums) -> float:
+def kummer_r(ctx: PrimeContext, sums: ParitySums) -> float:
     """r(q) = log R(q), the log of the product of |L(1, chi)| over odd chi."""
-    j, w = _fold(ctx.n, parity=1)
-    sb = _half_spectrum(b1)[j]
-    mags = np.abs(sb)
+    m, w = _fold(ctx.n, parity=1)
+    mags = np.abs(sums.b1[m])
     if np.any(mags == 0.0):
-        raise ComputationError(f"vanishing B1 sum at q={ctx.q}")
+        raise _assembly_error("vanishing B1 sum", ctx.q, KernelId.LINEAR)
     base = 0.5 * ctx.n * (math.log(math.pi) - 0.5 * math.log(ctx.q))
     return base + compensated_sum(w * np.log(mags))
 
 
-def gamma_pair(ctx: PrimeContext, kap: float, lg: CharacterSums,
-               z2: CharacterSums) -> tuple[float, float]:
-    """(gamma_q+, gamma_q) given kappa(q); the even sum is empty for q = 3
-    (gamma_q+ = gamma)."""
-    j, w = _fold(ctx.n, parity=0)
+def gamma_pair(ctx: PrimeContext, kap: float, sums: ParitySums) -> tuple[float, float]:
+    """(gamma_q+, gamma_q) given kappa(q) and the even LNGAMMA and ZETA2 sums;
+    the even sum is empty for q = 3 (gamma_q+ = gamma)."""
+    m, w = _fold(ctx.n, parity=0)
     gamma_e = CONSTANTS.euler_gamma
-    if j.size == 0:
+    if m.size == 0:
         gplus = gamma_e
     else:
-        sl = _half_spectrum(lg)[j]
+        sl = sums.lg_even[m]
         if np.any(sl == 0):
-            raise ComputationError(f"vanishing L'(0) sum at q={ctx.q}")
-        u = (_half_spectrum(z2)[j] / (2.0 * sl)).real
+            raise _assembly_error("vanishing L'(0) sum", ctx.q, KernelId.LNGAMMA)
+        u = (sums.z2[m] / (2.0 * sl)).real
         gplus = gamma_e + compensated_sum(w * (_C - u))
     g = gplus - kap * math.log(ctx.q)
     return gplus, g
@@ -128,9 +120,7 @@ def gamma_pair(ctx: PrimeContext, kap: float, lg: CharacterSums,
 def log_deriv_ratios(ctx: PrimeContext, b1: CharacterSums, lg: CharacterSums,
                      z2: CharacterSums) -> np.ndarray:
     """Per-character L'/L(1, chi_j) for j = 1..q-2 (index 0 is NaN)."""
-    sb = _full_spectrum(b1)
-    sl = _full_spectrum(lg)
-    sz = _full_spectrum(z2)
+    sb, sl, sz = b1.s, lg.s, z2.s
     n = ctx.n
     out = np.full(n, np.nan + 0j, dtype=np.complex128)
     jodd = np.arange(1, n, 2)
@@ -150,79 +140,77 @@ def _dd_fold_sum(values: DD, weights: np.ndarray) -> DD:
     return values.scale_pow2(weights).sum()
 
 
-def assemble_dd(ctx: PrimeContext, sums: CharacterSumsDD) -> dict[str, DD]:
-    """kappa/r/gamma_plus/gamma in double-double from the batched spectra."""
+def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
+    """kappa/r/gamma_plus/gamma in double-double from the parity spectra."""
     n = ctx.n
     log_q = dd_log(DD(float(ctx.q)))
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
     half = n / 2.0
 
-    j, w = _fold(n, parity=1)
-    b1o = sums.b1.take(j)
-    lgo = sums.lg.take(j)
-    ratios = lgo / b1o
+    m, w = _fold(n, parity=1)
+    b1o = sums.b1.take(m)
+    ratios = sums.lg_odd.take(m) / b1o
     kap = -(c_dd * half + _dd_fold_sum(ratios.re, w)) / log_q
 
     log_mags = dd_log(b1o.abs2()).scale_pow2(0.5)
     r = (ddm.LOG_PI_DD - log_q.scale_pow2(0.5)) * half + _dd_fold_sum(log_mags, w)
 
-    j, w = _fold(n, parity=0)
-    if j.size == 0:
+    m, w = _fold(n, parity=0)
+    if m.size == 0:
         gplus = ddm.EULER_GAMMA_DD
     else:
-        u = (sums.z2.take(j) / sums.lg.take(j).scale_pow2(2.0)).re
-        gplus = ddm.EULER_GAMMA_DD + _dd_fold_sum((c_dd - u).reshape(-1), w)
+        u = (sums.z2.take(m) / sums.lg_even.take(m).scale_pow2(2.0)).re
+        gplus = ddm.EULER_GAMMA_DD + _dd_fold_sum(c_dd - u, w)
     gamma = gplus - kap * log_q
     return {"kappa": kap, "r": r, "gamma_plus": gplus, "gamma": gamma,
             "log_q": log_q}
 
 
-_SPECTRUM_TOL = {"s0": 1e-12, "conj": 1e-12, "parseval": 1e-9}
+_SPECTRUM_TOL = {"s0": 1e-12, "parseval": 1e-9}
 
 
-def _check_spectrum(cs: CharacterSums, vals: np.ndarray) -> None:
-    for name, residual in spectrum_checks(cs, vals).items():
-        if residual > _SPECTRUM_TOL[name]:
+def _check_spectra(pt: PackedTransforms, mode: str) -> None:
+    for (name, kernels), residual in spectrum_checks(pt).items():
+        tol = _SPECTRUM_TOL[name]
+        if not residual <= tol:
             raise ComputationError(
-                f"spectrum invariant '{name}' failed at q={cs.q}: {residual:.3e}")
+                f"spectrum invariant '{name}' failed: residual {residual:.3e} > {tol:g} "
+                f"(q={pt.q}, kernel {kernels}, stage {mode} spectrum check)")
+
+
+def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
+    """The two packed parity transforms of ctx.q in binary64 (see charsum)."""
+    lg = kernel_values(ctx, KernelId.LNGAMMA)
+    z2 = kernel_values(ctx, KernelId.ZETA2)
+    packed = pack_parities(ctx, lg, z2)
+    return PackedTransforms(q=ctx.q, packed=packed, spec=transform_kernel(packed))
 
 
 def compute_record(q: int, mode: str = "double") -> EkRecord:
     """Full pipeline for one odd prime q.
 
+    Each record takes two packed length-(q-1)/2 transforms, one per parity
+    of characters (see charsum), checks their invariants and assembles.
     mode "double" runs in binary64; mode "dd" recomputes kernels, twiddle
     factors and the assembly in double-double arithmetic.
     """
+    if mode not in ("double", "dd"):
+        raise ValueError(f"unknown precision mode {mode!r}")
     ctx = primitive_root(q)
     flags = neighbor_flags(q)
+    pt = parity_transforms(ctx) if mode == "double" else character_sums_dd(ctx)
+    _check_spectra(pt, mode)
+    sums = pt.sums()
     if mode == "double":
-        kernels = list(KernelId)
-        vals = [kernel_values(ctx, kernel) for kernel in kernels]
-        spec = transform_kernel(np.vstack(vals), half=True)  # one batched rfft
-        sums = {}
-        for i, kernel in enumerate(kernels):
-            cs = CharacterSums(q=q, kernel=kernel, s=spec[i], half=True)
-            _check_spectrum(cs, vals[i])
-            sums[kernel] = cs
-        b1, lg, z2 = sums[KernelId.LINEAR], sums[KernelId.LNGAMMA], sums[KernelId.ZETA2]
-        kap = kappa(ctx, b1, lg)
-        r = kummer_r(ctx, b1)
-        gplus, g = gamma_pair(ctx, kap, lg, z2)
-    elif mode == "dd":
-        sums_dd = character_sums_dd(ctx)
-        for kernel, spec in ((KernelId.LINEAR, sums_dd.b1),
-                             (KernelId.LNGAMMA, sums_dd.lg),
-                             (KernelId.ZETA2, sums_dd.z2)):
-            vals = kernel_values(ctx, kernel)
-            cs = CharacterSums(q=q, kernel=kernel, s=spec.to_complex(), half=False)
-            _check_spectrum(cs, vals)
-        parts = assemble_dd(ctx, sums_dd)
+        kap = kappa(ctx, sums)
+        r = kummer_r(ctx, sums)
+        gplus, g = gamma_pair(ctx, kap, sums)
+    else:
+        parts = assemble_dd(ctx, sums)
         kap = float(parts["kappa"].hi)
         r = float(parts["r"].hi)
         gplus = float(parts["gamma_plus"].hi)
         g = float(parts["gamma"].hi)
-    else:
-        raise ValueError(f"unknown precision mode {mode!r}")
     return EkRecord(q=q, kappa=kap, r=r, gamma_plus=gplus, gamma=g,
                     delta=kap - r, flags=flags)
 
@@ -238,7 +226,7 @@ def kummer_check(q: int, r: float | None = None) -> KummerCheck:
         raise ValueError("kummer_check is limited to q <= 100")
     if r is None:
         ctx = primitive_root(q)
-        r_dd = assemble_dd(ctx, character_sums_dd(ctx))["r"]
+        r_dd = assemble_dd(ctx, character_sums_dd(ctx).sums())["r"]
     else:
         r_dd = DD(float(r))
     log_g = dd_log(DD(2.0 * q)) + (dd_log(DD(float(q))) - ddm.LOG_2PI_DD.scale_pow2(2.0)) * ((q - 1) / 4.0)

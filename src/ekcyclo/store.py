@@ -111,19 +111,31 @@ def _load_checkpoint(cfg: RunConfig) -> tuple[int, "hashlib._Hash"] | None:
     if not out.exists():
         ck_path.unlink()
         return None
-    state = json.loads(ck_path.read_text())
-    # checked before the CSV is truncated, so a refused resume leaves it as it is
+    try:
+        state = json.loads(ck_path.read_text())
+        last_q, nbytes, sha = state["last_q"], state["nbytes"], state["sha256"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StoreError(f"checkpoint {ck_path} is unreadable: {exc!r}") from exc
+    # everything is checked before the CSV is truncated, so a refused resume
+    # leaves it as it is
     for field, want in _run_identity(cfg).items():
         got = state.get(field, "missing")
         if got != want:
             raise StoreError(f"checkpoint {ck_path} belongs to another run: "
                              f"{field} is {got!r}, this run has {want!r}")
+    if not (isinstance(last_q, int) and isinstance(nbytes, int) and nbytes >= 0):
+        raise StoreError(f"checkpoint {ck_path} is unreadable: last_q {last_q!r}, "
+                         f"nbytes {nbytes!r}")
     with open(out, "r+b") as f:
-        f.truncate(state["nbytes"])
-    digest = hashlib.sha256(out.read_bytes())
-    if digest.hexdigest() != state["sha256"]:
-        raise StoreError(f"checkpoint digest mismatch for {cfg.out_path}")
-    return state["last_q"], digest
+        head = f.read(nbytes)
+        if len(head) < nbytes:
+            raise StoreError(f"{cfg.out_path} has {len(head)} bytes, fewer than the "
+                             f"{nbytes} its checkpoint {ck_path} names")
+        digest = hashlib.sha256(head)
+        if digest.hexdigest() != sha:
+            raise StoreError(f"checkpoint digest mismatch for {cfg.out_path}")
+        f.truncate(nbytes)
+    return last_q, digest
 
 
 def _write_checkpoint(cfg: RunConfig, last_q: int, nbytes: int, digest) -> None:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ekcyclo.charsum import (KernelError, KernelId, character_sums,
+from ekcyclo.charsum import (KernelError, KernelId, _twiddles, character_sums,
                              character_sums_dd, dft, dft_direct, kernel_values,
                              spectrum_checks)
+from ekcyclo.ek_core import parity_transforms
 from ekcyclo.primes import primitive_root
 
 from _oracles import character_table
@@ -84,33 +85,55 @@ def test_parity_law_linear():
 @pytest.mark.parametrize("q", [7, 61, 499, 997])
 def test_spectrum_invariants(q):
     ctx = primitive_root(q)
+    for pt in (parity_transforms(ctx), character_sums_dd(ctx)):
+        res = spectrum_checks(pt)
+        assert set(res) == {("parseval", "lngamma+zeta2 (even)"),
+                            ("parseval", "linear+lngamma (odd)"),
+                            ("s0", "lngamma"), ("s0", "zeta2")}
+        for (name, _), residual in res.items():
+            assert residual < {"s0": 1e-12, "parseval": 1e-9}[name]
+    # the full spectrum of a real kernel is conjugate-symmetric
     for kernel in KernelId:
-        vals = kernel_values(ctx, kernel)
-        cs = character_sums(ctx, kernel)
-        res = spectrum_checks(cs, vals)
-        assert res["s0"] < 1e-12
-        assert res["conj"] < 1e-12
-        assert res["parseval"] < 1e-9
+        s = character_sums(ctx, kernel).s
+        assert np.max(np.abs(s[1:] - np.conj(s[:0:-1]))) / max(1.0, np.max(np.abs(s))) < 1e-12
 
 
-@pytest.mark.parametrize("q", [5, 13, 101])
-def test_half_spectrum_consistency(q):
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 101, 499, 997])
+def test_parity_sums_match_direct_dft(q):
+    """Both precisions' parity spectra equal the quadratic-time DFT's even and odd
+    entries up to j = (q-1)/2; q mod 4 decides which parity holds the middle index."""
     ctx = primitive_root(q)
-    for kernel in KernelId:
-        full = character_sums(ctx, kernel, half=False)
-        half = character_sums(ctx, kernel, half=True)
-        assert half.s.shape[0] == (q - 1) // 2 + 1
-        assert np.max(np.abs(full.s[: half.s.shape[0]] - half.s)) < 1e-11
+    direct = {kernel: dft_direct(kernel_values(ctx, kernel)) for kernel in KernelId}
+    h = (q - 1) // 2
+    odd = np.arange(1, h + 1, 2)
+    even = np.arange(0, h + 1, 2)
+    for sums, to_complex in ((parity_transforms(ctx).sums(), np.asarray),
+                             (character_sums_dd(ctx).sums(), lambda v: v.to_complex())):
+        for got, kernel, j in ((sums.b1, KernelId.LINEAR, odd),
+                               (sums.lg_odd, KernelId.LNGAMMA, odd),
+                               (sums.lg_even, KernelId.LNGAMMA, even),
+                               (sums.z2, KernelId.ZETA2, even)):
+            want = direct[kernel][j]
+            assert to_complex(got).shape == want.shape
+            assert np.max(np.abs(to_complex(got) - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
-def test_dd_spectra_match_double(monkeypatch):
+def test_twiddles_reduce_exactly():
+    # every even n below 400 covers each n mod 8 and the quarter-turn boundaries
+    for n in range(2, 400, 2):
+        tw = _twiddles(n)
+        assert tw.shape == (n // 2,)
+        assert np.max(np.abs(tw - np.exp(2j * np.pi * np.arange(n // 2) / n))) < 1e-15
+
+
+def test_dd_spectra_match_double():
     for q in (7, 97):
         ctx = primitive_root(q)
-        sums = character_sums_dd(ctx)
-        for kernel, spec in ((KernelId.LINEAR, sums.b1), (KernelId.LNGAMMA, sums.lg),
-                             (KernelId.ZETA2, sums.z2)):
-            ref = character_sums(ctx, kernel).s
-            assert np.max(np.abs(spec.to_complex() - ref)) < 1e-9
+        ref = parity_transforms(ctx).sums()
+        sums = character_sums_dd(ctx).sums()
+        for field in ("b1", "lg_odd", "lg_even", "z2"):
+            got = getattr(sums, field).to_complex()
+            assert np.max(np.abs(got - getattr(ref, field))) < 1e-9
 
 
 def test_kernel_failure_diagnostic(monkeypatch):

@@ -6,8 +6,9 @@ import pytest
 
 from ekcyclo.analysis import envelope_check
 from ekcyclo.charsum import KernelId, character_sums
+from ekcyclo.dd import DDC
 from ekcyclo.ek_core import (ComputationError, compute_record, gamma_pair, kappa,
-                             kummer_check, kummer_r, log_deriv_ratios)
+                             kummer_check, kummer_r, log_deriv_ratios, parity_transforms)
 from ekcyclo.primes import primitive_root
 from ekcyclo.reference import kappa_reference
 from ekcyclo.special_functions import CONSTANTS
@@ -43,7 +44,7 @@ def test_gamma_plus_degenerate_q3():
 def test_kummer_r_value_q3():
     # single odd character, B1 = -1/3; consistent with h1(3) = 1
     ctx = primitive_root(3)
-    r = kummer_r(ctx, character_sums(ctx, KernelId.LINEAR))
+    r = kummer_r(ctx, parity_transforms(ctx).sums())
     assert abs(r - math.log(math.pi * 3.0 ** -1.5)) < 1e-14
 
 
@@ -105,13 +106,11 @@ def test_log_deriv_ratios_against_series_oracle():
 def test_operations_match_compute_record():
     q = 61
     ctx = primitive_root(q)
-    b1 = character_sums(ctx, KernelId.LINEAR, half=True)
-    lg = character_sums(ctx, KernelId.LNGAMMA, half=True)
-    z2 = character_sums(ctx, KernelId.ZETA2, half=True)
+    sums = parity_transforms(ctx).sums()
     rec = compute_record(q)
-    assert kappa(ctx, b1, lg) == rec.kappa
-    assert kummer_r(ctx, b1) == rec.r
-    gp, g = gamma_pair(ctx, kappa(ctx, b1, lg), lg, z2)
+    assert kappa(ctx, sums) == rec.kappa
+    assert kummer_r(ctx, sums) == rec.r
+    gp, g = gamma_pair(ctx, kappa(ctx, sums), sums)
     assert (gp, g) == (rec.gamma_plus, rec.gamma)
 
 
@@ -140,10 +139,56 @@ def test_compute_record_rejects_bad_input():
 
 def test_vanishing_spectrum_raises():
     ctx = primitive_root(5)
-    b1 = character_sums(ctx, KernelId.LINEAR, half=True)
-    lg = character_sums(ctx, KernelId.LNGAMMA, half=True)
-    broken = type(b1)(q=5, kernel=KernelId.LINEAR, s=np.zeros_like(b1.s), half=True)
-    with pytest.raises(ComputationError):
-        kappa(ctx, broken, lg)
-    with pytest.raises(ComputationError):
+    sums = parity_transforms(ctx).sums()
+    broken = dataclasses.replace(sums, b1=np.zeros_like(sums.b1))
+    with pytest.raises(ComputationError, match=r"B1 sum \(q=5, kernel linear, stage assembly"):
+        kappa(ctx, broken)
+    with pytest.raises(ComputationError, match=r"q=5, kernel linear"):
         kummer_r(ctx, broken)
+    broken = dataclasses.replace(sums, lg_even=np.zeros_like(sums.lg_even))
+    with pytest.raises(ComputationError, match=r"q=5, kernel lngamma, stage assembly"):
+        gamma_pair(ctx, 0.0, broken)
+
+
+@pytest.mark.parametrize("mode, row, index, label", [
+    ("double", 1, 3, r"kernel linear\+lngamma \(odd\), stage double spectrum check"),
+    ("double", 0, 0, r"kernel lngamma\+zeta2 \(even\), stage double spectrum check"),
+    ("dd", 1, 5, r"kernel linear\+lngamma \(odd\), stage dd spectrum check"),
+])
+def test_corrupted_packed_spectrum_raises(monkeypatch, mode, row, index, label):
+    """A spectrum entry off by 1e-6 of the largest fails the packed row's Parseval check."""
+    import ekcyclo.ek_core as mod
+
+    def corrupt(spec):
+        if isinstance(spec, DDC):
+            spec.re.hi[row, index] += 1e-6 * np.max(np.abs(spec.re.hi))
+        else:
+            spec[row, index] += 1e-6 * np.max(np.abs(spec))
+        return spec
+
+    real_transform, real_dd = mod.transform_kernel, mod.character_sums_dd
+
+    def corrupt_dd(ctx):
+        pt = real_dd(ctx)
+        return dataclasses.replace(pt, spec=corrupt(pt.spec))
+
+    monkeypatch.setattr(mod, "transform_kernel", lambda packed: corrupt(real_transform(packed)))
+    monkeypatch.setattr(mod, "character_sums_dd", corrupt_dd)
+    with pytest.raises(ComputationError, match=r"'parseval' failed.*\(q=61, " + label):
+        compute_record(61, mode=mode)
+
+
+def test_principal_sum_check_names_kernel(monkeypatch):
+    """An even principal sum that disagrees with its kernel row fails 's0' for that kernel."""
+    import ekcyclo.ek_core as mod
+    real = mod.transform_kernel
+
+    def shifted(packed):
+        spec = real(packed)
+        # a 1e-10 shift of Y_0 leaves Parseval within 1e-9 but not the principal sum
+        spec[0, 0] += 1e-10 * abs(spec[0, 0].imag) * 1j
+        return spec
+
+    monkeypatch.setattr(mod, "transform_kernel", shifted)
+    with pytest.raises(ComputationError, match=r"'s0' failed.*q=61, kernel zeta2, stage double"):
+        compute_record(61)

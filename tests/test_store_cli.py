@@ -137,6 +137,70 @@ def test_resume_refuses_checkpoint_without_binding(tmp_path, monkeypatch):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("damage", ["short", "foreign"])
+def test_refused_resume_leaves_csv_intact(tmp_path, monkeypatch, capsys, damage):
+    """A CSV shorter than the checkpoint's byte count, or one with other
+    content, is refused before it is truncated or padded."""
+    out = _interrupted_run(tmp_path, monkeypatch)
+    nbytes = json.loads(Path(str(out) + ".checkpoint").read_text())["nbytes"]
+    if damage == "short":
+        out.write_bytes(out.read_bytes()[:100])
+    else:
+        out.write_bytes(b"x" * (nbytes + 200))
+    before = out.read_bytes()
+    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
+                     "--checkpoint-every", "10"]) == 2
+    err = capsys.readouterr().err
+    assert ("fewer than" if damage == "short" else "digest mismatch") in err
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("text", ["{not json", '["a list"]',
+                                  "drop nbytes", "drop sha256", "drop last_q"])
+def test_corrupt_checkpoint_refused(tmp_path, monkeypatch, capsys, text):
+    out = _interrupted_run(tmp_path, monkeypatch)
+    ck = Path(str(out) + ".checkpoint")
+    if text.startswith("drop "):
+        state = json.loads(ck.read_text())
+        del state[text[len("drop "):]]
+        text = json.dumps(state)
+    ck.write_text(text)
+    before = out.read_bytes()
+    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
+                     "--checkpoint-every", "10"]) == 2
+    assert f"checkpoint {ck} is unreadable" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_failed_record_exits_2_and_keeps_checkpoint(tmp_path, monkeypatch, capsys):
+    """A record whose spectrum check fails ends compute with exit 2 and a message
+    naming q, kernel and stage; the run resumes from its last checkpoint."""
+    import ekcyclo.ek_core as ek_core
+    ref = tmp_path / "ref.csv"
+    run_range(RunConfig(3, 200, str(ref), checkpoint_every=5))
+
+    out = tmp_path / "run.csv"
+    real = ek_core.transform_kernel
+
+    def broken_at_101(packed):
+        spec = real(packed)
+        if packed.shape[-1] == 50:  # q = 101
+            spec[1, 7] += 1.0
+        return spec
+
+    monkeypatch.setattr(ek_core, "transform_kernel", broken_at_101)
+    args = ["compute", "--min", "3", "--max", "200", "--out", str(out), "--checkpoint-every", "5"]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "q=101, kernel linear+lngamma (odd), stage double spectrum check" in err
+    state = json.loads(Path(str(out) + ".checkpoint").read_text())
+    assert state["last_q"] == 73  # row 20; q = 101 is row 25
+    monkeypatch.setattr(ek_core, "transform_kernel", real)
+    assert cli_main(args) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_read_records_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(CSV_HEADER + "\n3,0.1,0.2\n")
