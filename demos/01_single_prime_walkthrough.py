@@ -26,13 +26,14 @@ for kernel in KernelId:
     print(f"  kernel {kernel.value:8s}: f(g^0/q) = {vals[0]:+.6f}, "
           f"principal sum s[0] = {cs.s[0].real:+.6f}")
 
-# the parity split: odd-j LINEAR sums and even-j ZETA2 sums from the packed transforms
+# the parity split: one sum per conjugate pair, odd-j LINEAR (j = 1, 3, ..) and
+# non-principal even-j ZETA2 (j = 2, 4, ..), from the packed transforms
 sums = parity_transforms(ctx).sums()
 full_b1 = character_sums(ctx, KernelId.LINEAR).s
 full_z2 = character_sums(ctx, KernelId.ZETA2).s
 print(f"  parity split, length {ctx.n // 2}: max |B1 odd - full| = "
       f"{np.max(np.abs(sums.b1 - full_b1[1::2][:sums.b1.size])):.1e}, "
-      f"max |Z even - full| = {np.max(np.abs(sums.z2 - full_z2[0::2][:sums.z2.size])):.1e}")
+      f"max |Z even - full| = {np.max(np.abs(sums.z2 - full_z2[2::2][:sums.z2.size])):.1e}")
 
 rec = compute_record(q)
 print(f"\nkappa({q})       = {rec.kappa:+.15f}")

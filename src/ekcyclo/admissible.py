@@ -102,6 +102,8 @@ def singular_series_c1(cutoff: int = 10 ** 8,
     The omitted factor is below exp(sum_{n > cutoff} 2/(n(n-1))) =
     exp(2/cutoff), so six digits are stable from cutoff ~ 4e6 on.
     """
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     log_total = 0.0
     for start, mask in _sieve_segments(1, cutoff, segment_size):
         p = (start + np.flatnonzero(mask)).astype(np.float64)

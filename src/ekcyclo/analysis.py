@@ -12,6 +12,7 @@ from .primes import count_primes_in, is_prime
 
 DEFAULT_BIN_WIDTH = 0.005
 DEFAULT_RANGE = (-0.6, 0.6)
+MAX_BINS = 10 ** 6
 
 
 def pi_star(Q: float) -> int:
@@ -49,14 +50,19 @@ class HistogramSummary:
 
 def histogram(values: Sequence[float], bin_width: float = DEFAULT_BIN_WIDTH,
               lo: float = DEFAULT_RANGE[0], hi: float = DEFAULT_RANGE[1]) -> HistogramSummary:
-    """Counts on [lo, hi) with explicit under/overflow cells; NaN is rejected."""
+    """Counts on [lo, hi) with explicit under/overflow cells; NaN is rejected,
+    and so is a grid of no cell or more than MAX_BINS, before anything is allocated."""
     if bin_width <= 0 or lo >= hi:
         raise ValueError("need bin_width > 0 and lo < hi")
+    cells = (hi - lo) / bin_width
+    if not 0.5 < cells <= MAX_BINS:  # a NaN count fails too; above 0.5, round() gives >= 1
+        raise ValueError(f"bin width {bin_width:g} on [{lo:g}, {hi:g}) gives "
+                         f"{cells:.6g} cells, not 1 to {MAX_BINS}")
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     nan = np.flatnonzero(np.isnan(v))
     if nan.size:
         raise ValueError(f"histogram value {int(nan[0])} is NaN (no cell holds it)")
-    nbins = int(round((hi - lo) / bin_width))
+    nbins = int(round(cells))
     n = v.size
     if n == 0:
         return HistogramSummary(bin_width, lo, hi, np.zeros(nbins, dtype=np.int64),
@@ -110,8 +116,8 @@ def spike_report(records: Iterable[EkRecord], m: int, b: int,
 
 def delta_stats(records: Iterable[EkRecord], cap: float) -> tuple[float, float]:
     """(fraction with |delta| <= cap, mean |delta|)."""
-    if cap <= 0:
-        raise ValueError("cap must be positive")
+    if not cap > 0:  # NaN too
+        raise ValueError(f"cap must be positive, got {cap:g}")
     deltas = np.array([rec.delta for rec in records], dtype=np.float64)
     if deltas.size == 0:
         raise ValueError("no records")

@@ -18,9 +18,10 @@ exp(2 pi i / n):
 
 Two real rows go into one complex transform: the even row packs LNGAMMA +
 i ZETA2, the odd row LINEAR + i LNGAMMA (the odd part of LINEAR is exactly
-2 a_k / q - 1), and PackedTransforms.sums separates them by conjugate
-symmetry.  Both precisions use this layout: one (2, h) batch per q instead
-of three length-n rows.
+2 a_k / q - 1).  Both precisions run one pipeline on one (2, h) batch per
+q: pack_parities fills the rows, the caller applies the twiddles w^k, and
+PackedTransforms.sums separates the rows by conjugate symmetry into one
+sum per conjugate pair of characters, with its fold weight.
 """
 from __future__ import annotations
 
@@ -113,8 +114,11 @@ PACKED_LABELS = tuple(f"{re.value}+{im.value} ({parity})"
 class ParitySums:
     """One character sum per conjugate pair, by parity (complex128 or DDC).
 
-    b1[m] and lg_odd[m] are s[2m+1] of LINEAR and LNGAMMA for m <= (h-1)/2;
-    lg_even[m] and z2[m] are s[2m] of LNGAMMA and ZETA2 for m <= h/2.
+    The representatives are the non-principal j <= h = (q-1)/2, ascending:
+    b1[m] and lg_odd[m] are s[2m+1] of LINEAR and LNGAMMA for 2m+1 <= h,
+    lg_even[m] and z2[m] are s[2m+2] of LNGAMMA and ZETA2 for 2m+2 <= h
+    (none for q = 3).  w_odd and w_even count the characters each stands
+    for: 2, or 1 at the self-conjugate j = h.
     """
 
     q: int
@@ -122,6 +126,8 @@ class ParitySums:
     lg_odd: np.ndarray | DDC
     lg_even: np.ndarray | DDC
     z2: np.ndarray | DDC
+    w_odd: np.ndarray
+    w_even: np.ndarray
 
 
 def _unpack(re, im, m: np.ndarray, partner: np.ndarray):
@@ -149,19 +155,18 @@ class PackedTransforms:
     spec: np.ndarray | DDC
 
     def sums(self) -> ParitySums:
-        """Split the packed spectra into the per-parity sums."""
+        """Split the packed spectra into one sum per conjugate pair and parity."""
         spec = self.spec
         h = spec.shape[-1]
-        if isinstance(spec, DDC):
-            re, im, join = spec.re, spec.im, DDC
-        else:
-            re, im, join = spec.real, spec.imag, lambda x, y: x + 1j * y
-        m = np.arange(h // 2 + 1)
-        lg_even, z2 = _unpack(re[EVEN], im[EVEN], m, (h - m) % h)
-        m = np.arange((h + 1) // 2)
-        b1, lg_odd = _unpack(re[ODD], im[ODD], m, h - 1 - m)
+        join = DDC if isinstance(spec, DDC) else lambda x, y: x + 1j * y
+        m = np.arange(1, h // 2 + 1)  # j = 2m, partner j = -2m
+        lg_even, z2 = _unpack(spec.real[EVEN], spec.imag[EVEN], m, h - m)
+        w_even = np.where(2 * m < h, 2.0, 1.0)
+        m = np.arange((h + 1) // 2)  # j = 2m+1, partner j = -(2m+1)
+        b1, lg_odd = _unpack(spec.real[ODD], spec.imag[ODD], m, h - 1 - m)
+        w_odd = np.where(2 * m + 1 < h, 2.0, 1.0)
         return ParitySums(q=self.q, b1=join(*b1), lg_odd=join(*lg_odd),
-                          lg_even=join(*lg_even), z2=join(*z2))
+                          lg_even=join(*lg_even), z2=join(*z2), w_odd=w_odd, w_even=w_even)
 
 
 def _twiddles(n: int) -> np.ndarray:
@@ -186,17 +191,19 @@ def _twiddles(n: int) -> np.ndarray:
     return out
 
 
-def pack_parities(ctx: PrimeContext, lg: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """The (2, h) packed rows of the binary64 LNGAMMA and ZETA2 kernel values."""
-    h = ctx.n // 2
-    a = ctx.powers()[:h]
-    out = np.empty((2, h), dtype=np.complex128)
-    out[EVEN].real = (lg[:h] + lg[h:]) * _REAL_SCALE
-    out[EVEN].imag = z2[:h] + z2[h:]
-    out[ODD].real = _REAL_SCALE * (2 * a - ctx.q) / ctx.q
-    out[ODD].imag = lg[:h] - lg[h:]
-    out[ODD] *= _twiddles(ctx.n)
-    return out
+def pack_parities(lg, z2, lin, packed):
+    """Fill the (2, h) packed rows, before twiddles, from kernel rows in power order.
+
+    lg and z2 are the LNGAMMA and ZETA2 values (length 2h), lin = (2 a_k -
+    q)/q for k < h the odd part of LINEAR.  The same code fills a complex128
+    array from float rows and a DDC from DD rows.
+    """
+    h = packed.shape[-1]
+    packed.real[EVEN] = (lg[:h] + lg[h:]) * _REAL_SCALE
+    packed.imag[EVEN] = z2[:h] + z2[h:]
+    packed.real[ODD] = lin * _REAL_SCALE
+    packed.imag[ODD] = lg[:h] - lg[h:]
+    return packed
 
 
 def transform_kernel(packed: np.ndarray) -> np.ndarray:
@@ -209,12 +216,9 @@ def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
     q, h = ctx.q, ctx.n // 2
     a = ctx.powers()
     lg, z2 = dd_gamma_zeta_kernels(a, q)
-    packed = DDC.zeros((2, h))
-    packed.re[EVEN, :] = (lg[:h] + lg[h:]) * _REAL_SCALE
-    packed.im[EVEN, :] = z2[:h] + z2[h:]
-    lin = DD(_REAL_SCALE * (2 * a[:h] - q)) / DD(float(q))
-    odd = DDC(lin, lg[:h] - lg[h:])
-    packed[ODD] = odd * _powers(_root_of_unity(ctx.n), h)
+    lin = DD(2 * a[:h] - q) / DD(float(q))
+    packed = pack_parities(lg, z2, lin, DDC.zeros((2, h)))
+    packed[ODD] *= _powers(_root_of_unity(ctx.n), h)
     return PackedTransforms(q=q, packed=packed, spec=dd_dft(packed))
 
 
@@ -236,7 +240,7 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     """
     y, spec = pt.packed, pt.spec
     if isinstance(spec, DDC):
-        y, spec = y.re.hi + 1j * y.im.hi, spec.to_complex()
+        y, spec = y.real.hi + 1j * y.imag.hi, spec.to_complex()
     energy = y.shape[-1] * _row_energy(y)
     total = _row_energy(spec)
     out = {("parseval", label): abs(float(total[row] - energy[row])) / max(1.0, float(energy[row]))

@@ -101,11 +101,22 @@ def _cmd_analyze(args) -> int:
         return 2
     prefix = args.out_prefix
 
+    # every option and value is checked before the first output file is written
     try:
         hist = analysis.histogram([r.kappa for r in records], args.bins, lo, hi)
     except ValueError as exc:
         print(f"error: {args.in_path}: {exc}", file=sys.stderr)
         return 2
+    try:
+        report = None
+        if args.spike:
+            m, b = _parse_spike(args.spike)
+            report = analysis.spike_report(records, m, b, exclusive=args.exclusive)
+        frac, mean_abs = analysis.delta_stats(records, args.delta_cap)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     centers = hist.bin_centers()
     with open(prefix + "histogram.csv", "w", encoding="ascii", newline="\n") as f:
         f.write("bin_center,count,normal_overlay\n")
@@ -118,20 +129,13 @@ def _cmd_analyze(args) -> int:
             f.write(f"{c:.17g},{cnt},{density(float(c))}\n")
         f.write(f"{hi + 0.5 * args.bins:.17g},{hist.overflow},{density(hi + 0.5 * args.bins)}\n")
 
-    if args.spike:
-        try:
-            m, b = _parse_spike(args.spike)
-            report = analysis.spike_report(records, m, b, exclusive=args.exclusive)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if report is not None:
         with open(prefix + "spikes.csv", "w", encoding="ascii", newline="\n") as f:
             f.write("m,b,exclusive,count,sample_mean,target\n")
             mean = "nan" if report.sample_mean is None else f"{report.sample_mean:.17g}"
             f.write(f"{report.m},{report.b},{int(report.exclusive)},{report.count},"
                     f"{mean},{report.target:.17g}\n")
 
-    frac, mean_abs = analysis.delta_stats(records, args.delta_cap)
     with open(prefix + "delta.csv", "w", encoding="ascii", newline="\n") as f:
         f.write("cap,frac_within,mean_abs\n")
         f.write(f"{args.delta_cap:.17g},{frac:.17g},{mean_abs:.17g}\n")
@@ -148,7 +152,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    for const in constants_table(args.c1_cutoff).values():
+    try:
+        table = constants_table(args.c1_cutoff)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for const in table.values():
         print(f"{const.name:12s} = {const.value:.10f}   [{const.expression}]")
     for c in (4, 6):
         n, total = harmonic_threshold(float(c))

@@ -5,15 +5,14 @@ All primitives are branch-free elementwise numpy expressions built from the
 classic error-free transforms (Knuth two-sum, Dekker split/product), so the
 whole layer vectorises over arrays of any shape.
 
-On top of the scalar layer sit complex pairs, exp/log, an iterative
-radix-2 FFT with double-double twiddle tables, and a Bluestein chirp-z
-reduction that evaluates DFTs of arbitrary length n in O(n log n) while
-keeping ~1e-31 relative accuracy.  No fused-multiply-add is assumed.
+On top of the scalar layer sit complex pairs, exp/log, a forward-only
+iterative radix-2 FFT with double-double twiddle tables, and a Bluestein
+chirp-z reduction that evaluates DFTs of arbitrary length n in O(n log n)
+while keeping ~1e-31 relative accuracy.  No fused-multiply-add is assumed.
 """
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -238,13 +237,13 @@ def dd_cos_sin(theta: DD) -> tuple[DD, DD]:
 
 
 class DDC:
-    """Array of double-double complex values."""
+    """Array of double-double complex values; parts named as numpy's."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re: DD, im: DD):
-        self.re = re
-        self.im = im
+    def __init__(self, real: DD, imag: DD):
+        self.real = real
+        self.imag = imag
 
     @staticmethod
     def zeros(shape) -> "DDC":
@@ -252,58 +251,51 @@ class DDC:
 
     @property
     def shape(self):
-        return self.re.shape
+        return self.real.shape
 
     def __getitem__(self, idx) -> "DDC":
-        return DDC(self.re[idx], self.im[idx])
+        return DDC(self.real[idx], self.imag[idx])
 
     def __setitem__(self, idx, value: "DDC"):
-        self.re[idx] = value.re
-        self.im[idx] = value.im
+        self.real[idx] = value.real
+        self.imag[idx] = value.imag
 
     def reshape(self, *shape) -> "DDC":
-        return DDC(self.re.reshape(*shape), self.im.reshape(*shape))
-
-    def take(self, idx, axis=-1) -> "DDC":
-        return DDC(self.re.take(idx, axis), self.im.take(idx, axis))
+        return DDC(self.real.reshape(*shape), self.imag.reshape(*shape))
 
     def copy(self) -> "DDC":
-        return DDC(self.re.copy(), self.im.copy())
+        return DDC(self.real.copy(), self.imag.copy())
 
     def __add__(self, other: "DDC") -> "DDC":
-        return DDC(self.re + other.re, self.im + other.im)
+        return DDC(self.real + other.real, self.imag + other.imag)
 
     def __sub__(self, other: "DDC") -> "DDC":
-        return DDC(self.re - other.re, self.im - other.im)
+        return DDC(self.real - other.real, self.imag - other.imag)
 
     def __mul__(self, other: "DDC") -> "DDC":
-        return DDC(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        return DDC(self.real * other.real - self.imag * other.imag,
+                   self.real * other.imag + self.imag * other.real)
 
     def conj(self) -> "DDC":
-        return DDC(self.re, -self.im)
+        return DDC(self.real, -self.imag)
 
     def abs2(self) -> DD:
-        return self.re.square() + self.im.square()
+        return self.real.square() + self.imag.square()
 
     def __truediv__(self, other: "DDC") -> "DDC":
         den = other.abs2()
         num = self * other.conj()
-        return DDC(num.re / den, num.im / den)
+        return DDC(num.real / den, num.imag / den)
 
     def scale_pow2(self, f) -> "DDC":
-        return DDC(self.re.scale_pow2(f), self.im.scale_pow2(f))
-
-    def sum(self, axis=-1) -> "DDC":
-        return DDC(self.re.sum(axis), self.im.sum(axis))
+        return DDC(self.real.scale_pow2(f), self.imag.scale_pow2(f))
 
     def to_complex(self) -> np.ndarray:
-        return self.re.to_float() + 1j * self.im.to_float()
+        return self.real.to_float() + 1j * self.imag.to_float()
 
 
 # -- FFT ---------------------------------------------------------------
-_twiddle_cache: dict[tuple[int, int], DDC] = {}
-_bitrev_cache: dict[int, np.ndarray] = {}
+_twiddle_cache: dict[int, DDC] = {}
 
 
 def _root_of_unity(m: int, numerator: int = 2) -> DDC:
@@ -327,109 +319,74 @@ def _powers(w: DDC, count: int) -> DDC:
     return out
 
 
-def _twiddle_table(m: int, sign: int) -> DDC:
-    """T[k] = exp(sign * 2 pi i k / m) for k < m // 2; m a power of two."""
-    key = (m, sign)
-    cached = _twiddle_cache.get(key)
+def _twiddle_table(m: int) -> DDC:
+    """T[k] = exp(-2 pi i k / m) for k < m // 2; m a power of two."""
+    cached = _twiddle_cache.get(m)
     if cached is None:
-        w = _root_of_unity(m)
-        cached = _twiddle_cache[key] = _powers(w if sign > 0 else w.conj(), m // 2)
+        cached = _twiddle_cache[m] = _powers(_root_of_unity(m).conj(), m // 2)
     return cached
 
 
 def _bit_reverse_indices(m: int) -> np.ndarray:
-    cached = _bitrev_cache.get(m)
-    if cached is not None:
-        return cached
     bits = m.bit_length() - 1
     idx = np.arange(m)
     rev = np.zeros(m, dtype=np.int64)
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
-    _bitrev_cache[m] = rev
     return rev
 
 
-def dd_fft_pow2(x: DDC, sign: int = -1) -> DDC:
-    """In-order radix-2 FFT along the last axis; length must be a power of 2."""
+def dd_fft_pow2(x: DDC) -> DDC:
+    """X[j] = sum_k x[k] exp(-2 pi i j k / m) along the last axis, m a power of 2.
+
+    In-order iterative radix-2.  Only the forward transform exists: the
+    inverse is conj(dd_fft_pow2(conj X)) / m, bit for bit, since every
+    double-double operation commutes with negation.
+    """
     m = x.shape[-1]
     if m & (m - 1):
         raise ValueError("length must be a power of two")
     if m == 1:
         return x.copy()
-    table = _twiddle_table(m, sign)
-    x = x.take(_bit_reverse_indices(m))
+    table = _twiddle_table(m)
+    x = x[..., _bit_reverse_indices(m)]
     lead = x.shape[:-1]
     h = 1
     while h < m:
-        stride = m // (2 * h)
-        tw = table.take(np.arange(h) * stride)
         y = x.reshape(*lead, m // (2 * h), 2, h)
         even = y[..., 0, :]
-        odd = y[..., 1, :] * tw
-        upper = even + odd
-        lower = even - odd
-        x = DDC(DD(np.concatenate([upper.re.hi[..., None, :], lower.re.hi[..., None, :]], axis=-2),
-                   np.concatenate([upper.re.lo[..., None, :], lower.re.lo[..., None, :]], axis=-2)),
-                DD(np.concatenate([upper.im.hi[..., None, :], lower.im.hi[..., None, :]], axis=-2),
-                   np.concatenate([upper.im.lo[..., None, :], lower.im.lo[..., None, :]], axis=-2)))
+        odd = y[..., 1, :] * table[::m // (2 * h)]
+        x = DDC.zeros(y.shape)
+        x[..., 0, :] = even + odd
+        x[..., 1, :] = even - odd
         # blocks of size 2h are now contiguous: (nblk, 2, h) -> (nblk, 2h)
         x = x.reshape(*lead, m)
         h *= 2
     return x
 
 
-def dd_ifft_pow2(x: DDC) -> DDC:
-    m = x.shape[-1]
-    return dd_fft_pow2(x, sign=+1).scale_pow2(1.0 / m)
-
-
-class _BluesteinPlan:
-    __slots__ = ("n", "m", "chirp", "filter_fft")
-
-    def __init__(self, n: int):
-        # n >= 2: dd_dft returns length-1 input as it is
-        self.n = n
-        self.m = 1 << (2 * n - 1).bit_length()
-        # chirp[j] = exp(i pi j^2 / n); exponents reduce modulo 2n
-        u = _powers(_root_of_unity(n, numerator=1), 2 * n)
-        self.chirp = u.take((np.arange(n, dtype=np.int64) ** 2) % (2 * n))
-        filt = DDC.zeros(self.m)
-        b = self.chirp.conj()
-        filt[0:n] = b
-        filt[self.m - (n - 1):self.m] = b.take(np.arange(n - 1, 0, -1))
-        self.filter_fft = dd_fft_pow2(filt, sign=-1)
-
-
-_plan_cache: OrderedDict[int, _BluesteinPlan] = OrderedDict()
-_PLAN_CACHE_MAX = 32
-
-
-def _bluestein_plan(n: int) -> _BluesteinPlan:
-    plan = _plan_cache.get(n)
-    if plan is None:
-        plan = _BluesteinPlan(n)
-        _plan_cache[n] = plan
-        if len(_plan_cache) > _PLAN_CACHE_MAX:
-            _plan_cache.popitem(last=False)
-    else:
-        _plan_cache.move_to_end(n)
-    return plan
-
-
 def dd_dft(x: DDC) -> DDC:
-    """X[j] = sum_k x[k] exp(+2 pi i j k / n) along the last axis, any n."""
+    """X[j] = sum_k x[k] exp(+2 pi i j k / n) along the last axis, any n.
+
+    Bluestein: with the chirp c[j] = exp(i pi j^2 / n), X = c (conv(x c,
+    conj c)), the convolution taken by power-of-two FFTs of length m >= 2n-1.
+    """
     n = x.shape[-1]
     if n == 1:
         return x.copy()
-    plan = _bluestein_plan(n)
-    lead = x.shape[:-1]
-    a = DDC.zeros(lead + (plan.m,))
-    a[..., 0:n] = x * plan.chirp
-    spec = dd_fft_pow2(a, sign=-1) * plan.filter_fft
-    conv = dd_ifft_pow2(spec)
-    return conv[..., 0:n] * plan.chirp
+    m = 1 << (2 * n - 1).bit_length()
+    # chirp exponents reduce modulo 2n
+    u = _powers(_root_of_unity(n, numerator=1), 2 * n)
+    chirp = u[(np.arange(n, dtype=np.int64) ** 2) % (2 * n)]
+    filt = DDC.zeros(m)
+    filt[0:n] = chirp.conj()
+    filt[m - (n - 1):m] = chirp[n - 1:0:-1].conj()
+    a = DDC.zeros(x.shape[:-1] + (m,))
+    a[..., 0:n] = x * chirp
+    spec = dd_fft_pow2(a) * dd_fft_pow2(filt)
+    conv = dd_fft_pow2(spec.conj()).conj().scale_pow2(1.0 / m)
+    return conv[..., 0:n] * chirp
 
 
 # -- double-double kernels at rational points a/q -----------------------

@@ -10,9 +10,10 @@ functional equation, which avoids Gauss sums entirely:
 with B1(chi) = sum_a chi(a) a/q (the LINEAR spectrum), G(chi) =
 sum_a chi(a) log Gamma(a/q) (LNGAMMA) and Z(chi) = sum_a chi(a)
 zeta''(0, a/q) (ZETA2).  Summed over a conjugation-closed family the
-conjugations drop out, so the per-parity totals fold into sums of real
-parts over j <= (q-1)/2: kappa and r read the odd spectra of
-charsum.ParitySums, gamma_q+ the even ones.
+conjugations drop out, so the per-parity totals fold into weighted sums
+of real parts over one representative 0 < j <= (q-1)/2 per conjugate pair:
+kappa and r read the odd sums of charsum.ParitySums, gamma_q+ the even
+ones, each with the fold weights that come with them.
 
     kappa(q)   = -[ (q-1)/2 (log 2pi + gamma) + sum_{odd j} Re G_j/B1_j ] / log q
     r(q)       = (q-1)/2 log(pi/sqrt q) + sum_{odd j} log |B1_j|
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dd as ddm
-from .charsum import (CharacterSums, KernelId, PackedTransforms, ParitySums,
+from .charsum import (ODD, CharacterSums, KernelId, PackedTransforms, ParitySums, _twiddles,
                       character_sums_dd, kernel_values, pack_parities, spectrum_checks,
                       transform_kernel)
 from .dd import DD, dd_exp, dd_log
@@ -62,59 +63,36 @@ class KummerCheck:
     gap: float
 
 
-def _fold(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """One conjugacy representative per character of a parity.
-
-    Returns (m, w): indices m into that parity's spectra (ParitySums), for
-    the characters j = 2m + parity with 0 < j <= n/2, ascending in j, and
-    fold weight w in {1, 2} (the middle index n/2 is self-conjugate).
-    """
-    mid = n // 2
-    j = np.arange(2 - parity, mid + 1, 2, dtype=np.int64)
-    w = np.where(j < mid, 2.0, 1.0)
-    return j // 2, w
-
-
 def _assembly_error(what: str, q: int, kernel: KernelId) -> ComputationError:
     return ComputationError(f"{what} (q={q}, kernel {kernel.value}, stage assembly)")
 
 
 def kappa(ctx: PrimeContext, sums: ParitySums) -> float:
     """kappa(q) = (gamma_q+ - gamma_q)/log q from the odd LINEAR and LNGAMMA sums."""
-    m, w = _fold(ctx.n, parity=1)
-    sb = sums.b1[m]
-    if np.any(sb == 0):
+    if np.any(sums.b1 == 0):
         raise _assembly_error("vanishing B1 sum", ctx.q, KernelId.LINEAR)
-    ratios = sums.lg_odd[m] / sb
-    total = compensated_sum(w * ratios.real)
+    ratios = sums.lg_odd / sums.b1
+    total = compensated_sum(sums.w_odd * ratios.real)
     return -(0.5 * ctx.n * _C + total) / math.log(ctx.q)
 
 
 def kummer_r(ctx: PrimeContext, sums: ParitySums) -> float:
     """r(q) = log R(q), the log of the product of |L(1, chi)| over odd chi."""
-    m, w = _fold(ctx.n, parity=1)
-    mags = np.abs(sums.b1[m])
+    mags = np.abs(sums.b1)
     if np.any(mags == 0.0):
         raise _assembly_error("vanishing B1 sum", ctx.q, KernelId.LINEAR)
     base = 0.5 * ctx.n * (math.log(math.pi) - 0.5 * math.log(ctx.q))
-    return base + compensated_sum(w * np.log(mags))
+    return base + compensated_sum(sums.w_odd * np.log(mags))
 
 
 def gamma_pair(ctx: PrimeContext, kap: float, sums: ParitySums) -> tuple[float, float]:
     """(gamma_q+, gamma_q) given kappa(q) and the even LNGAMMA and ZETA2 sums;
-    the even sum is empty for q = 3 (gamma_q+ = gamma)."""
-    m, w = _fold(ctx.n, parity=0)
-    gamma_e = CONSTANTS.euler_gamma
-    if m.size == 0:
-        gplus = gamma_e
-    else:
-        sl = sums.lg_even[m]
-        if np.any(sl == 0):
-            raise _assembly_error("vanishing L'(0) sum", ctx.q, KernelId.LNGAMMA)
-        u = (sums.z2[m] / (2.0 * sl)).real
-        gplus = gamma_e + compensated_sum(w * (_C - u))
-    g = gplus - kap * math.log(ctx.q)
-    return gplus, g
+    the even sums are empty for q = 3 (gamma_q+ = gamma)."""
+    if np.any(sums.lg_even == 0):
+        raise _assembly_error("vanishing L'(0) sum", ctx.q, KernelId.LNGAMMA)
+    u = (sums.z2 / (2.0 * sums.lg_even)).real
+    gplus = CONSTANTS.euler_gamma + compensated_sum(sums.w_even * (_C - u))
+    return gplus, gplus - kap * math.log(ctx.q)
 
 
 def log_deriv_ratios(ctx: PrimeContext, b1: CharacterSums, lg: CharacterSums,
@@ -142,28 +120,20 @@ def _dd_fold_sum(values: DD, weights: np.ndarray) -> DD:
 
 def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
     """kappa/r/gamma_plus/gamma in double-double from the parity spectra."""
-    n = ctx.n
     log_q = dd_log(DD(float(ctx.q)))
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
-    half = n / 2.0
+    half = ctx.n / 2.0
 
-    m, w = _fold(n, parity=1)
-    b1o = sums.b1.take(m)
-    ratios = sums.lg_odd.take(m) / b1o
-    kap = -(c_dd * half + _dd_fold_sum(ratios.re, w)) / log_q
+    ratios = sums.lg_odd / sums.b1
+    kap = -(c_dd * half + _dd_fold_sum(ratios.real, sums.w_odd)) / log_q
 
-    log_mags = dd_log(b1o.abs2()).scale_pow2(0.5)
-    r = (ddm.LOG_PI_DD - log_q.scale_pow2(0.5)) * half + _dd_fold_sum(log_mags, w)
+    log_mags = dd_log(sums.b1.abs2()).scale_pow2(0.5)
+    r = (ddm.LOG_PI_DD - log_q.scale_pow2(0.5)) * half + _dd_fold_sum(log_mags, sums.w_odd)
 
-    m, w = _fold(n, parity=0)
-    if m.size == 0:
-        gplus = ddm.EULER_GAMMA_DD
-    else:
-        u = (sums.z2.take(m) / sums.lg_even.take(m).scale_pow2(2.0)).re
-        gplus = ddm.EULER_GAMMA_DD + _dd_fold_sum(c_dd - u, w)
+    u = (sums.z2 / sums.lg_even.scale_pow2(2.0)).real
+    gplus = ddm.EULER_GAMMA_DD + _dd_fold_sum(c_dd - u, sums.w_even)
     gamma = gplus - kap * log_q
-    return {"kappa": kap, "r": r, "gamma_plus": gplus, "gamma": gamma,
-            "log_q": log_q}
+    return {"kappa": kap, "r": r, "gamma_plus": gplus, "gamma": gamma}
 
 
 _SPECTRUM_TOL = {"s0": 1e-12, "parseval": 1e-9}
@@ -182,7 +152,10 @@ def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
     """The two packed parity transforms of ctx.q in binary64 (see charsum)."""
     lg = kernel_values(ctx, KernelId.LNGAMMA)
     z2 = kernel_values(ctx, KernelId.ZETA2)
-    packed = pack_parities(ctx, lg, z2)
+    h = ctx.n // 2
+    lin = (2 * ctx.powers()[:h] - ctx.q) / ctx.q
+    packed = pack_parities(lg, z2, lin, np.empty((2, h), dtype=np.complex128))
+    packed[ODD] *= _twiddles(ctx.n)
     return PackedTransforms(q=ctx.q, packed=packed, spec=transform_kernel(packed))
 
 

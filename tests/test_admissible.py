@@ -89,6 +89,12 @@ def test_constants_kummer_lead():
     assert abs(t["kummer_lead"].value - 1.6433058) < 1e-7
 
 
+def test_singular_series_rejects_small_cutoff():
+    for cutoff in (1, 0, -5):
+        with pytest.raises(ValueError, match="cutoff must be >= 2"):
+            singular_series_c1(cutoff)
+
+
 def test_constants_c1_six_digits():
     value, tail = singular_series_c1(4 * 10 ** 6)
     assert abs(value - 3.279577) < 5e-7

@@ -136,3 +136,12 @@ def test_envelope_check(table_records):
 def test_histogram_rejects_nan():
     with pytest.raises(ValueError, match="value 1 is NaN"):
         histogram([0.1, float("nan"), 0.2])
+
+
+def test_histogram_rejects_grid_size():
+    # 1e7 cells, refused before any count array is allocated; 0.24 and 0.498 cells round to none
+    for width in (1.2e-7, 5.0, 2.41):
+        with pytest.raises(ValueError, match="cells, not 1 to 1000000"):
+            histogram([0.1], width)
+    assert histogram([0.5], 1.0, 0.0, 1e6).counts.size == 10 ** 6
+    assert histogram([0.1], 2.39).counts.size == 1

@@ -161,7 +161,7 @@ def test_corrupted_packed_spectrum_raises(monkeypatch, mode, row, index, label):
 
     def corrupt(spec):
         if isinstance(spec, DDC):
-            spec.re.hi[row, index] += 1e-6 * np.max(np.abs(spec.re.hi))
+            spec.real.hi[row, index] += 1e-6 * np.max(np.abs(spec.real.hi))
         else:
             spec[row, index] += 1e-6 * np.max(np.abs(spec))
         return spec

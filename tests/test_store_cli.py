@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +75,40 @@ def test_checkpoint_resume_identical(tmp_path, monkeypatch):
     run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
     assert out.read_bytes() == ref.read_bytes()
     assert not (tmp_path / "resumed.csv.checkpoint").exists()
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["sigint", "sigkill"])
+def test_interrupted_cli_run_resumes_to_same_bytes(tmp_path, sig):
+    """A compute process stopped by a signal after a checkpoint resumes to the
+    bytes of an uninterrupted run."""
+    ref = tmp_path / "ref.csv"
+    run_range(RunConfig(3, 6000, str(ref), checkpoint_every=20))
+    out = tmp_path / "run.csv"
+    ck = tmp_path / "run.csv.checkpoint"
+    cmd = [sys.executable, "-m", "ekcyclo.cli", "compute", "--min", "3", "--max", "6000",
+           "--out", str(out), "--checkpoint-every", "20"]
+    env = dict(os.environ)
+    src = str(Path(store.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not ck.exists():
+            assert child.poll() is None, "the run ended before its first checkpoint"
+            assert time.monotonic() < deadline, "no checkpoint within 120 s"
+            time.sleep(0.005)
+        child.send_signal(sig)
+        assert child.wait(timeout=60) != 0
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert ck.exists()  # the run was cut short, so the rerun resumes
+    assert out.read_bytes() != ref.read_bytes()
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == ref.read_bytes()
+    assert not ck.exists()
 
 
 def test_checkpoint_digest_mismatch_detected(tmp_path, monkeypatch):
@@ -328,3 +367,26 @@ def test_cli_constants(capsys):
     out = capsys.readouterr().out
     for token in ("227", "4.0021833", "12367", "6.0000215", "55", "1.6433058"):
         assert token in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--delta-cap", "-1"], "cap must be positive, got -1"),
+    (["--delta-cap", "nan"], "cap must be positive, got nan"),
+    (["--bins", "1.2e-7"], "1e+07 cells, not 1 to 1000000"),
+    (["--bins", "5"], "0.24 cells, not 1 to 1000000"),
+    (["--spike", "3:+1"], "m must be a positive even integer"),
+], ids=["delta-cap", "delta-cap-nan", "bins-fine", "bins-wide", "spike"])
+def test_cli_analyze_usage_error_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "r.csv"
+    run_range(RunConfig(3, 20, str(out)))
+    args = ["analyze", "--in", str(out), "--out-prefix", str(tmp_path / "p_"), *argv]
+    assert cli_main(args) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("p_*")) == []
+
+
+def test_cli_constants_rejects_small_cutoff(capsys):
+    assert cli_main(["constants", "--c1-cutoff", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "error: cutoff must be >= 2" in captured.err
+    assert captured.out == ""
