@@ -73,14 +73,11 @@ def dft_direct(x) -> np.ndarray:
 
 def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
     """f((g^k mod q)/q) for k = 0..q-2, in power order."""
-    a = ctx.powers().astype(np.float64)
-    x = a / ctx.q
-    if kernel is KernelId.LINEAR:
-        vals = x
-    elif kernel is KernelId.LNGAMMA:
-        vals = ln_gamma(x)
-    else:
+    if kernel is KernelId.ZETA2:
         vals = hurwitz_z2_at_rationals(ctx.powers(), ctx.q)
+    else:
+        x = ctx.powers().astype(np.float64) / ctx.q
+        vals = x if kernel is KernelId.LINEAR else ln_gamma(x)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         k = int(bad[0])

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import analysis
@@ -66,6 +67,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 < args.tol < math.inf:
+        print(f"error: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
+        return 2
     result = verify_reference(args.tol, mode=args.precision)
     print(f"max |kappa - reference| = {result.max_deviation:.3e} at q={result.worst_q} "
           f"(tolerance {args.tol:g}, {args.precision})")

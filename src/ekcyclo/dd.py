@@ -25,7 +25,7 @@ from .special_functions import (
     LOG_PI_STR,
     PI_STR,
     IntegerLogCache,
-    euler_maclaurin_tails,
+    rational_kernels,
 )
 
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -393,25 +393,18 @@ def dd_dft(x: DDC) -> DDC:
 _EM_SHIFT_DD = 32
 _EM_COEFF_DD = [(DD.from_fraction(c), DD.from_fraction(h)) for c, h in EM_COEFFS]
 
-_INT_LOG_FLOOR = 4096
 _INT_LOG_CAP = 4_000_000
-_integer_logs = IntegerLogCache(lambda m: dd_log(DD(m)), _INT_LOG_FLOOR, _INT_LOG_CAP)
+_integer_logs = IntegerLogCache(lambda m: dd_log(DD(m)), DD.zeros, _INT_LOG_CAP)
 
 
 def dd_gamma_zeta_kernels(a: np.ndarray, q: int) -> tuple[DD, DD]:
     """(log Gamma(a/q), zeta''(0, a/q)) in double-double for integer 0 < a < q.
 
-    Euler-Maclaurin with shift 32 and Bernoulli terms through B_24; all
-    logarithms are taken at exact integers a + n q, so no intermediate
-    rounding enters before the double-double stage.
+    Euler-Maclaurin with shift 32 through B_24 by special_functions.rational_kernels;
+    all logs are taken at exact integers a + n q, so no rounding enters before dd.
     """
-    a = np.asarray(a, dtype=np.int64)
-    grid = _integer_logs.upto((_EM_SHIFT_DD + 1) * q - 1)
-    log_q = grid[q - 1]
-    shifted = a[None, :] + q * np.arange(_EM_SHIFT_DD + 1, dtype=np.int64)[:, None]
-    all_logs = grid.take(shifted - 1)
-    logs = all_logs[:_EM_SHIFT_DD] - log_q  # log(a/q + n), n < 32
-    w = DD(a + q * _EM_SHIFT_DD) / DD(float(q))
-    z1, z2 = euler_maclaurin_tails(w, all_logs[_EM_SHIFT_DD] - log_q, _EM_COEFF_DD,
-                                   logs.square().sum(axis=0), -logs.sum(axis=0))
-    return z1 + LOG_2PI_DD.scale_pow2(0.5), z2
+    idx = np.asarray(a, dtype=np.int64) - 1
+    table = _integer_logs.upto(q)
+    log_q = table[q - 1] if table is not None else _integer_logs.log(np.array([float(q)]))[0]
+    z1, z2 = rational_kernels(q, _integer_logs, log_q, _EM_SHIFT_DD, _EM_COEFF_DD, first=True)
+    return z1.take(idx) + LOG_2PI_DD.scale_pow2(0.5), z2.take(idx)

@@ -11,7 +11,7 @@ character-sum route computes in closed form:
 with sign +1 for p^m = 1 (mod q) and -1 for p^m = -1 (mod q); the pairs
 ((q-1)/2 f_q, r(q)) and ((q-1)/2 (v_q + w_q), kappa(q)) form the
 independent cross-route oracle.  Primes are streamed through a segmented
-sieve; every reduction is an exactly-rounded fsum per segment, merged with
+sieve; every reduction is an exactly-rounded sum per segment, merged with
 Neumaier compensation in segment order, so results are deterministic for a
 fixed segment size.
 """
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .primes import DEFAULT_SEGMENT_SIZE, _sieve_segments, mult_order, simple_sieve
+from .special_functions import compensated_sum
 
 
 class _Acc:
@@ -90,8 +91,8 @@ def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> di
                 sel = residues == cls
                 if not sel.any():
                     continue
-                acc[q]["inv"].add(sign * math.fsum(1.0 / p[sel]))
-                acc[q]["logp"].add(sign * math.fsum(logs[sel] / p[sel]))
+                acc[q]["inv"].add(sign * compensated_sum(1.0 / p[sel]))
+                acc[q]["logp"].add(sign * compensated_sum(logs[sel] / p[sel]))
     powers = _power_terms(x)
     out = {}
     for q in qs:

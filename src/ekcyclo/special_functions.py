@@ -10,8 +10,8 @@ expansion differentiated analytically in s: with w = x + N and L = log w,
                   + 2 sum_k B_{2k}/(2k(2k-1)) (H_{2k-2} - L) w^{1-2k}
 
 Binary64 uses N = 6 with Bernoulli terms through B_20 (truncation near
-2e-15 on (0, 1), far inside the 1e-10 contract); the double-double kernels
-in ``dd`` run the same tails with N = 32 through B_24.
+2e-15 on (0, 1), far inside the 1e-10 contract), double-double (``dd``)
+N = 32 through B_24; at x = a/q both run the blocked rational_kernels.
 """
 from __future__ import annotations
 
@@ -92,9 +92,7 @@ EM_COEFFS: list[tuple[Fraction, Fraction]] = [
     for k in range(1, 13)
 ]
 
-# binary64: shift 6 with Bernoulli terms through B_20 leaves the truncation
-# near 2e-15, far inside the 1e-10 kernel contract
-_EM_SHIFT = 6
+_EM_SHIFT = 6  # binary64; see the module docstring
 _EM_COEFF = [(float(c), float(h)) for c, h in EM_COEFFS[:10]]
 
 
@@ -112,10 +110,13 @@ def euler_maclaurin_tails(w, L, coeff, s2, s1=None):
     w2 = 1.0 / (w * w)
     wp = 1.0 / w
     for c, h in coeff:
-        z2 += 2.0 * c * (h - L) * wp
+        # in place only where no bit changes: DD rebinds, operand order kept
+        t = 2.0 * c * (h - L)
+        t *= wp
+        z2 += t
         if z1 is not None:
             z1 += c * wp
-        wp = wp * w2
+        wp *= w2
     return z1, z2
 
 
@@ -140,55 +141,88 @@ def hurwitz_at_zero(x: float) -> HurwitzAtZero:
 class IntegerLogCache:
     """log 1, ..., log m from one table, grown by doubling up to a cap.
 
-    Every log in the rational-point kernels is the log of an integer
-    a + n q, so a range run slices or gathers them from the table instead
-    of recomputing; above the cap they are computed on each call.
-    ``log`` maps a float64 array of integers to their logs (float or DD).
+    A range run reads the logs of a + n q from the table; growing takes only
+    the new logs, block by block.  ``log`` maps a float64 array of integers
+    to their logs (float or DD); ``zeros`` makes an array of that kind.
     """
 
-    def __init__(self, log, floor: int, cap: int):
+    def __init__(self, log, zeros, cap: int):
         self.log = log
-        self.floor = floor
+        self.zeros = zeros
         self.cap = cap
         self.limit = 0
-        self.table = None
+        self.table = zeros(0)
 
     def upto(self, top: int):
-        """log m for m = 1..top; element m - 1 holds log m."""
+        """log m for m = 1..top (element m - 1 holds log m); None past the cap."""
         if top > self.cap:
-            return self.log(np.arange(1, top + 1, dtype=np.float64))
+            return None
         if top > self.limit:
-            self.limit = min(max(2 * top, self.floor), self.cap)
-            self.table = self.log(np.arange(1, self.limit + 1, dtype=np.float64))
+            limit = min(2 * top, self.cap)
+            table = self.zeros(limit)
+            table[:self.limit] = self.table
+            for lo in range(self.limit, limit, _BLOCK):
+                hi = min(lo + _BLOCK, limit)
+                table[lo:hi] = self.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+            self.table, self.limit = table, limit
         return self.table[:top]
 
 
-_LOG_TABLE_FLOOR = 1 << 16
+_BLOCK = 16384  # values of a per block: its log rows stay in cache
 _LOG_TABLE_CAP = 2_000_000
-_integer_logs = IntegerLogCache(np.log, _LOG_TABLE_FLOOR, _LOG_TABLE_CAP)
+_integer_logs = IntegerLogCache(np.log, np.zeros, _LOG_TABLE_CAP)
+
+
+def rational_kernels(q: int, logs: IntegerLogCache, log_q, shift: int, coeff, first=False):
+    """(zeta'(0, a/q) or None, zeta''(0, a/q)) for a = 1..q-1 by blocks of a, in the
+    precision of logs, log_q and coeff.  Every operation is elementwise: no
+    value depends on its block or on where its logs came from."""
+    # table rows are views; the last block's reaches one row past (shift + 1) q
+    table = logs.upto((shift + 2) * q)
+    rows = q * np.arange(shift + 1.0)[:, None]
+    z1 = logs.zeros(q - 1) if first else None
+    z2 = logs.zeros(q - 1)
+    for lo in range(0, q - 1, _BLOCK):
+        hi = min(lo + _BLOCK, q - 1)
+        L = (table[lo:lo + (shift + 1) * q].reshape(shift + 1, q)[:, :hi - lo]
+             if table is not None else
+             logs.log(np.arange(lo + 1.0, hi + 1.0) + rows)) - log_q  # log(a/q + n)
+        head = L[:shift]
+        w = (logs.zeros(hi - lo) + np.arange(lo + 1.0, hi + 1.0) + shift * q) / q
+        s1 = -head.sum(axis=0) if first else None
+        head *= head  # in place on float64, which keeps the temporaries small
+        b1, b2 = euler_maclaurin_tails(w, L[shift], coeff, head.sum(axis=0), s1)
+        z2[lo:hi] = b2
+        if first:
+            z1[lo:hi] = b1
+    return z1, z2
 
 
 def hurwitz_z2_at_rationals(a: np.ndarray, q: int) -> np.ndarray:
     """zeta''(0, a/q) for integer arrays 0 < a < q."""
-    # evaluated for a = 1..q-1 in natural order, where every log(a + n q)
-    # is a contiguous slice of the table
-    grid = _integer_logs.upto((_EM_SHIFT + 1) * q - 1)
-    lq = math.log(q)
-    acc = np.zeros(q - 1)
-    for n in range(_EM_SHIFT):
-        logs = grid[n * q: (n + 1) * q - 1] - lq
-        acc += logs * logs
-    L = grid[_EM_SHIFT * q: (_EM_SHIFT + 1) * q - 1] - lq
-    w = (np.arange(1, q, dtype=np.float64) + q * _EM_SHIFT) / q
-    _, z2 = euler_maclaurin_tails(w, L, _EM_COEFF, acc)
+    _, z2 = rational_kernels(q, _integer_logs, math.log(q), _EM_SHIFT, _EM_COEFF)
     return z2[np.asarray(a, dtype=np.int64) - 1]
 
 
 def compensated_sum(values) -> float:
-    """Error-tracking (Shewchuk partials) sum, exactly rounded.
-
-    Exact rounding makes the result independent of chunking or element
-    order outright, which is what the deterministic-output contract needs.
-    """
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    return math.fsum(arr.tolist())
+    """Exactly rounded sum, bit for bit math.fsum's, which makes it
+    independent of chunking or order.  Three levels of error-free extraction
+    (AccSum: Rump, Ogita, Oishi, SIAM J. Sci. Comput. 31(1), 2008) take the
+    bulk in array operations; fsum rounds the rest once."""
+    p = np.asarray(values, dtype=np.float64).reshape(-1)
+    mu = float(np.max(np.abs(p), initial=0.0))
+    # sigma = 2^(M + e) >= 2^M mu, n + 2 <= 2^M, stays below 2^986: no
+    # overflow.  NaN and inf go to fsum, which propagates them as before
+    if not 0.0 < mu < 2.0 ** 960 or p.size > 1 << 25:
+        return math.fsum(p.tolist())
+    big_m = (p.size + 1).bit_length()
+    levels = []
+    for _ in range(3):  # mu = 0 extracts zeros, harmlessly
+        sigma = math.ldexp(1.0, big_m + math.frexp(mu)[1])
+        # q is a multiple of 2^-53 sigma with |q| <= 2^-M sigma, so every
+        # partial sum of n of them is exact; p - q is exact too
+        q = (sigma + p) - sigma
+        levels.append(float(np.sum(q)))
+        p = p - q
+        mu = float(np.max(np.abs(p)))
+    return math.fsum(levels + p[p != 0.0].tolist())

@@ -223,7 +223,7 @@ def verify_reference(tol: float, mode: str = "double") -> VerificationResult:
         dev = abs(compute_record(q, mode=mode).kappa - ref)
         if dev > worst:
             worst, worst_q = dev, q
-        if dev > tol:
+        if not dev <= tol:  # a NaN deviation fails too
             offenders.append(q)
     return VerificationResult(max_deviation=worst, worst_q=worst_q,
                               offenders=tuple(offenders))

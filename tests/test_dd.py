@@ -103,8 +103,13 @@ def test_integer_log_table_consistency():
     assert np.max(np.abs(diff)) < 1e-30
 
 
+def bits_equal(x: DD, y: DD) -> bool:
+    return (np.array_equal(x.hi.view(np.int64), y.hi.view(np.int64))
+            and np.array_equal(x.lo.view(np.int64), y.lo.view(np.int64)))
+
+
 def test_kernels_beyond_table_cap(monkeypatch):
-    # forcing the direct-log fallback must not change the kernel values, in
+    # forcing direct logs past the table cap must not change a single bit, in
     # double-double and in the binary64 zeta'' kernel (which needs logs up to 7q)
     import ekcyclo.dd as mod
     import ekcyclo.special_functions as sf
@@ -116,8 +121,37 @@ def test_kernels_beyond_table_cap(monkeypatch):
     monkeypatch.setattr(sf._integer_logs, "cap", 7 * q - 2)
     without = dd_gamma_zeta_kernels(a, q)
     for lhs, rhs in zip(with_table, without):
-        assert np.max(np.abs((lhs - rhs).to_float())) < 1e-28
-    assert np.max(np.abs(sf.hurwitz_z2_at_rationals(a, q) - z2_table)) < 1e-14
+        assert bits_equal(lhs, rhs)
+    assert np.array_equal(sf.hurwitz_z2_at_rationals(a, q).view(np.int64),
+                          z2_table.view(np.int64))
+
+
+@pytest.mark.parametrize("cap", [None, 10])
+def test_blocked_kernels_match_unblocked_reference(monkeypatch, cap):
+    # 8208 values of a in blocks of 4096 (set here): two full blocks and one
+    # of 16; with the cap forced down every log row is computed
+    import ekcyclo.dd as mod
+    import ekcyclo.special_functions as sf
+    from _oracles import unblocked_dd_kernels
+    monkeypatch.setattr(sf, "_BLOCK", 4096)
+    q = 8209
+    if cap is not None:
+        monkeypatch.setattr(mod._integer_logs, "cap", cap)
+    a = np.arange(1, q)[::-1]
+    got = dd_gamma_zeta_kernels(a, q)
+    for lhs, rhs in zip(got, unblocked_dd_kernels(q)):
+        assert bits_equal(lhs, rhs.take(a - 1))
+
+
+def test_grown_log_table_matches_fresh_logs():
+    from ekcyclo.special_functions import IntegerLogCache
+    cache = IntegerLogCache(lambda m: dd_log(DD(m)), DD.zeros, 30_000)
+    for top in (5, 150, 9000, 20_000):  # the last growth hits the cap
+        table = cache.upto(top)
+    assert cache.limit == 30_000 and table.shape == (20_000,)
+    fresh = dd_log(DD(np.arange(1, 30_001, dtype=np.float64)))
+    assert bits_equal(cache.table, fresh)
+    assert cache.upto(30_001) is None
 
 
 def test_from_string_round_trip():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekcyclo.special_functions import (BERNOULLI_2K, CONSTANTS, compensated_sum,
-                                       hurwitz_at_zero, hurwitz_derivatives_at_zero,
-                                       hurwitz_z2_at_rationals, ln_gamma)
+from ekcyclo.special_functions import (BERNOULLI_2K, CONSTANTS, IntegerLogCache,
+                                       compensated_sum, hurwitz_at_zero,
+                                       hurwitz_derivatives_at_zero, hurwitz_z2_at_rationals,
+                                       ln_gamma)
 
 mp.mp.dps = 40
 
@@ -109,6 +110,33 @@ def test_z2_rational_fast_path_matches_generic():
         assert np.max(np.abs(fast - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("q", [8191, 8209, 16411, 32771])
+@pytest.mark.parametrize("below_cap", [False, True])
+def test_blocked_z2_matches_unblocked_reference(monkeypatch, q, below_cap):
+    # with blocks of 8192 (set here), q - 1 = 8190, 8208, 16410 and 32770
+    # values of a end in a partial block, a block of 16, one of 26 and one of
+    # 2; with the cap forced below 8q every log row is computed
+    import ekcyclo.special_functions as sf
+    from _oracles import unblocked_z2_at_rationals
+    monkeypatch.setattr(sf, "_BLOCK", 8192)
+    if below_cap:
+        monkeypatch.setattr(sf._integer_logs, "cap", (sf._EM_SHIFT + 2) * q - 1)
+    a = np.arange(1, q)[::-1]
+    got = hurwitz_z2_at_rationals(a, q)
+    want = unblocked_z2_at_rationals(q)[a - 1]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_grown_log_table_matches_fresh_logs():
+    cache = IntegerLogCache(np.log, np.zeros, 50_000)
+    for top in (10, 1500, 9000, 30_000, 20):  # grown to 20, 3000, 18000, 50000 (the cap)
+        table = cache.upto(top)
+    assert cache.limit == 50_000 and table.shape == (20,)
+    fresh = np.log(np.arange(1, 50_001, dtype=np.float64))
+    assert np.array_equal(cache.table.view(np.int64), fresh.view(np.int64))
+    assert cache.upto(50_001) is None
+
+
 def test_compensated_sum_examples():
     assert compensated_sum([1.0, 1e-17, -1.0]) == 1e-17
     assert compensated_sum([]) == 0.0
@@ -116,11 +144,59 @@ def test_compensated_sum_examples():
     assert abs(total - 10 ** 5) < 1e-9
 
 
+def exact_sum(values) -> float:
+    from fractions import Fraction
+    return float(sum((Fraction(v) for v in values), Fraction(0)))
+
+
+# every magnitude from subnormal up to 1e300, of either sign
+WIDE = st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)
+
+
 @settings(max_examples=100)
 @given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), max_size=60))
 def test_compensated_sum_is_exactly_rounded(values):
     # exact rounding is what makes the result independent of how callers
     # chunk or stream a fixed-order sequence
-    from fractions import Fraction
-    exact = sum((Fraction(v) for v in values), Fraction(0))
-    assert compensated_sum(values) == float(exact)
+    assert compensated_sum(values) == exact_sum(values)
+
+
+@settings(max_examples=100)
+@given(st.lists(WIDE, max_size=60))
+def test_compensated_sum_wide_exponent_range(values):
+    assert compensated_sum(values) == exact_sum(values)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(WIDE, st.integers(-3, 3)), max_size=40), st.randoms())
+def test_compensated_sum_near_cancelling_pairs(pairs, rnd):
+    # x and -x nudged by a few ulps: the sum is all in the low bits
+    values = []
+    for x, k in pairs:
+        y = x
+        for _ in range(abs(k)):
+            y = math.nextafter(y, math.copysign(math.inf, k))
+        values += [x, -y]
+    rnd.shuffle(values)
+    assert compensated_sum(values) == exact_sum(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 254, 255, 256, 257, 4094, 4095, 4096, 4097])
+def test_compensated_sum_length_around_powers_of_two(n):
+    # n + 2 <= 2^M sets the extraction level; it changes at n = 2^k - 1
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n).tolist()  # full mantissas of like size
+    assert compensated_sum(values) == exact_sum(values)
+
+
+def test_compensated_sum_nonfinite_matches_fsum():
+    nan, inf = math.nan, math.inf
+    assert math.isnan(compensated_sum([1.0, nan, 2.0]))
+    assert math.isnan(compensated_sum(np.array([nan])))
+    assert compensated_sum([1.0, inf]) == inf == math.fsum([1.0, inf])
+    assert compensated_sum([-inf, 2.0]) == -inf
+    # fsum raises on inf - inf and on an overflowing total; so does the sum
+    with pytest.raises(ValueError):
+        compensated_sum([inf, -inf])
+    with pytest.raises(OverflowError):
+        compensated_sum([1e308, 1e308])

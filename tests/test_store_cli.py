@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -360,6 +362,27 @@ def test_cli_verify(capsys):
     assert cli_main(["verify-table2", "--tol", "1e-30"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_cli_verify_rejects_bad_tolerance(monkeypatch, capsys, tol):
+    def no_records(*args, **kwargs):
+        raise AssertionError("a record was computed")
+    monkeypatch.setattr(store, "compute_record", no_records)
+    assert cli_main(["verify-table2", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+def test_verify_reference_nan_kappa_is_an_offender(monkeypatch):
+    real = store.compute_record
+
+    def nan_at_7(q, mode="double"):
+        rec = real(q, mode=mode)
+        return dataclasses.replace(rec, kappa=math.nan) if q == 7 else rec
+    monkeypatch.setattr(store, "compute_record", nan_at_7)
+    res = verify_reference(1e-8)
+    assert not res.ok and res.offenders == (7,)
 
 
 def test_cli_constants(capsys):
