@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .dd import DD, DDC, _powers, _root_of_unity, dd_dft, dd_gamma_zeta_kernels
+from .dd import DD, DDC, dd_dft, dd_gamma_zeta_kernels, roots_of_unity
 from .primes import PrimeContext
 from .special_functions import hurwitz_z2_at_rationals, ln_gamma
 
@@ -215,8 +215,9 @@ def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
     lg, z2 = dd_gamma_zeta_kernels(a, q)
     lin = DD(2 * a[:h] - q) / DD(float(q))
     packed = pack_parities(lg, z2, lin, DDC.zeros((2, h)))
-    packed[ODD] *= _powers(_root_of_unity(ctx.n), h)
-    return PackedTransforms(q=q, packed=packed, spec=dd_dft(packed))
+    u = roots_of_unity(ctx.n)  # w^k, and the chirp table of length h
+    packed[ODD] *= u[:h]
+    return PackedTransforms(q=q, packed=packed, spec=dd_dft(packed, u))
 
 
 def _row_energy(z: np.ndarray) -> np.ndarray:

@@ -121,37 +121,41 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    centers = hist.bin_centers()
-    with open(prefix + "histogram.csv", "w", encoding="ascii", newline="\n") as f:
-        f.write("bin_center,count,normal_overlay\n")
-        def density(x: float) -> str:
-            if hist.sigma in (None, 0.0):
-                return "nan"
-            return f"{float(hist.normal_density(x)):.17g}"
-        f.write(f"{lo - 0.5 * args.bins:.17g},{hist.underflow},{density(lo - 0.5 * args.bins)}\n")
-        for c, cnt in zip(centers, hist.counts):
-            f.write(f"{c:.17g},{cnt},{density(float(c))}\n")
-        f.write(f"{hi + 0.5 * args.bins:.17g},{hist.overflow},{density(hi + 0.5 * args.bins)}\n")
+    try:  # an output file that cannot be written is an I/O error
+        centers = hist.bin_centers()
+        with open(prefix + "histogram.csv", "w", encoding="ascii", newline="\n") as f:
+            f.write("bin_center,count,normal_overlay\n")
+            def density(x: float) -> str:
+                if hist.sigma in (None, 0.0):
+                    return "nan"
+                return f"{float(hist.normal_density(x)):.17g}"
+            f.write(f"{lo - 0.5 * args.bins:.17g},{hist.underflow},{density(lo - 0.5 * args.bins)}\n")
+            for c, cnt in zip(centers, hist.counts):
+                f.write(f"{c:.17g},{cnt},{density(float(c))}\n")
+            f.write(f"{hi + 0.5 * args.bins:.17g},{hist.overflow},{density(hi + 0.5 * args.bins)}\n")
 
-    if report is not None:
-        with open(prefix + "spikes.csv", "w", encoding="ascii", newline="\n") as f:
-            f.write("m,b,exclusive,count,sample_mean,target\n")
-            mean = "nan" if report.sample_mean is None else f"{report.sample_mean:.17g}"
-            f.write(f"{report.m},{report.b},{int(report.exclusive)},{report.count},"
-                    f"{mean},{report.target:.17g}\n")
+        if report is not None:
+            with open(prefix + "spikes.csv", "w", encoding="ascii", newline="\n") as f:
+                f.write("m,b,exclusive,count,sample_mean,target\n")
+                mean = "nan" if report.sample_mean is None else f"{report.sample_mean:.17g}"
+                f.write(f"{report.m},{report.b},{int(report.exclusive)},{report.count},"
+                        f"{mean},{report.target:.17g}\n")
 
-    with open(prefix + "delta.csv", "w", encoding="ascii", newline="\n") as f:
-        f.write("cap,frac_within,mean_abs\n")
-        f.write(f"{args.delta_cap:.17g},{frac:.17g},{mean_abs:.17g}\n")
-    print(f"delta: frac(|delta| <= {args.delta_cap:g}) = {frac:.4f}, "
-          f"mean |delta| = {mean_abs:.6f}")
+        with open(prefix + "delta.csv", "w", encoding="ascii", newline="\n") as f:
+            f.write("cap,frac_within,mean_abs\n")
+            f.write(f"{args.delta_cap:.17g},{frac:.17g},{mean_abs:.17g}\n")
+        print(f"delta: frac(|delta| <= {args.delta_cap:g}) = {frac:.4f}, "
+              f"mean |delta| = {mean_abs:.6f}")
 
-    anomalies = analysis.envelope_check(records)
-    with open(prefix + "anomalies.csv", "w", encoding="ascii", newline="\n") as f:
-        f.write("q,kappa,kind\n")
-        for a in anomalies:
-            f.write(f"{a.q},{a.kappa:.17g},{a.kind}\n")
-    print(f"envelope anomalies: {len(anomalies)}")
+        anomalies = analysis.envelope_check(records)
+        with open(prefix + "anomalies.csv", "w", encoding="ascii", newline="\n") as f:
+            f.write("q,kappa,kind\n")
+            for a in anomalies:
+                f.write(f"{a.q},{a.kappa:.17g},{a.kind}\n")
+        print(f"envelope anomalies: {len(anomalies)}")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -9,6 +9,8 @@ On top of the scalar layer sit complex pairs, exp/log, a forward-only
 iterative radix-2 FFT with double-double twiddle tables, and a Bluestein
 chirp-z reduction that evaluates DFTs of arbitrary length n in O(n log n)
 while keeping ~1e-31 relative accuracy.  No fused-multiply-add is assumed.
+The DFT takes its chirp table from the caller: a record's twiddles
+exp(2 pi i k / (q-1)) are that table, so one root of unity serves both.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ def _two_prod(a, b):
 
 
 class DD:
-    """Array of double-double reals."""
+    """Array of double-double reals; DD(hi, lo) coerces and broadcasts."""
 
     __slots__ = ("hi", "lo")
 
@@ -84,7 +86,7 @@ class DD:
 
     @staticmethod
     def zeros(shape) -> "DD":
-        return DD(np.zeros(shape), np.zeros(shape))
+        return _dd(np.zeros(shape), np.zeros(shape))
 
     # -- structure helpers --------------------------------------------
     @property
@@ -92,27 +94,27 @@ class DD:
         return self.hi.shape
 
     def __getitem__(self, idx) -> "DD":
-        return DD(self.hi[idx], self.lo[idx])
+        return _dd(self.hi[idx], self.lo[idx])
 
     def __setitem__(self, idx, value: "DD"):
         self.hi[idx] = value.hi
         self.lo[idx] = value.lo
 
     def reshape(self, *shape) -> "DD":
-        return DD(self.hi.reshape(*shape), self.lo.reshape(*shape))
+        return _dd(self.hi.reshape(*shape), self.lo.reshape(*shape))
 
     def take(self, idx, axis=-1) -> "DD":
-        return DD(np.take(self.hi, idx, axis=axis), np.take(self.lo, idx, axis=axis))
+        return _dd(np.take(self.hi, idx, axis=axis), np.take(self.lo, idx, axis=axis))
 
     def copy(self) -> "DD":
-        return DD(self.hi.copy(), self.lo.copy())
+        return _dd(self.hi.copy(), self.lo.copy())
 
     def to_float(self):
         return self.hi + self.lo
 
     # -- arithmetic ----------------------------------------------------
     def __neg__(self):
-        return DD(-self.hi, -self.lo)
+        return _dd(-self.hi, -self.lo)
 
     def __add__(self, other):
         # "sloppy" addition: error O(eps^2 max(|a|,|b|)) instead of the
@@ -121,8 +123,7 @@ class DD:
             other = DD(other)
         s, e = _two_sum(self.hi, other.hi)
         e = e + (self.lo + other.lo)
-        hi, lo = _quick_two_sum(s, e)
-        return DD(hi, lo)
+        return _dd(*_quick_two_sum(s, e))
 
     __radd__ = __add__
 
@@ -141,8 +142,7 @@ class DD:
             other = DD(other)
         p1, p2 = _two_prod(self.hi, other.hi)
         p2 = p2 + (self.hi * other.lo + self.lo * other.hi)
-        hi, lo = _quick_two_sum(p1, p2)
-        return DD(hi, lo)
+        return _dd(*_quick_two_sum(p1, p2))
 
     __rmul__ = __mul__
 
@@ -154,8 +154,7 @@ class DD:
         q2 = r.hi / other.hi
         r = r - other._mul_double(q2)
         q3 = r.hi / other.hi
-        s1, s2 = _quick_two_sum(q1, q2)
-        return DD(s1, s2) + q3
+        return _dd(*_quick_two_sum(q1, q2)) + q3
 
     def __rtruediv__(self, other):
         return DD(other) / self
@@ -163,29 +162,35 @@ class DD:
     def _mul_double(self, d):
         p1, p2 = _two_prod(self.hi, d)
         p2 = p2 + self.lo * d
-        hi, lo = _quick_two_sum(p1, p2)
-        return DD(hi, lo)
+        return _dd(*_quick_two_sum(p1, p2))
 
     def scale_pow2(self, f) -> "DD":
         """Multiply by an exact power of two (per-element allowed)."""
-        return DD(self.hi * f, self.lo * f)
+        return _dd(self.hi * f, self.lo * f)
 
     def square(self) -> "DD":
         return self * self
 
     def sum(self, axis=-1) -> "DD":
         """Pairwise tree reduction along an axis."""
-        acc = self if axis in (-1, self.hi.ndim - 1) else DD(
+        acc = self if axis in (-1, self.hi.ndim - 1) else _dd(
             np.moveaxis(self.hi, axis, -1), np.moveaxis(self.lo, axis, -1))
         while acc.shape[-1] > 1:
             m = acc.shape[-1]
             half = m // 2
             pair = acc[..., :2 * half:2] + acc[..., 1:2 * half:2]
             if m % 2:
-                pair = DD(np.concatenate([pair.hi, acc.hi[..., -1:]], axis=-1),
-                          np.concatenate([pair.lo, acc.lo[..., -1:]], axis=-1))
+                pair = _dd(np.concatenate([pair.hi, acc.hi[..., -1:]], axis=-1),
+                           np.concatenate([pair.lo, acc.lo[..., -1:]], axis=-1))
             acc = pair
         return acc[..., 0]
+
+
+def _dd(hi, lo) -> DD:
+    """DD(hi, lo) unchecked: the words of an arithmetic result (numpy scalars if 0-d)."""
+    out = object.__new__(DD)
+    out.hi, out.lo = hi, lo
+    return out
 
 
 # -- transcendental constants ------------------------------------------
@@ -204,7 +209,7 @@ def dd_exp(a: DD) -> DD:
     r = a - LN2_DD._mul_double(k)
     r = r.scale_pow2(1.0 / 512.0)  # |r| <= ~6.8e-4 after 2^9 scaling
     # expm1 via Taylor, 10 terms reach ~1e-39
-    p = DD(np.zeros(r.shape), np.zeros(r.shape))
+    p = DD.zeros(r.shape)
     for i in range(10, 0, -1):
         p = (p + _INV_FACT[i]) * r
     # repeated (1+s)^2 - 1 = s^2 + 2s keeps full accuracy near zero
@@ -212,7 +217,7 @@ def dd_exp(a: DD) -> DD:
         p = p.square() + p.scale_pow2(2.0)
     out = p + 1.0
     two_k = np.ldexp(1.0, k.astype(np.int32))
-    return DD(out.hi * two_k, out.lo * two_k)
+    return _dd(out.hi * two_k, out.lo * two_k)
 
 
 def dd_log(a: DD) -> DD:
@@ -223,17 +228,21 @@ def dd_log(a: DD) -> DD:
     return DD(y0) + r - DD(0.5 * r.hi * r.hi)
 
 
+_SIGNED_INV_FACT = [f * (1 if i % 4 < 2 else -1) for i, f in enumerate(_INV_FACT)]
+# (cos, sin / theta) Taylor coefficients of t2^(i/2), highest first
+_COS_SIN_COEFFS = [DD(np.stack([_SIGNED_INV_FACT[i].hi, _SIGNED_INV_FACT[i + 1].hi]),
+                      np.stack([_SIGNED_INV_FACT[i].lo, _SIGNED_INV_FACT[i + 1].lo]))
+                   for i in range(40, 1, -2)]
+
+
 def dd_cos_sin(theta: DD) -> tuple[DD, DD]:
-    """Taylor cos/sin, intended for |theta| <= pi/2 (twiddle seeds)."""
-    t2 = theta.square()
-    c = DD(np.zeros(theta.shape), np.zeros(theta.shape))
-    s = DD(np.zeros(theta.shape), np.zeros(theta.shape))
-    for i in range(40, 1, -2):
-        c = (c + _INV_FACT[i] * (1 if i % 4 == 0 else -1)) * t2
-        s = (s + _INV_FACT[i + 1] * (1 if i % 4 == 0 else -1)) * t2
-    c = c + 1.0
-    s = (s + 1.0) * theta
-    return c, s
+    """Taylor cos/sin for |theta| <= pi/2 (twiddle seeds), as one (..., 2) series."""
+    t2 = theta.square()[..., None]
+    cs = DD.zeros(theta.shape + (2,))
+    for coeff in _COS_SIN_COEFFS:
+        cs = (cs + coeff) * t2
+    cs = cs + 1.0
+    return cs[..., 0], cs[..., 1] * theta
 
 
 class DDC:
@@ -298,15 +307,15 @@ class DDC:
 _twiddle_cache: dict[int, DDC] = {}
 
 
-def _root_of_unity(m: int, numerator: int = 2) -> DDC:
-    """exp(i * numerator * pi / m) in double-double, m a positive integer."""
-    theta = (PI_DD * float(numerator)) / float(m)
-    c, s = dd_cos_sin(theta)
-    return DDC(c, s)
+def _root_of_unity(m: int) -> DDC:
+    """exp(2 pi i / m) in double-double, m a positive integer.  (2 pi)/m is
+    the double-double pi/(m/2): they differ only by power-of-two scalings."""
+    return DDC(*dd_cos_sin((PI_DD * 2.0) / float(m)))
 
 
 def _powers(w: DDC, count: int) -> DDC:
-    """w^k for k < count, by doubling the computed prefix."""
+    """w^k for k < count, by doubling the computed prefix.  Element k is
+    filled at the same step for any count: a shorter table is a prefix."""
     out = DDC.zeros(count)
     out[0] = DDC(DD(1.0), DD(0.0))
     wp = w
@@ -317,6 +326,11 @@ def _powers(w: DDC, count: int) -> DDC:
         wp = wp * wp
         size *= 2
     return out
+
+
+def roots_of_unity(n: int) -> DDC:
+    """exp(2 pi i k / n) for k < n: with n = 2 len, the chirp table of dd_dft."""
+    return _powers(_root_of_unity(n), n)
 
 
 def _twiddle_table(m: int) -> DDC:
@@ -366,27 +380,28 @@ def dd_fft_pow2(x: DDC) -> DDC:
     return x
 
 
-def dd_dft(x: DDC) -> DDC:
+def dd_dft(x: DDC, u: DDC) -> DDC:
     """X[j] = sum_k x[k] exp(+2 pi i j k / n) along the last axis, any n.
 
-    Bluestein: with the chirp c[j] = exp(i pi j^2 / n), X = c (conv(x c,
-    conj c)), the convolution taken by power-of-two FFTs of length m >= 2n-1.
+    Bluestein, with u = roots_of_unity(2n) and the chirp c[j] = u[j^2 mod
+    2n] = exp(i pi j^2 / n): X = c (conv(x c, conj c)), the convolution taken
+    by power-of-two FFTs of length m >= 2n-1.  The filter conj c is one more
+    row of the data's forward FFT.
     """
     n = x.shape[-1]
     if n == 1:
         return x.copy()
     m = 1 << (2 * n - 1).bit_length()
-    # chirp exponents reduce modulo 2n
-    u = _powers(_root_of_unity(n, numerator=1), 2 * n)
+    rows = math.prod(x.shape[:-1])
     chirp = u[(np.arange(n, dtype=np.int64) ** 2) % (2 * n)]
-    filt = DDC.zeros(m)
-    filt[0:n] = chirp.conj()
-    filt[m - (n - 1):m] = chirp[n - 1:0:-1].conj()
-    a = DDC.zeros(x.shape[:-1] + (m,))
-    a[..., 0:n] = x * chirp
-    spec = dd_fft_pow2(a) * dd_fft_pow2(filt)
+    a = DDC.zeros((rows + 1, m))
+    a[:rows, 0:n] = x.reshape(rows, n) * chirp
+    a[rows, 0:n] = chirp.conj()
+    a[rows, m - (n - 1):m] = chirp[n - 1:0:-1].conj()
+    spec = dd_fft_pow2(a)
+    spec = spec[:rows] * spec[rows]
     conv = dd_fft_pow2(spec.conj()).conj().scale_pow2(1.0 / m)
-    return conv[..., 0:n] * chirp
+    return (conv[:, 0:n] * chirp).reshape(*x.shape)
 
 
 # -- double-double kernels at rational points a/q -----------------------
@@ -397,6 +412,12 @@ _INT_LOG_CAP = 4_000_000
 _integer_logs = IntegerLogCache(lambda m: dd_log(DD(m)), DD.zeros, _INT_LOG_CAP)
 
 
+def dd_log_int(q: int) -> DD:
+    """log q, q >= 1 an integer, from the integer-log table (computed above its cap)."""
+    table = _integer_logs.upto(q)
+    return table[q - 1] if table is not None else _integer_logs.log(np.array([float(q)]))[0]
+
+
 def dd_gamma_zeta_kernels(a: np.ndarray, q: int) -> tuple[DD, DD]:
     """(log Gamma(a/q), zeta''(0, a/q)) in double-double for integer 0 < a < q.
 
@@ -404,7 +425,5 @@ def dd_gamma_zeta_kernels(a: np.ndarray, q: int) -> tuple[DD, DD]:
     all logs are taken at exact integers a + n q, so no rounding enters before dd.
     """
     idx = np.asarray(a, dtype=np.int64) - 1
-    table = _integer_logs.upto(q)
-    log_q = table[q - 1] if table is not None else _integer_logs.log(np.array([float(q)]))[0]
-    z1, z2 = rational_kernels(q, _integer_logs, log_q, _EM_SHIFT_DD, _EM_COEFF_DD, first=True)
+    z1, z2 = rational_kernels(q, _integer_logs, dd_log_int(q), _EM_SHIFT_DD, _EM_COEFF_DD, first=True)
     return z1.take(idx) + LOG_2PI_DD.scale_pow2(0.5), z2.take(idx)

@@ -120,7 +120,7 @@ def _dd_fold_sum(values: DD, weights: np.ndarray) -> DD:
 
 def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
     """kappa/r/gamma_plus/gamma in double-double from the parity spectra."""
-    log_q = dd_log(DD(float(ctx.q)))
+    log_q = ddm.dd_log_int(ctx.q)
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
     half = ctx.n / 2.0
 

@@ -137,3 +137,57 @@ def unblocked_dd_kernels(q: int):
     z1, z2 = euler_maclaurin_tails(w, all_logs[_EM_SHIFT_DD] - log_q, _EM_COEFF_DD,
                                    logs.square().sum(axis=0), -logs.sum(axis=0))
     return z1 + LOG_2PI_DD.scale_pow2(0.5), z2
+
+
+def bits_equal(x, y) -> bool:
+    """Whether two DD or DDC arrays have the same shape and the same hi and lo bits."""
+    if hasattr(x, "real"):
+        return bits_equal(x.real, y.real) and bits_equal(x.imag, y.imag)
+    return all(np.shape(a) == np.shape(b) and np.array_equal(np.asarray(a).view(np.int64),
+                                                             np.asarray(b).view(np.int64))
+               for a, b in ((x.hi, y.hi), (x.lo, y.lo)))
+
+
+def looped_dd_cos_sin(theta):
+    """dd.dd_cos_sin as two separate Taylor loops, one per function, with
+    the signed coefficients formed on every call (the form before merging)."""
+    from ekcyclo.dd import _INV_FACT, DD
+    t2 = theta.square()
+    c, s = DD.zeros(theta.shape), DD.zeros(theta.shape)
+    for i in range(40, 1, -2):
+        c = (c + _INV_FACT[i] * (1 if i % 4 == 0 else -1)) * t2
+        s = (s + _INV_FACT[i + 1] * (1 if i % 4 == 0 else -1)) * t2
+    return c + 1.0, (s + 1.0) * theta
+
+
+def own_root_dd_dft(x):
+    """dd.dd_dft with its own chirp root exp(i pi / n) = cos + i sin(pi / n)
+    and a separate FFT of the filter: three power-of-two FFTs per call."""
+    from ekcyclo.dd import DDC, PI_DD, _powers, dd_fft_pow2
+    n = x.shape[-1]
+    if n == 1:
+        return x.copy()
+    m = 1 << (2 * n - 1).bit_length()
+    u = _powers(DDC(*looped_dd_cos_sin((PI_DD * 1.0) / float(n))), 2 * n)
+    chirp = u[(np.arange(n, dtype=np.int64) ** 2) % (2 * n)]
+    filt = DDC.zeros(m)
+    filt[0:n] = chirp.conj()
+    filt[m - (n - 1):m] = chirp[n - 1:0:-1].conj()
+    a = DDC.zeros(x.shape[:-1] + (m,))
+    a[..., 0:n] = x * chirp
+    spec = dd_fft_pow2(a) * dd_fft_pow2(filt)
+    conv = dd_fft_pow2(spec.conj()).conj().scale_pow2(1.0 / m)
+    return conv[..., 0:n] * chirp
+
+
+def own_root_dd_spectra(ctx: PrimeContext):
+    """(packed rows, spectra) of charsum.character_sums_dd with the twiddles
+    and the chirp each from a root of their own and own_root_dd_dft."""
+    from ekcyclo.charsum import ODD, pack_parities
+    from ekcyclo.dd import DD, DDC, PI_DD, _powers, dd_gamma_zeta_kernels
+    q, h = ctx.q, ctx.n // 2
+    a = ctx.powers()
+    lg, z2 = dd_gamma_zeta_kernels(a, q)
+    packed = pack_parities(lg, z2, DD(2 * a[:h] - q) / DD(float(q)), DDC.zeros((2, h)))
+    packed[ODD] *= _powers(DDC(*looped_dd_cos_sin((PI_DD * 2.0) / float(ctx.n))), h)
+    return packed, own_root_dd_dft(packed)

@@ -4,8 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ekcyclo.dd import (DD, DDC, EULER_GAMMA_DD, LOG_2PI_DD, PI_DD, dd_cos_sin,
-                        dd_dft, dd_exp, dd_fft_pow2, dd_gamma_zeta_kernels, dd_log)
+from _oracles import bits_equal, looped_dd_cos_sin, own_root_dd_dft
+from ekcyclo.dd import (DD, DDC, EULER_GAMMA_DD, LOG_2PI_DD, PI_DD, dd_cos_sin, dd_dft,
+                        dd_exp, dd_fft_pow2, dd_gamma_zeta_kernels, dd_log, dd_log_int,
+                        roots_of_unity)
 
 mp.mp.dps = 45
 
@@ -60,17 +62,39 @@ def test_cos_sin_seed_range():
         assert abs(as_mp(s) - want_s) < mp.mpf("5e-32")
 
 
+@pytest.mark.parametrize("theta", [PI_DD * 0.25, PI_DD / 97.0, DD(np.array([[0.1, -1.5], [1e-9, 0.0]]))],
+                         ids=["0-d", "0-d small", "2x2"])
+def test_cos_sin_matches_separate_loops(theta):
+    # the merged (..., 2) series keeps every bit of the two separate loops
+    for got, want in zip(dd_cos_sin(theta), looped_dd_cos_sin(theta)):
+        assert bits_equal(got, want)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 31, 97])
 def test_dd_dft_against_mpmath(n):
     rng = np.random.default_rng(n)
     re = rng.uniform(-3, 3, n)
     im = rng.uniform(-3, 3, n)
-    out = dd_dft(DDC(DD(re), DD(im)))
+    out = dd_dft(DDC(DD(re), DD(im)), roots_of_unity(2 * n))
     for j in range(n):
         want = mp.fsum((mp.mpf(re[k]) + 1j * mp.mpf(im[k])) *
                        mp.e ** (2j * mp.pi * j * k / n) for k in range(n))
         got = as_mp(out.real, (j,)) + 1j * as_mp(out.imag, (j,))
         assert abs(got - want) < mp.mpf("1e-27")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 31, 97, 498, 499])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_dd_dft_matches_own_root_reference(n, rows):
+    # the chirp from roots_of_unity(2n) and the filter batched with the data
+    # give the bits of an own root exp(i pi / n) and a separate filter FFT
+    rng = np.random.default_rng(n)
+    shape = (n,) if rows is None else (rows, n)
+    x = DDC(DD(rng.uniform(-3, 3, shape), rng.uniform(-1e-17, 1e-17, shape)),
+            DD(rng.uniform(-3, 3, shape), rng.uniform(-1e-17, 1e-17, shape)))
+    got = dd_dft(x, roots_of_unity(2 * n))
+    assert got.shape == shape
+    assert bits_equal(got, own_root_dd_dft(x))
 
 
 def test_fft_roundtrip_and_batching():
@@ -103,11 +127,6 @@ def test_integer_log_table_consistency():
     assert np.max(np.abs(diff)) < 1e-30
 
 
-def bits_equal(x: DD, y: DD) -> bool:
-    return (np.array_equal(x.hi.view(np.int64), y.hi.view(np.int64))
-            and np.array_equal(x.lo.view(np.int64), y.lo.view(np.int64)))
-
-
 def test_kernels_beyond_table_cap(monkeypatch):
     # forcing direct logs past the table cap must not change a single bit, in
     # double-double and in the binary64 zeta'' kernel (which needs logs up to 7q)
@@ -124,6 +143,19 @@ def test_kernels_beyond_table_cap(monkeypatch):
         assert bits_equal(lhs, rhs)
     assert np.array_equal(sf.hurwitz_z2_at_rationals(a, q).view(np.int64),
                           z2_table.view(np.int64))
+
+
+@pytest.mark.parametrize("cap", [None, 10])
+def test_log_int_matches_scalar_log(monkeypatch, cap):
+    # log q read from the table, or computed above its cap, is dd_log(q) bit for bit
+    import ekcyclo.dd as mod
+    from _oracles import naive_primes_upto
+    if cap is not None:
+        monkeypatch.setattr(mod._integer_logs, "cap", cap)
+    for q in naive_primes_upto(1000) + [8209, 999983]:
+        got = dd_log_int(q)
+        assert got.shape == ()
+        assert bits_equal(got, dd_log(DD(float(q))))
 
 
 @pytest.mark.parametrize("cap", [None, 10])

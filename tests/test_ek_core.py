@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import ekcyclo.dd as ddm
 from ekcyclo.analysis import envelope_check
-from ekcyclo.charsum import KernelId, character_sums
-from ekcyclo.dd import DDC
-from ekcyclo.ek_core import (ComputationError, compute_record, gamma_pair, kappa,
+from ekcyclo.charsum import KernelId, PackedTransforms, character_sums, character_sums_dd
+from ekcyclo.dd import DD, DDC, dd_log
+from ekcyclo.ek_core import (ComputationError, assemble_dd, compute_record, gamma_pair, kappa,
                              kummer_check, kummer_r, log_deriv_ratios, parity_transforms)
 from ekcyclo.primes import primitive_root
 from ekcyclo.reference import kappa_reference
 from ekcyclo.special_functions import CONSTANTS
 
-from _oracles import dirichlet_series_ratios
+from _oracles import bits_equal, dirichlet_series_ratios, own_root_dd_spectra
 
 REF = kappa_reference()
 
@@ -26,6 +27,22 @@ def test_kappa_against_reference(q):
 @pytest.mark.parametrize("q", [3, 11, 199, 997])
 def test_dd_mode_matches_reference_tightly(q):
     assert abs(compute_record(q, mode="dd").kappa - REF[q]) < 1e-15
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 97, 499, 997, 8209])
+def test_dd_record_matches_own_root_reference(monkeypatch, q):
+    # one root per record, the filter in the data's FFT batch and log q from
+    # the table keep every hi and lo word of the spectra and of the assembly
+    ctx = primitive_root(q)
+    pt = character_sums_dd(ctx)
+    packed, spec = own_root_dd_spectra(ctx)
+    assert bits_equal(pt.packed, packed) and bits_equal(pt.spec, spec)
+    got = assemble_dd(ctx, pt.sums())
+    monkeypatch.setattr(ddm, "dd_log_int", lambda m: dd_log(DD(float(m))))
+    want = assemble_dd(ctx, PackedTransforms(q=q, packed=packed, spec=spec).sums())
+    assert got.keys() == want.keys()
+    for name in got:
+        assert bits_equal(got[name], want[name]), name
 
 
 def test_record_assembly_identities():

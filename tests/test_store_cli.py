@@ -329,6 +329,16 @@ def test_cli_compute_unwritable_path(tmp_path):
     assert cli_main(["compute", "--min", "3", "--max", "7", "--out", str(target)]) == 2
 
 
+def test_cli_analyze_unwritable_prefix(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    run_range(RunConfig(3, 20, str(out)))
+    prefix = str(tmp_path / "missing_dir" / "x_")
+    assert cli_main(["analyze", "--in", str(out), "--out-prefix", prefix]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "missing_dir" in captured.err
+    assert not (tmp_path / "missing_dir").exists()
+
+
 def test_cli_analyze_missing_and_empty(tmp_path):
     assert cli_main(["analyze", "--in", str(tmp_path / "none.csv")]) == 2
     empty = tmp_path / "empty.csv"
@@ -374,15 +384,20 @@ def test_cli_verify_rejects_bad_tolerance(monkeypatch, capsys, tol):
     assert "error:" in captured.err and captured.out == ""
 
 
-def test_verify_reference_nan_kappa_is_an_offender(monkeypatch):
+def test_verify_reference_nan_kappa_is_an_offender(monkeypatch, capsys):
+    # a NaN deviation fails and is the maximum; a later NaN does not take its place
     real = store.compute_record
 
-    def nan_at_7(q, mode="double"):
+    def nan_at_7_and_13(q, mode="double"):
         rec = real(q, mode=mode)
-        return dataclasses.replace(rec, kappa=math.nan) if q == 7 else rec
-    monkeypatch.setattr(store, "compute_record", nan_at_7)
+        return dataclasses.replace(rec, kappa=math.nan) if q in (7, 13) else rec
+    monkeypatch.setattr(store, "compute_record", nan_at_7_and_13)
     res = verify_reference(1e-8)
-    assert not res.ok and res.offenders == (7,)
+    assert not res.ok and res.offenders == (7, 13)
+    assert math.isnan(res.max_deviation) and res.worst_q == 7
+    assert cli_main(["verify-table2", "--tol", "1e-8"]) == 1
+    out = capsys.readouterr().out
+    assert "max |kappa - reference| = nan at q=7" in out and "FAIL at q = 7, 13" in out
 
 
 def test_cli_constants(capsys):
