@@ -4,36 +4,48 @@ The route: index the Dirichlet characters mod q by the smallest primitive
 root, evaluate three real kernels at the points a/q, take their DFTs, and
 assemble kappa(q), r(q) and both Euler-Kronecker constants from the
 spectra.  The pipeline needs each kernel at one parity of characters only,
-so it takes two packed transforms of length (q-1)/2 instead of three of
-length q-1.
+so it takes two packed transforms of length (q-1)/2, one per parity, and
+keeps one sum per conjugate pair of characters.
 """
 import math
 
 import numpy as np
 
-from ekcyclo import (KernelId, character_sums, compute_record, kernel_values,
-                     primitive_root)
+from ekcyclo import (KernelId, character_sums_dd, compute_record, kernel_values,
+                     log_deriv_ratios, primitive_root)
+from ekcyclo.charsum import EVEN
 from ekcyclo.ek_core import parity_transforms
 
 q = 101
 ctx = primitive_root(q)
-print(f"q = {q}: smallest primitive root g = {ctx.g}, DFT length n = {ctx.n}")
+print(f"q = {q}: smallest primitive root g = {ctx.g}, {ctx.n} characters")
 
 # the three kernels, evaluated in power order g^0, g^1, ...
-for kernel in KernelId:
-    vals = kernel_values(ctx, kernel)
-    cs = character_sums(ctx, kernel)
-    print(f"  kernel {kernel.value:8s}: f(g^0/q) = {vals[0]:+.6f}, "
-          f"principal sum s[0] = {cs.s[0].real:+.6f}")
+vals = {kernel: kernel_values(ctx, kernel) for kernel in KernelId}
+for kernel, v in vals.items():
+    print(f"  kernel {kernel.value:8s}: f(g^0/q) = {v[0]:+.6f}, sum over a = {v.sum():+.6f}")
 
-# the parity split: one sum per conjugate pair, odd-j LINEAR (j = 1, 3, ..) and
-# non-principal even-j ZETA2 (j = 2, 4, ..), from the packed transforms
-sums = parity_transforms(ctx).sums()
-full_b1 = character_sums(ctx, KernelId.LINEAR).s
-full_z2 = character_sums(ctx, KernelId.ZETA2).s
-print(f"  parity split, length {ctx.n // 2}: max |B1 odd - full| = "
-      f"{np.max(np.abs(sums.b1 - full_b1[1::2][:sums.b1.size])):.1e}, "
-      f"max |Z even - full| = {np.max(np.abs(sums.z2 - full_z2[2::2][:sums.z2.size])):.1e}")
+# the even packed row is 4 LNGAMMA + i ZETA2 (paired over a and q-a); its
+# entry 0 holds the principal sums of both kernels
+pt = parity_transforms(ctx)
+y0 = pt.spec[EVEN, 0]
+print(f"  packed transforms of length {ctx.n // 2}: Y_0 = {y0.real / 4:+.6f} (lngamma) "
+      f"{y0.imag:+.6f} (zeta2)")
+
+# one sum per conjugate pair: odd j = 1, 3, .. for LINEAR and LNGAMMA,
+# non-principal even j = 2, 4, .. for LNGAMMA and ZETA2
+sums = pt.sums()
+for name, first in (("b1", 1), ("lg_odd", 1), ("lg_even", 2), ("z2", 2)):
+    s = getattr(sums, name)
+    print(f"  {name:7s} j = {first}, {first + 2}: " + ", ".join(f"{z:.6f}" for z in s[:2]))
+
+# per-character L'/L(1, chi_j): the closed form at each representative, the
+# conjugate at its partner q-1-j; the same function reads double-double sums
+ratios = log_deriv_ratios(sums)
+for j in (1, 2, ctx.n - 1):
+    print(f"  L'/L(1, chi_{j}) = {ratios[j]:.12f}")
+ratios_dd = log_deriv_ratios(character_sums_dd(ctx).sums())
+print(f"  max over j of |double - double-double| = {np.nanmax(np.abs(ratios - ratios_dd)):.1e}")
 
 rec = compute_record(q)
 print(f"\nkappa({q})       = {rec.kappa:+.15f}")

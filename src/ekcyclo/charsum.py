@@ -1,12 +1,12 @@
-"""Character sums for all Dirichlet characters mod q via DFTs.
+"""Character sums for the Dirichlet characters mod q via DFTs.
 
 Indexing the characters by the smallest primitive root g (chi_j(g^k) =
 exp(2 pi i j k / n), n = q-1) turns the family of sums
 
     S_f(chi_j) = sum_{a=1}^{q-1} chi_j(a) f(a/q)
 
-into a length-n DFT of the kernel values x_k = f(g^k / q) with the +i sign
-convention and no normalisation (character_sums).  chi_j is odd exactly
+into entry s[j] of the length-n DFT of the kernel values x_k = f(g^k / q),
+with the +i sign convention and no normalisation.  chi_j is odd exactly
 when j is odd, and for a real kernel s[n-j] = conj(s[j]).
 
 The pipeline needs one parity per kernel, so it splits each parity into a
@@ -46,29 +46,12 @@ class KernelError(ValueError):
     """A kernel produced a non-finite value."""
 
 
-@dataclass(frozen=True)
-class CharacterSums:
-    """DFT output s[j] = sum_a chi_j(a) f(a/q), j = 0..q-2."""
-
-    q: int
-    kernel: KernelId
-    s: np.ndarray
-
-
 def dft(x) -> np.ndarray:
     """X[j] = sum_k x[k] e^{+2 pi i j k / n}; arbitrary n, O(n log n)."""
     x = np.asarray(x)
     if x.size < 1:
         raise ValueError("dft requires at least one sample")
     return scipy.fft.ifft(x, norm="forward")
-
-
-def dft_direct(x) -> np.ndarray:
-    """Quadratic-time reference transform (test oracle)."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * (j * k % n) / n) @ x
 
 
 def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
@@ -85,11 +68,6 @@ def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
             f"non-finite value at k={k}, a={int(ctx.powers()[k])} "
             f"(q={ctx.q}, kernel {kernel.value}, stage kernel evaluation)")
     return vals
-
-
-def character_sums(ctx: PrimeContext, kernel: KernelId) -> CharacterSums:
-    """All character sums for one kernel, by a single full-length transform."""
-    return CharacterSums(q=ctx.q, kernel=kernel, s=dft(kernel_values(ctx, kernel)))
 
 
 # -- parity split ----------------------------------------------------------

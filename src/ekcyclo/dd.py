@@ -304,7 +304,7 @@ class DDC:
 
 
 # -- FFT ---------------------------------------------------------------
-_twiddle_cache: dict[int, DDC] = {}
+_twiddle_cache: dict[int, tuple[DDC, np.ndarray]] = {}
 
 
 def _root_of_unity(m: int) -> DDC:
@@ -323,8 +323,9 @@ def _powers(w: DDC, count: int) -> DDC:
     while size < count:
         take = min(size, count - size)
         out[size:size + take] = out[0:take] * wp
-        wp = wp * wp
         size *= 2
+        if size < count:
+            wp = wp * wp
     return out
 
 
@@ -333,11 +334,13 @@ def roots_of_unity(n: int) -> DDC:
     return _powers(_root_of_unity(n), n)
 
 
-def _twiddle_table(m: int) -> DDC:
-    """T[k] = exp(-2 pi i k / m) for k < m // 2; m a power of two."""
+def _twiddle_table(m: int) -> tuple[DDC, np.ndarray]:
+    """(T, rev): T[k] = exp(-2 pi i k / m) for k < m // 2 and the bit-reversal
+    permutation of range(m); m a power of two."""
     cached = _twiddle_cache.get(m)
     if cached is None:
-        cached = _twiddle_cache[m] = _powers(_root_of_unity(m).conj(), m // 2)
+        cached = _twiddle_cache[m] = (_powers(_root_of_unity(m).conj(), m // 2),
+                                      _bit_reverse_indices(m))
     return cached
 
 
@@ -363,8 +366,8 @@ def dd_fft_pow2(x: DDC) -> DDC:
         raise ValueError("length must be a power of two")
     if m == 1:
         return x.copy()
-    table = _twiddle_table(m)
-    x = x[..., _bit_reverse_indices(m)]
+    table, rev = _twiddle_table(m)
+    x = x[..., rev]
     lead = x.shape[:-1]
     h = 1
     while h < m:

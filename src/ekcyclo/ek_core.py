@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dd as ddm
-from .charsum import (ODD, CharacterSums, KernelId, PackedTransforms, ParitySums, _twiddles,
-                      character_sums_dd, kernel_values, pack_parities, spectrum_checks,
-                      transform_kernel)
-from .dd import DD, dd_exp, dd_log
+from .charsum import (ODD, KernelId, PackedTransforms, ParitySums, _twiddles, character_sums_dd,
+                      kernel_values, pack_parities, spectrum_checks, transform_kernel)
+from .dd import DD, DDC, dd_exp, dd_log
 from .primes import NeighborFlags, PrimeContext, neighbor_flags, primitive_root
 from .special_functions import CONSTANTS, compensated_sum
 
@@ -95,17 +94,21 @@ def gamma_pair(ctx: PrimeContext, kap: float, sums: ParitySums) -> tuple[float, 
     return gplus, gplus - kap * math.log(ctx.q)
 
 
-def log_deriv_ratios(ctx: PrimeContext, b1: CharacterSums, lg: CharacterSums,
-                     z2: CharacterSums) -> np.ndarray:
-    """Per-character L'/L(1, chi_j) for j = 1..q-2 (index 0 is NaN)."""
-    sb, sl, sz = b1.s, lg.s, z2.s
-    n = ctx.n
-    out = np.full(n, np.nan + 0j, dtype=np.complex128)
-    jodd = np.arange(1, n, 2)
-    jeven = np.arange(2, n, 2)
-    out[jodd] = _C + np.conj(sl[jodd] / sb[jodd])
-    if jeven.size:
-        out[jeven] = _C - np.conj(sz[jeven] / (2.0 * sl[jeven]))
+def log_deriv_ratios(sums: ParitySums) -> np.ndarray:
+    """Per-character L'/L(1, chi_j) for j = 1..q-2 (index 0 is NaN).
+
+    The ratios G/B1 (odd j) and Z/(2G) (even j) are formed in the precision
+    of the sums at each representative j <= (q-1)/2; the partner q-1-j
+    takes the conjugate.
+    """
+    to_complex = DDC.to_complex if isinstance(sums.b1, DDC) else np.asarray
+    n = sums.q - 1
+    out = np.full(n, np.nan + 0j)
+    for first, ratio in ((1, to_complex(sums.lg_odd / sums.b1)),
+                         (2, -0.5 * to_complex(sums.z2 / sums.lg_even))):
+        j = np.arange(first, first + 2 * ratio.size, 2)
+        out[n - j] = _C + ratio
+        out[j] = _C + np.conj(ratio)  # j = (q-1)/2 is its own partner
     return out
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from ekcyclo.charsum import KernelId, kernel_values
 from ekcyclo.primes import PrimeContext, primitive_root
 
 
@@ -63,6 +64,35 @@ def character_table(ctx: PrimeContext) -> np.ndarray:
     dlog[ctx.powers()] = np.arange(q - 1)
     j = np.arange(q - 1)[:, None]
     return np.exp(2.0 * np.pi * 1j * j * dlog[1:][None, :] / (q - 1))
+
+
+def dft_direct(x, rows=None) -> np.ndarray:
+    """X[j] = sum_k x[k] e^{+2 pi i j k / n} in quadratic time, along the first
+    axis of x, at the rows j (all n by default).
+
+    The rows are taken 512 at a time, so a few rows of a long transform never
+    build the full n x n matrix.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[0]
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    k = np.arange(n)
+    out = np.empty(rows.shape + x.shape[1:], dtype=np.complex128)
+    for start in range(0, rows.size, 512):
+        j = rows[start:start + 512]
+        out[start:start + 512] = np.exp(2j * np.pi * (np.outer(j, k) % n) / n) @ x
+    return out
+
+
+def direct_parity_sums(ctx: PrimeContext) -> dict[str, np.ndarray]:
+    """The fields of charsum.ParitySums by dft_direct of the kernel values at
+    their representatives j <= (q-1)/2: odd j for b1 and lg_odd, non-principal
+    even j for lg_even and z2 (none for q = 3)."""
+    h = ctx.n // 2
+    x = np.stack([kernel_values(ctx, kernel)
+                  for kernel in (KernelId.LINEAR, KernelId.LNGAMMA, KernelId.ZETA2)], axis=-1)
+    odd, even = dft_direct(x, np.arange(1, h + 1, 2)), dft_direct(x, np.arange(2, h + 1, 2))
+    return {"b1": odd[:, 0], "lg_odd": odd[:, 1], "lg_even": even[:, 1], "z2": even[:, 2]}
 
 
 def mirrored_prime_sum(q: int, x: float, weight: str) -> float:

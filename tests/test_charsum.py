@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from ekcyclo.charsum import (KernelError, KernelId, _twiddles, character_sums,
-                             character_sums_dd, dft, dft_direct, kernel_values,
-                             spectrum_checks)
+from ekcyclo.charsum import (KernelError, KernelId, _twiddles, character_sums_dd, dft,
+                             kernel_values, spectrum_checks)
+from ekcyclo.dd import DDC
 from ekcyclo.ek_core import parity_transforms
 from ekcyclo.primes import primitive_root
 
-from _oracles import character_table
+from _oracles import character_table, dft_direct, direct_parity_sums
 
 LNGAMMA_THIRD_DIFF = 0.6822703717802435005113112
+
+
+def _both_sums(ctx):
+    """(ParitySums, conversion to complex128) in binary64 and in double-double."""
+    return ((parity_transforms(ctx).sums(), np.asarray),
+            (character_sums_dd(ctx).sums(), DDC.to_complex))
 
 
 def test_dft_trivial_sizes():
@@ -39,47 +45,33 @@ def test_dft_random_inputs_against_oracle():
 
 
 def test_character_sums_q3_linear():
-    ctx = primitive_root(3)
-    cs = character_sums(ctx, KernelId.LINEAR)
-    assert abs(cs.s[0] - 1.0) < 1e-15          # 1/3 + 2/3
-    assert abs(cs.s[1] - (-1 / 3)) < 1e-15     # 1/3 - 2/3
-
-
-def test_character_sums_q5_principal():
-    ctx = primitive_root(5)
-    cs = character_sums(ctx, KernelId.LINEAR)
-    assert abs(cs.s[0] - 2.0) < 1e-14          # (1+2+3+4)/5
+    # the one odd character mod 3: B1 = 1/3 - 2/3
+    for sums, to_complex in _both_sums(primitive_root(3)):
+        assert abs(to_complex(sums.b1)[0] - (-1 / 3)) < 1e-15
 
 
 def test_character_sums_q3_lngamma():
-    ctx = primitive_root(3)
-    cs = character_sums(ctx, KernelId.LNGAMMA)
-    assert abs(cs.s[1] - LNGAMMA_THIRD_DIFF) < 1e-14
+    for sums, to_complex in _both_sums(primitive_root(3)):
+        assert abs(to_complex(sums.lg_odd)[0] - LNGAMMA_THIRD_DIFF) < 1e-14
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 23])
 def test_character_identification(q):
-    """s[j] equals the direct sum over chi_j(a) f(a/q)."""
+    """Each parity sum equals the direct sum over chi_j(a) f(a/q) at its j."""
     ctx = primitive_root(q)
     chi = character_table(ctx)
+    direct = {}
     for kernel in KernelId:
         vals_by_a = np.empty(q - 1)
-        vals_by_k = kernel_values(ctx, kernel)
-        vals_by_a[ctx.powers() - 1] = vals_by_k
-        direct = chi @ vals_by_a
-        cs = character_sums(ctx, kernel)
-        assert np.max(np.abs(cs.s - direct)) < 1e-9
-
-
-def test_parity_law_linear():
-    # B1 of an even character vanishes
-    from ekcyclo.primes import primes_in
-    for q in primes_in(2, 200)[1:]:
-        ctx = primitive_root(int(q))
-        s = character_sums(ctx, KernelId.LINEAR).s
-        evens = s[2::2]
-        if evens.size:
-            assert np.max(np.abs(evens)) < 1e-10
+        vals_by_a[ctx.powers() - 1] = kernel_values(ctx, kernel)
+        direct[kernel] = chi @ vals_by_a
+    odd, even = np.arange(1, (q + 1) // 2, 2), np.arange(2, (q + 1) // 2, 2)
+    for sums, to_complex in _both_sums(ctx):
+        for got, kernel, j in ((sums.b1, KernelId.LINEAR, odd),
+                               (sums.lg_odd, KernelId.LNGAMMA, odd),
+                               (sums.lg_even, KernelId.LNGAMMA, even),
+                               (sums.z2, KernelId.ZETA2, even)):
+            assert np.max(np.abs(to_complex(got) - direct[kernel][j])) < 1e-9
 
 
 @pytest.mark.parametrize("q", [7, 61, 499, 997])
@@ -92,10 +84,6 @@ def test_spectrum_invariants(q):
                             ("s0", "lngamma"), ("s0", "zeta2")}
         for (name, _), residual in res.items():
             assert residual < {"s0": 1e-12, "parseval": 1e-9}[name]
-    # the full spectrum of a real kernel is conjugate-symmetric
-    for kernel in KernelId:
-        s = character_sums(ctx, kernel).s
-        assert np.max(np.abs(s[1:] - np.conj(s[:0:-1]))) / max(1.0, np.max(np.abs(s))) < 1e-12
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 101, 499, 997])
@@ -105,21 +93,15 @@ def test_parity_sums_match_direct_dft(q):
     holds the middle index.  The fold weights count every non-principal
     character once."""
     ctx = primitive_root(q)
-    direct = {kernel: dft_direct(kernel_values(ctx, kernel)) for kernel in KernelId}
+    direct = direct_parity_sums(ctx)
     h = (q - 1) // 2
-    odd = np.arange(1, h + 1, 2)
-    even = np.arange(2, h + 1, 2)
-    for sums, to_complex in ((parity_transforms(ctx).sums(), np.asarray),
-                             (character_sums_dd(ctx).sums(), lambda v: v.to_complex())):
-        assert sums.w_odd.sum() == h and sums.w_odd.shape == odd.shape
-        assert sums.w_even.sum() == h - 1 and sums.w_even.shape == even.shape
-        for got, kernel, j in ((sums.b1, KernelId.LINEAR, odd),
-                               (sums.lg_odd, KernelId.LNGAMMA, odd),
-                               (sums.lg_even, KernelId.LNGAMMA, even),
-                               (sums.z2, KernelId.ZETA2, even)):
-            want = direct[kernel][j]
-            assert to_complex(got).shape == want.shape
-            err = np.max(np.abs(to_complex(got) - want), initial=0.0)  # q = 3 has no even j
+    for sums, to_complex in _both_sums(ctx):
+        assert sums.w_odd.sum() == h and sums.w_odd.shape == direct["b1"].shape
+        assert sums.w_even.sum() == h - 1 and sums.w_even.shape == direct["z2"].shape
+        for field, want in direct.items():
+            got = to_complex(getattr(sums, field))
+            assert got.shape == want.shape
+            err = np.max(np.abs(got - want), initial=0.0)  # q = 3 has no even j
             assert err < 1e-9 * max(1.0, np.max(np.abs(want), initial=0.0))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import ekcyclo.dd as ddm
 from ekcyclo.analysis import envelope_check
-from ekcyclo.charsum import KernelId, PackedTransforms, character_sums, character_sums_dd
+from ekcyclo.charsum import KernelId, PackedTransforms, character_sums_dd, kernel_values
 from ekcyclo.dd import DD, DDC, dd_log
 from ekcyclo.ek_core import (ComputationError, assemble_dd, compute_record, gamma_pair, kappa,
                              kummer_check, kummer_r, log_deriv_ratios, parity_transforms)
@@ -14,7 +14,7 @@ from ekcyclo.primes import primitive_root
 from ekcyclo.reference import kappa_reference
 from ekcyclo.special_functions import CONSTANTS
 
-from _oracles import bits_equal, dirichlet_series_ratios, own_root_dd_spectra
+from _oracles import bits_equal, dft_direct, dirichlet_series_ratios, own_root_dd_spectra
 
 REF = kappa_reference()
 
@@ -95,29 +95,32 @@ def test_kummer_check_refuses_large_q():
 
 @pytest.mark.parametrize("q", [5, 13, 61, 293])
 def test_realness_of_parity_sums(q):
-    """Conjugate pairing cancels the imaginary parts of the folded sums."""
+    """The weighted folds of real parts over the parity sums equal the sums of
+    the full-spectrum ratios over every odd (non-principal even) j, whose
+    imaginary parts cancel in conjugate pairs."""
     ctx = primitive_root(q)
-    b1 = character_sums(ctx, KernelId.LINEAR)
-    lg = character_sums(ctx, KernelId.LNGAMMA)
-    z2 = character_sums(ctx, KernelId.ZETA2)
-    n = q - 1
-    odd = np.sum(lg.s[1::2] / b1.s[1::2])
-    assert abs(odd.imag) <= 1e-9 * max(1.0, abs(odd.real))
-    evens = np.arange(2, n - 1, 2)
-    if evens.size:
-        even = np.sum(z2.s[evens] / (2.0 * lg.s[evens]))
-        assert abs(even.imag) <= 1e-9 * max(1.0, abs(even.real))
+    kernels = (KernelId.LINEAR, KernelId.LNGAMMA, KernelId.ZETA2)
+    b1, lg, z2 = dft_direct(np.stack([kernel_values(ctx, k) for k in kernels], axis=-1)).T
+    odd = np.sum(lg[1::2] / b1[1::2])
+    even = np.sum(z2[2::2] / (2.0 * lg[2::2]))
+    for full in (odd, even):
+        assert abs(full.imag) <= 1e-9 * max(1.0, abs(full.real))
+    for sums, to_complex in ((parity_transforms(ctx).sums(), np.asarray),
+                             (character_sums_dd(ctx).sums(), DDC.to_complex)):
+        fold_odd = np.sum(sums.w_odd * to_complex(sums.lg_odd / sums.b1).real)
+        fold_even = 0.5 * np.sum(sums.w_even * to_complex(sums.z2 / sums.lg_even).real)
+        for fold, full in ((fold_odd, odd), (fold_even, even)):
+            assert abs(fold - full.real) <= 1e-9 * max(1.0, abs(full.real))
 
 
 def test_log_deriv_ratios_against_series_oracle():
     ratios = dirichlet_series_ratios(5, n_terms=10 ** 6)
     ctx = primitive_root(5)
-    closed = log_deriv_ratios(ctx,
-                              character_sums(ctx, KernelId.LINEAR),
-                              character_sums(ctx, KernelId.LNGAMMA),
-                              character_sums(ctx, KernelId.ZETA2))
-    for j, want in ratios.items():
-        assert abs(closed[j] - want) < 1e-7
+    for pt in (parity_transforms(ctx), character_sums_dd(ctx)):
+        closed = log_deriv_ratios(pt.sums())
+        assert closed.shape == (4,) and np.isnan(closed[0])
+        for j, want in ratios.items():
+            assert abs(closed[j] - want) < 1e-7
 
 
 def test_operations_match_compute_record():
