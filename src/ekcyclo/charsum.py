@@ -46,14 +46,6 @@ class KernelError(ValueError):
     """A kernel produced a non-finite value."""
 
 
-def dft(x) -> np.ndarray:
-    """X[j] = sum_k x[k] e^{+2 pi i j k / n}; arbitrary n, O(n log n)."""
-    x = np.asarray(x)
-    if x.size < 1:
-        raise ValueError("dft requires at least one sample")
-    return scipy.fft.ifft(x, norm="forward")
-
-
 def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
     """f((g^k mod q)/q) for k = 0..q-2, in power order."""
     if kernel is KernelId.ZETA2:
@@ -182,8 +174,9 @@ def pack_parities(lg, z2, lin, packed):
 
 
 def transform_kernel(packed: np.ndarray) -> np.ndarray:
-    """The length-h DFTs of the packed rows."""
-    return dft(packed)
+    """The length-h DFTs of the packed rows, along the last axis:
+    Y[j] = sum_k y[k] e^{+2 pi i j k / h}, the +i sign and no normalisation."""
+    return scipy.fft.ifft(packed, norm="forward")
 
 
 def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:

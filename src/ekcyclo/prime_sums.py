@@ -11,9 +11,9 @@ character-sum route computes in closed form:
 with sign +1 for p^m = 1 (mod q) and -1 for p^m = -1 (mod q); the pairs
 ((q-1)/2 f_q, r(q)) and ((q-1)/2 (v_q + w_q), kappa(q)) form the
 independent cross-route oracle.  Primes are streamed through a segmented
-sieve; every reduction is an exactly-rounded sum per segment, merged with
-Neumaier compensation in segment order, so results are deterministic for a
-fixed segment size.
+sieve; every reduction is an exactly-rounded sum per segment, and the
+segment sums are merged by one more exactly-rounded sum, so results are
+deterministic for a fixed segment size.
 """
 from __future__ import annotations
 
@@ -24,27 +24,6 @@ import numpy as np
 
 from .primes import DEFAULT_SEGMENT_SIZE, _sieve_segments, mult_order, simple_sieve
 from .special_functions import compensated_sum
-
-
-class _Acc:
-    """Neumaier accumulator (deterministic merge of segment partials)."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, v: float):
-        t = self.total + v
-        if abs(self.total) >= abs(v):
-            self.comp += (self.total - t) + v
-        else:
-            self.comp += (v - t) + self.total
-        self.total = t
-
-    def value(self) -> float:
-        return self.total + self.comp
 
 
 @dataclass(frozen=True)
@@ -79,7 +58,8 @@ def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> di
     if x < 2:
         raise ValueError("x must be >= 2")
     qs = [int(q) for q in qs]
-    acc = {q: {"inv": _Acc(), "logp": _Acc()} for q in qs}  # signed class sums, m = 1
+    inv = {q: [] for q in qs}  # signed class sums per segment, m = 1
+    logp = {q: [] for q in qs}
     for start, mask in _sieve_segments(0, int(x), segment_size):
         p = (start + np.flatnonzero(mask)).astype(np.float64)
         if p.size == 0:
@@ -91,8 +71,8 @@ def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> di
                 sel = residues == cls
                 if not sel.any():
                     continue
-                acc[q]["inv"].add(sign * compensated_sum(1.0 / p[sel]))
-                acc[q]["logp"].add(sign * compensated_sum(logs[sel] / p[sel]))
+                inv[q].append(sign * compensated_sum(1.0 / p[sel]))
+                logp[q].append(sign * compensated_sum(logs[sel] / p[sel]))
     powers = _power_terms(x)
     out = {}
     for q in qs:
@@ -107,8 +87,8 @@ def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> di
                 continue
             f_pow.append(sign / (m * pm))
             v_pow.append(sign * math.log(p) / pm)
-        g = acc[q]["inv"].value()
-        w = acc[q]["logp"].value() / math.log(q)
+        g = math.fsum(inv[q])
+        w = math.fsum(logp[q]) / math.log(q)
         f = g + math.fsum(f_pow)
         v = math.fsum(v_pow) / math.log(q)
         out[q] = TruncatedSums(q=q, x=float(x), f=f, g=g, v=v, w=w)

@@ -1,17 +1,18 @@
 """Real special functions feeding the character-sum kernels.
 
-The Hurwitz-zeta values at s = 0 are obtained from an Euler-Maclaurin
-expansion differentiated analytically in s: with w = x + N and L = log w,
+The Hurwitz-zeta derivatives at s = 0 are needed at the rational points
+x = a/q, a = 1..q-1, only.  They come from an Euler-Maclaurin expansion
+differentiated analytically in s: with w = x + N and L = log w,
 
-    zeta(0, x)  = 1/2 - x
     zeta'(0, x) = -sum_{n<N} log(x+n) + w(L - 1) - L/2
                   + sum_k B_{2k}/(2k(2k-1)) w^{1-2k}
     zeta''(0,x) = sum_{n<N} log^2(x+n) + w(2L - L^2 - 2) + L^2/2
                   + 2 sum_k B_{2k}/(2k(2k-1)) (H_{2k-2} - L) w^{1-2k}
 
+where log(a/q + n) = log(a + n q) - log q takes exact integer logs.
 Binary64 uses N = 6 with Bernoulli terms through B_20 (truncation near
 2e-15 on (0, 1), far inside the 1e-10 contract), double-double (``dd``)
-N = 32 through B_24; at x = a/q both run the blocked rational_kernels.
+N = 32 through B_24; both run the blocked rational_kernels.
 """
 from __future__ import annotations
 
@@ -76,15 +77,6 @@ def ln_gamma(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class HurwitzAtZero:
-    """(zeta(0,x), zeta'(0,x), zeta''(0,x)) for one x in (0, 1)."""
-
-    z0: float
-    z1: float
-    z2: float
-
-
 # (B_2k/(2k(2k-1)), H_{2k-2}) for k = 1..12, exact; each precision converts
 # the prefix it uses once
 EM_COEFFS: list[tuple[Fraction, Fraction]] = [
@@ -118,24 +110,6 @@ def euler_maclaurin_tails(w, L, coeff, s2, s1=None):
             z1 += c * wp
         wp *= w2
     return z1, z2
-
-
-def hurwitz_derivatives_at_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised (z0, z1, z2) of the Hurwitz zeta at s = 0 for x in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    w = x + _EM_SHIFT
-    logs = np.log(x[..., None] + np.arange(_EM_SHIFT, dtype=np.float64))
-    z1, z2 = euler_maclaurin_tails(w, np.log(w), _EM_COEFF,
-                                   (logs * logs).sum(axis=-1), -logs.sum(axis=-1))
-    return 0.5 - x, z1, z2
-
-
-def hurwitz_at_zero(x: float) -> HurwitzAtZero:
-    """Hurwitz zeta and its first two s-derivatives at s = 0, for 0 < x < 1."""
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie in (0, 1), got {x}")
-    z0, z1, z2 = hurwitz_derivatives_at_zero(np.float64(x))
-    return HurwitzAtZero(z0=float(z0), z1=float(z1), z2=float(z2))
 
 
 class IntegerLogCache:

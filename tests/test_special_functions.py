@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ekcyclo.dd import dd_gamma_zeta_kernels
 from ekcyclo.special_functions import (BERNOULLI_2K, CONSTANTS, IntegerLogCache,
-                                       compensated_sum, hurwitz_at_zero,
-                                       hurwitz_derivatives_at_zero, hurwitz_z2_at_rationals,
-                                       ln_gamma)
+                                       compensated_sum, hurwitz_z2_at_rationals, ln_gamma)
 
 mp.mp.dps = 40
 
@@ -52,40 +51,51 @@ def test_ln_gamma_rejects_nonpositive():
         ln_gamma(-1.5)
 
 
+def _rationals(xs, q):
+    """The integers a with a/q nearest to each x of xs."""
+    return np.rint(np.asarray(xs) * q).astype(np.int64)
+
+
+def _z2_second_difference(x):
+    """zeta''(0, x) by a central second difference of mpmath's Hurwitz zeta."""
+    step = mp.mpf("1e-4")
+    return float((mp.zeta(step, x) - 2 * mp.zeta(0, x) + mp.zeta(-step, x)) / step ** 2)
+
+
 def test_hurwitz_examples():
-    h = hurwitz_at_zero(0.5)
-    assert abs(h.z0) < 1e-12  # 1/2 - 1/2
-    h = hurwitz_at_zero(0.25)
-    assert abs(h.z1 - (ln_gamma(0.25) - 0.5 * CONSTANTS.log_2pi)) < 1e-11
-    # central second difference of an independent Hurwitz evaluation
-    x, step = mp.mpf(1) / 3, mp.mpf("1e-4")
-    fd = (mp.zeta(step, x) - 2 * mp.zeta(0, x) + mp.zeta(-step, x)) / step ** 2
-    assert abs(hurwitz_at_zero(1 / 3).z2 - float(fd)) < 1e-6
+    # the dd log Gamma kernel is zeta'(0, a/q) + log(2 pi)/2 (Lerch)
+    lg, _ = dd_gamma_zeta_kernels(np.array([1]), 4)
+    assert abs(lg.hi[0] - ln_gamma(0.25)) < 1e-11
+    assert abs(hurwitz_z2_at_rationals(np.array([1]), 3)[0]
+               - _z2_second_difference(mp.mpf(1) / 3)) < 1e-6
 
 
 def test_hurwitz_against_mpmath_direct():
     rng = np.random.default_rng(7)
-    for x in rng.uniform(0.005, 0.995, 60):
-        h = hurwitz_at_zero(float(x))
-        assert abs(h.z0 - (0.5 - x)) < 1e-12
-        assert abs(h.z1 - float(mp.zeta(0, mp.mpf(float(x)), 1))) < 1e-10
-        assert abs(h.z2 - float(mp.zeta(0, mp.mpf(float(x)), 2))) < 1e-10
+    q = 10007
+    a = _rationals(rng.uniform(0.005, 0.995, 60), q)
+    z1 = dd_gamma_zeta_kernels(a, q)[0].hi - 0.5 * CONSTANTS.log_2pi
+    z2 = hurwitz_z2_at_rationals(a, q)
+    for ai, d1, d2 in zip(a, z1, z2):
+        x = mp.mpf(int(ai)) / q
+        assert abs(d1 - float(mp.zeta(0, x, 1))) < 1e-10
+        assert abs(d2 - float(mp.zeta(0, x, 2))) < 1e-10
 
 
 def test_hurwitz_z2_finite_difference_oracle():
     rng = np.random.default_rng(11)
-    step = mp.mpf("1e-4")
-    for x in rng.uniform(0.01, 0.99, 100):
-        xx = mp.mpf(float(x))
-        fd = (mp.zeta(step, xx) - 2 * mp.zeta(0, xx) + mp.zeta(-step, xx)) / step ** 2
-        assert abs(hurwitz_at_zero(float(x)).z2 - float(fd)) < 1e-6
+    q = 997
+    a = _rationals(rng.uniform(0.01, 0.99, 100), q)
+    for ai, z2 in zip(a, hurwitz_z2_at_rationals(a, q)):
+        assert abs(z2 - _z2_second_difference(mp.mpf(int(ai)) / q)) < 1e-6
 
 
 def test_lerch_property_random():
     rng = np.random.default_rng(3)
-    xs = rng.uniform(0.01, 0.99, 1000)
-    _, z1, _ = hurwitz_derivatives_at_zero(xs)
-    assert np.max(np.abs(z1 - (ln_gamma(xs) - 0.5 * CONSTANTS.log_2pi))) <= 1e-11
+    q = 10007
+    a = _rationals(rng.uniform(0.01, 0.99, 1000), q)
+    lg, _ = dd_gamma_zeta_kernels(a, q)
+    assert np.max(np.abs(lg.hi - ln_gamma(a / q))) <= 1e-11
 
 
 @settings(max_examples=200)
@@ -96,17 +106,14 @@ def test_reflection_identity(x):
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_hurwitz_rejects_out_of_domain():
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            hurwitz_at_zero(bad)
-
-
 def test_z2_rational_fast_path_matches_generic():
-    for q in (7, 97, 997):
-        a = np.arange(1, q)
+    # the generic evaluator is mpmath's Hurwitz zeta; a full row at q = 997
+    # takes about a second there, so that row is sampled
+    rng = np.random.default_rng(5)
+    for q, a in ((7, np.arange(1, 7)), (97, np.arange(1, 97)),
+                 (997, np.sort(rng.choice(np.arange(1, 997), 100, replace=False)))):
         fast = hurwitz_z2_at_rationals(a, q)
-        _, _, ref = hurwitz_derivatives_at_zero(a / q)
+        ref = np.array([float(mp.zeta(0, mp.mpf(int(ai)) / q, 2)) for ai in a])
         assert np.max(np.abs(fast - ref)) < 1e-12
 
 
