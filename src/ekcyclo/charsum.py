@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .dd import DD, DDC, dd_dft, dd_gamma_zeta_kernels, roots_of_unity
+from .dd import DD, DDC, RoundingError, dd_dft, dd_gamma_zeta_kernels, roots_of_unity
 from .primes import PrimeContext
 from .special_functions import hurwitz_z2_at_rationals, ln_gamma
 
@@ -188,7 +188,12 @@ def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
     packed = pack_parities(lg, z2, lin, DDC.zeros((2, h)))
     u = roots_of_unity(ctx.n)  # w^k, and the chirp table of length h
     packed[ODD] *= u[:h]
-    return PackedTransforms(q=q, packed=packed, spec=dd_dft(packed, u))
+    try:
+        spec = dd_dft(packed, u)
+    except RoundingError as exc:
+        raise RoundingError(f"{exc} (q={q}, kernel {' and '.join(PACKED_LABELS)}, "
+                            f"stage dd transform)") from exc
+    return PackedTransforms(q=q, packed=packed, spec=spec)
 
 
 def _row_energy(z: np.ndarray) -> np.ndarray:

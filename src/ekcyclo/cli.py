@@ -11,6 +11,7 @@ import sys
 from . import analysis
 from .admissible import constants_table, harmonic_threshold
 from .charsum import KernelError
+from .dd import RoundingError
 from .ek_core import ComputationError
 from .store import RunConfig, StoreError, read_records, run_range, verify_reference
 
@@ -58,7 +59,7 @@ def _cmd_compute(args) -> int:
         return 2
     try:
         rows = run_range(cfg)
-    except (OSError, StoreError, ComputationError, KernelError) as exc:
+    except (OSError, StoreError, ComputationError, KernelError, RoundingError) as exc:
         # a failed record names its q, kernel and stage; the last checkpoint stays
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,12 +5,14 @@ All primitives are branch-free elementwise numpy expressions built from the
 classic error-free transforms (Knuth two-sum, Dekker split/product), so the
 whole layer vectorises over arrays of any shape.
 
-On top of the scalar layer sit complex pairs, exp/log, a forward-only
-iterative radix-2 FFT with double-double twiddle tables, and a Bluestein
-chirp-z reduction that evaluates DFTs of arbitrary length n in O(n log n)
-while keeping ~1e-31 relative accuracy.  No fused-multiply-add is assumed.
-The DFT takes its chirp table from the caller: a record's twiddles
-exp(2 pi i k / (q-1)) are that table, so one root of unity serves both.
+On top of the scalar layer sit complex pairs, exp/log, roots of unity and a
+Bluestein chirp-z DFT of any length n.  Its convolution is taken exactly:
+the double-double rows are cut into signed integer slices of b bits, the
+slices are convolved on binary64 FFTs (scipy.fft) with an error bound below
+1/8, and rint recovers the integer convolutions, which are summed back in
+double-double.  No fused-multiply-add is assumed.  The DFT takes its chirp
+table from the caller: a record's twiddles exp(2 pi i k / (q-1)) are that
+table, so one root of unity serves both.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.fft
 
 from .special_functions import (
     EM_COEFFS,
@@ -159,6 +162,10 @@ class DD:
     def __rtruediv__(self, other):
         return DD(other) / self
 
+    def _add_double(self, d):
+        s, e = _two_sum(self.hi, d)
+        return _dd(*_quick_two_sum(s, e + self.lo))
+
     def _mul_double(self, d):
         p1, p2 = _two_prod(self.hi, d)
         p2 = p2 + self.lo * d
@@ -275,12 +282,6 @@ class DDC:
     def copy(self) -> "DDC":
         return DDC(self.real.copy(), self.imag.copy())
 
-    def __add__(self, other: "DDC") -> "DDC":
-        return DDC(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other: "DDC") -> "DDC":
-        return DDC(self.real - other.real, self.imag - other.imag)
-
     def __mul__(self, other: "DDC") -> "DDC":
         return DDC(self.real * other.real - self.imag * other.imag,
                    self.real * other.imag + self.imag * other.real)
@@ -303,10 +304,7 @@ class DDC:
         return self.real.to_float() + 1j * self.imag.to_float()
 
 
-# -- FFT ---------------------------------------------------------------
-_twiddle_cache: dict[int, tuple[DDC, np.ndarray]] = {}
-
-
+# -- roots of unity and the DFT -------------------------------------------
 def _root_of_unity(m: int) -> DDC:
     """exp(2 pi i / m) in double-double, m a positive integer.  (2 pi)/m is
     the double-double pi/(m/2): they differ only by power-of-two scalings."""
@@ -334,62 +332,101 @@ def roots_of_unity(n: int) -> DDC:
     return _powers(_root_of_unity(n), n)
 
 
-def _twiddle_table(m: int) -> tuple[DDC, np.ndarray]:
-    """(T, rev): T[k] = exp(-2 pi i k / m) for k < m // 2 and the bit-reversal
-    permutation of range(m); m a power of two."""
-    cached = _twiddle_cache.get(m)
-    if cached is None:
-        cached = _twiddle_cache[m] = (_powers(_root_of_unity(m).conj(), m // 2),
-                                      _bit_reverse_indices(m))
-    return cached
+class RoundingError(ArithmeticError):
+    """An FFT convolution of integer slices came out too far from integers."""
 
 
-def _bit_reverse_indices(m: int) -> np.ndarray:
-    bits = m.bit_length() - 1
-    idx = np.arange(m)
-    rev = np.zeros(m, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+# Error model of slice_plan.  A Bluestein convolution of length m = 2^k
+# convolves a data row of n <= m/2 points with a filter of 2n - 1 < m
+# points.  Both are cut into slices of Gaussian integers whose parts are at
+# most 2^b, so a data slice has ||A||_2 <= sqrt(2n) 2^b <= sqrt(m) 2^b and a
+# filter slice ||F||_2 <= sqrt(2(2n-1)) 2^b < sqrt(2m) 2^b.  Percival (Math.
+# Comp. 72, 2003, Thm 5.1) bounds the binary64 FFT convolution of x and y,
+# with unit roundoff eps = 2^-53 and twiddles within beta of exact, by
+#     ||z' - z||_inf <= ||x|| ||y|| ((1+eps)^3k (1+sqrt5 eps)^(3k+1) (1+beta)^3k - 1).
+# Group g adds at most count spectral products before its one inverse, one
+# rounding (1+eps) more per addition, so each group sum is off by at most
+#     count sqrt(2) m 4^b ((1+eps)^(3k+count) (1+sqrt5 eps)^(3k+1) (1+beta)^3k - 1).
+# The model takes beta = 4 eps (pocketfft multiplies two table entries, each
+# within about an ulp, into one twiddle), and takes pocketfft's radix-4
+# passes to round no worse per level than the radix-2 butterflies of the
+# theorem.  With the bound at most 1/8, the sums |Z_g| <= count m 4^b lie
+# far below 2^53, so rint recovers them exactly; the runtime check allows 1/4.
+_EPS = 2.0 ** -53
+_TWIDDLE_ERR = 4.0 * _EPS
+_DD_BITS = 106  # significand bits of a dd word, to be covered by the slices
+_MAX_RESIDUAL = 0.25
 
 
-def dd_fft_pow2(x: DDC) -> DDC:
-    """X[j] = sum_k x[k] exp(-2 pi i j k / m) along the last axis, m a power of 2.
+def slice_plan(m: int) -> tuple[int, int]:
+    """(b, count) for exact convolutions of length m = 2^k: the fewest slices
+    count, each b = ceil(106 / count) bits wide, whose bound in the error
+    model above is at most 1/8."""
+    k = m.bit_length() - 1
+    for count in range(1, _DD_BITS + 1):
+        b = -(-_DD_BITS // count)
+        growth = math.expm1((3 * k + count) * math.log1p(_EPS)
+                            + (3 * k + 1) * math.log1p(math.sqrt(5.0) * _EPS)
+                            + 3 * k * math.log1p(_TWIDDLE_ERR))
+        if count * math.sqrt(2.0) * m * 4.0 ** b * growth <= 0.125:
+            return b, count
+    raise ValueError(f"no exact slicing for length {m}")
 
-    In-order iterative radix-2.  Only the forward transform exists: the
-    inverse is conj(dd_fft_pow2(conj X)) / m, bit for bit, since every
-    double-double operation commutes with negation.
+
+def split_slices(hi: np.ndarray, lo: np.ndarray, b: int, out: np.ndarray):
+    """Cut the dd words hi + lo, shape (rows, L), into len(out) slices of b bits.
+
+    One block exponent e per row (the binary exponent of its largest |hi|);
+    out[s] receives integers |out[s]| <= 2^b such that, exactly,
+        hi + lo = 2^e (sum_s out[s] 2^(-b(s+1)) + 2^(-b count) (r_hi + r_lo)),
+    with |r_hi + r_lo| <= 1/2 + 2^(b-53).  Every step is error-free: a
+    scaling by 2^b, rint, and two_sum of the remainder.  Returns (e, r_hi, r_lo).
     """
-    m = x.shape[-1]
-    if m & (m - 1):
-        raise ValueError("length must be a power of two")
-    if m == 1:
-        return x.copy()
-    table, rev = _twiddle_table(m)
-    x = x[..., rev]
-    lead = x.shape[:-1]
-    h = 1
-    while h < m:
-        y = x.reshape(*lead, m // (2 * h), 2, h)
-        even = y[..., 0, :]
-        odd = y[..., 1, :] * table[::m // (2 * h)]
-        x = DDC.zeros(y.shape)
-        x[..., 0, :] = even + odd
-        x[..., 1, :] = even - odd
-        # blocks of size 2h are now contiguous: (nblk, 2, h) -> (nblk, 2h)
-        x = x.reshape(*lead, m)
-        h *= 2
-    return x
+    e = np.frexp(np.max(np.abs(hi), axis=-1, keepdims=True))[1]
+    scale = np.ldexp(1.0, b - e)
+    hi, lo = hi * scale, lo * scale
+    for s, y in enumerate(out):
+        if s:
+            hi, lo = hi * 2.0 ** b, lo * 2.0 ** b
+        np.rint(hi, out=y)
+        hi, lo = _two_sum(hi - y, lo)
+    return e, hi, lo
+
+
+def convolve_slices(stack: np.ndarray, n: int) -> np.ndarray:
+    """The first n points of Z_g = sum_{s+t=g} conv(stack[s, r], stack[t, -1]), g < count.
+
+    stack has shape (count, rows + 1, m): Gaussian-integer slices of the
+    data rows r and, last, of the filter; conv is cyclic of length m.  One
+    forward FFT of the stack, the group sums in the frequency domain, one
+    inverse FFT and rint give Z exactly, as float64 of shape (count, rows,
+    2n) with real and imaginary parts interleaved.  The stack is overwritten.
+    Raises RoundingError if a point is further than 1/4 from an integer.
+    """
+    count, rows = stack.shape[0], stack.shape[1] - 1
+    spec = scipy.fft.fft(stack, overwrite_x=True)
+    data, filt = spec[:, :rows], spec[:, rows]
+    for g in range(count - 1, -1, -1):  # data[g] is read last by group g
+        data[g] = np.einsum("sm,srm->rm", filt[g::-1], data[:g + 1])
+    z = scipy.fft.ifft(data, overwrite_x=True)[:, :, :n].view(np.float64)
+    ints = np.rint(z)
+    np.abs(np.subtract(z, ints, out=z), out=z)
+    residual = float(z.max())
+    if not residual <= _MAX_RESIDUAL:
+        raise RoundingError(f"FFT convolution off an integer by {residual:.3e} > "
+                            f"{_MAX_RESIDUAL:g} ({count} slices, length {stack.shape[-1]})")
+    return ints
 
 
 def dd_dft(x: DDC, u: DDC) -> DDC:
     """X[j] = sum_k x[k] exp(+2 pi i j k / n) along the last axis, any n.
 
     Bluestein, with u = roots_of_unity(2n) and the chirp c[j] = u[j^2 mod
-    2n] = exp(i pi j^2 / n): X = c (conv(x c, conj c)), the convolution taken
-    by power-of-two FFTs of length m >= 2n-1.  The filter conj c is one more
-    row of the data's forward FFT.
+    2n] = exp(i pi j^2 / n): X = c (conv(x c, conj c)), a cyclic convolution
+    of length m >= 2n-1, a power of two.  The data rows and the filter conj
+    c are cut into integer slices (split_slices, widths from slice_plan),
+    whose convolutions convolve_slices takes exactly on binary64 FFTs; the
+    groups are summed back in double-double from the smallest.
     """
     n = x.shape[-1]
     if n == 1:
@@ -397,14 +434,23 @@ def dd_dft(x: DDC, u: DDC) -> DDC:
     m = 1 << (2 * n - 1).bit_length()
     rows = math.prod(x.shape[:-1])
     chirp = u[(np.arange(n, dtype=np.int64) ** 2) % (2 * n)]
-    a = DDC.zeros((rows + 1, m))
-    a[:rows, 0:n] = x.reshape(rows, n) * chirp
-    a[rows, 0:n] = chirp.conj()
-    a[rows, m - (n - 1):m] = chirp[n - 1:0:-1].conj()
-    spec = dd_fft_pow2(a)
-    spec = spec[:rows] * spec[rows]
-    conv = dd_fft_pow2(spec.conj()).conj().scale_pow2(1.0 / m)
-    return (conv[:, 0:n] * chirp).reshape(*x.shape)
+    a = x.reshape(rows, n) * chirp
+    hi, lo = np.empty((rows + 1, n, 2)), np.empty((rows + 1, n, 2))
+    for part, (data, filt) in enumerate(((a.real, chirp.real), (a.imag, -chirp.imag))):
+        hi[:rows, :, part], lo[:rows, :, part] = data.hi, data.lo
+        hi[rows, :, part], lo[rows, :, part] = filt.hi, filt.lo
+    b, count = slice_plan(m)
+    stack = np.zeros((count, rows + 1, m), dtype=np.complex128)
+    e = split_slices(hi.reshape(rows + 1, 2 * n), lo.reshape(rows + 1, 2 * n), b,
+                     stack.view(np.float64)[:, :, :2 * n])[0]
+    stack[:, rows, m - (n - 1):] = stack[:, rows, n - 1:0:-1]
+    z = convolve_slices(stack, n)
+    conv = _dd(z[count - 1], 0.0)
+    for g in range(count - 2, -1, -1):
+        conv = conv._add_double(z[g] * 2.0 ** (b * (count - 1 - g)))
+    conv = conv.scale_pow2(np.ldexp(1.0, e[:rows] + e[rows] - b * (count + 1)))
+    conv = conv.reshape(rows, n, 2)
+    return (DDC(conv[..., 0], conv[..., 1]) * chirp).reshape(*x.shape)
 
 
 # -- double-double kernels at rational points a/q -----------------------

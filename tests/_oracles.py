@@ -190,15 +190,48 @@ def looped_dd_cos_sin(theta):
     return c + 1.0, (s + 1.0) * theta
 
 
-def own_root_dd_dft(x):
-    """dd.dd_dft with its own chirp root exp(i pi / n) = cos + i sin(pi / n)
-    and a separate FFT of the filter: three power-of-two FFTs per call."""
-    from ekcyclo.dd import DDC, PI_DD, _powers, dd_fft_pow2
+def _bit_reverse_indices(m: int) -> np.ndarray:
+    bits = m.bit_length() - 1
+    idx = np.arange(m)
+    rev = np.zeros(m, dtype=np.int64)
+    for _ in range(bits):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    return rev
+
+
+def dd_fft_pow2(x):
+    """X[j] = sum_k x[k] exp(-2 pi i j k / m) along the last axis of a DDC, m a
+    power of 2, by an in-order iterative radix-2 FFT with a double-double
+    twiddle table (the transform dd_dft took before its integer slices).
+    The inverse is conj(dd_fft_pow2(conj X)) / m, bit for bit."""
+    from ekcyclo.dd import DDC, _powers, _root_of_unity
+    m = x.shape[-1]
+    if m == 1:
+        return x.copy()
+    table = _powers(_root_of_unity(m).conj(), m // 2)
+    x = x[..., _bit_reverse_indices(m)]
+    lead = x.shape[:-1]
+    h = 1
+    while h < m:
+        y = x.reshape(*lead, m // (2 * h), 2, h)
+        even = y[..., 0, :]
+        odd = y[..., 1, :] * table[::m // (2 * h)]
+        x = DDC.zeros(y.shape)
+        x[..., 0, :] = DDC(even.real + odd.real, even.imag + odd.imag)
+        x[..., 1, :] = DDC(even.real - odd.real, even.imag - odd.imag)
+        x = x.reshape(*lead, m)
+        h *= 2
+    return x
+
+
+def radix2_dd_dft(x, u):
+    """dd.dd_dft's Bluestein reduction with its convolution taken by dd_fft_pow2."""
+    from ekcyclo.dd import DDC
     n = x.shape[-1]
     if n == 1:
         return x.copy()
     m = 1 << (2 * n - 1).bit_length()
-    u = _powers(DDC(*looped_dd_cos_sin((PI_DD * 1.0) / float(n))), 2 * n)
     chirp = u[(np.arange(n, dtype=np.int64) ** 2) % (2 * n)]
     filt = DDC.zeros(m)
     filt[0:n] = chirp.conj()
@@ -208,6 +241,57 @@ def own_root_dd_dft(x):
     spec = dd_fft_pow2(a) * dd_fft_pow2(filt)
     conv = dd_fft_pow2(spec.conj()).conj().scale_pow2(1.0 / m)
     return conv[..., 0:n] * chirp
+
+
+def _kronecker_bias(length: int) -> int:
+    return int.from_bytes(np.full(length, 2 ** 62, dtype="<u8").tobytes(), "little")
+
+
+def _kronecker_pack(v) -> int:
+    """sum_k v[k] 2^(64 k) for integers |v[k]| < 2^62, as one Python int."""
+    v = np.asarray(v, dtype=np.int64)
+    return int.from_bytes((v + 2 ** 62).astype("<u8").tobytes(), "little") - _kronecker_bias(v.size)
+
+
+def _kronecker_unpack(p: int, length: int) -> np.ndarray:
+    """The digits of p = sum_k c[k] 2^(64 k), |c[k]| < 2^62, k < length."""
+    raw = (p + _kronecker_bias(length)).to_bytes(8 * length, "little")
+    return np.frombuffer(raw, dtype="<u8").astype(np.int64) - 2 ** 62
+
+
+def grouped_int_convolutions(data, filt) -> np.ndarray:
+    """Z[g] = sum_{s+t=g} conv(data[s], filt[t]), g < count, cyclic of length m,
+    from Gaussian-integer slices data and filt of shape (count, m); exact, in
+    Python ints by Kronecker substitution (64-bit digits, every partial sum
+    below 2^62) and three products per complex pair.  Returns complex128."""
+    count, m = filt.shape
+    dp = [(_kronecker_pack(v.real), _kronecker_pack(v.imag)) for v in data]
+    fp = [(_kronecker_pack(v.real), _kronecker_pack(v.imag)) for v in filt]
+    out = np.zeros((count, m), dtype=np.complex128)
+    for g in range(count):
+        re = im = 0
+        for (ar, ai), (fr, fi) in zip(dp[:g + 1], fp[g::-1]):
+            rr, ii = ar * fr, ai * fi
+            re += rr - ii
+            im += (ar + ai) * (fr + fi) - rr - ii
+        for part, total in ((out.real, re), (out.imag, im)):
+            linear = _kronecker_unpack(total, 2 * m)
+            part[g] = linear[:m] + linear[m:]
+    return out
+
+
+def own_root_dd_dft(x):
+    """dd.dd_dft with its own chirp root exp(i pi / n) = cos + i sin(pi / n),
+    one row of a (rows, n) batch at a time."""
+    from ekcyclo.dd import DDC, PI_DD, _powers, dd_dft
+    n = x.shape[-1]
+    u = _powers(DDC(*looped_dd_cos_sin((PI_DD * 1.0) / float(n))), 2 * n)
+    if len(x.shape) == 1:
+        return dd_dft(x, u)
+    out = DDC.zeros(x.shape)
+    for r in range(x.shape[0]):
+        out[r] = dd_dft(x[r], u)
+    return out
 
 
 def own_root_dd_spectra(ctx: PrimeContext):

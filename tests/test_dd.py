@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from _oracles import bits_equal, looped_dd_cos_sin, own_root_dd_dft
-from ekcyclo.dd import (DD, DDC, EULER_GAMMA_DD, LOG_2PI_DD, PI_DD, dd_cos_sin, dd_dft,
-                        dd_exp, dd_fft_pow2, dd_gamma_zeta_kernels, dd_log, dd_log_int,
-                        roots_of_unity)
+import ekcyclo.dd as ddm
+from _oracles import (bits_equal, dd_fft_pow2, dft_direct, grouped_int_convolutions,
+                      looped_dd_cos_sin, own_root_dd_dft, radix2_dd_dft)
+from ekcyclo.dd import (DD, DDC, EULER_GAMMA_DD, LOG_2PI_DD, PI_DD, RoundingError,
+                        convolve_slices, dd_cos_sin, dd_dft, dd_exp, dd_gamma_zeta_kernels,
+                        dd_log, dd_log_int, roots_of_unity, slice_plan, split_slices)
 
 mp.mp.dps = 45
 
@@ -86,8 +89,8 @@ def test_dd_dft_against_mpmath(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 31, 97, 498, 499])
 @pytest.mark.parametrize("rows", [None, 2])
 def test_dd_dft_matches_own_root_reference(n, rows):
-    # the chirp from roots_of_unity(2n) and the filter batched with the data
-    # give the bits of an own root exp(i pi / n) and a separate filter FFT
+    # the chirp from roots_of_unity(2n) and the rows batched with one filter
+    # give the bits of an own root exp(i pi / n), one row at a time
     rng = np.random.default_rng(n)
     shape = (n,) if rows is None else (rows, n)
     x = DDC(DD(rng.uniform(-3, 3, shape), rng.uniform(-1e-17, 1e-17, shape)),
@@ -97,15 +100,112 @@ def test_dd_dft_matches_own_root_reference(n, rows):
     assert bits_equal(got, own_root_dd_dft(x))
 
 
+@pytest.mark.parametrize("n", [2, 3, 31, 256, 257, 499])
+def test_dd_dft_against_radix2_oracle_and_direct(n):
+    # rows of unequal size: each keeps its own error scale
+    rng = np.random.default_rng(100 + n)
+    shape = (3, n)
+    scale = np.array([[1.0], [1e-3], [1e6]])
+    x = DDC(DD(rng.uniform(-3, 3, shape) * scale), DD(rng.uniform(-3, 3, shape) * scale))
+    got = dd_dft(x, roots_of_unity(2 * n))
+    want = radix2_dd_dft(x, roots_of_unity(2 * n))
+    size = scale * 3 * n  # sum |x| bounds every |X[j]|
+    for part in ("real", "imag"):
+        diff = (getattr(got, part) - getattr(want, part)).to_float()
+        assert np.all(np.abs(diff) <= 1e-29 * size)
+    direct = dft_direct(x.to_complex().T).T
+    assert np.all(np.abs(got.to_complex() - direct) <= 1e-13 * size)
+
+
 def test_fft_roundtrip_and_batching():
     rng = np.random.default_rng(9)
     x = DDC(DD(rng.uniform(-1, 1, (3, 32))), DD(rng.uniform(-1, 1, (3, 32))))
     spec = dd_fft_pow2(x)
-    # the inverse by the conjugation identity, as dd_dft takes it
+    # the inverse by the conjugation identity
     back = dd_fft_pow2(spec.conj()).conj().scale_pow2(1.0 / 32)
     assert np.max(np.abs(back.to_complex() - x.to_complex())) < 1e-25
     ref = np.fft.fft(x.to_complex(), axis=-1)
     assert np.max(np.abs(spec.to_complex() - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("b, count", [(18, 6), (14, 8), (8, 14)])
+def test_split_slices_rebuild_words_exactly(b, count):
+    rng = np.random.default_rng(b)
+    hi = rng.uniform(-1, 1, (5, 12)) * np.array([[1.0], [1e-5], [3e7], [0.0], [1.0]])
+    hi[4, ::2] *= -1e-20  # mixed signs and sizes in one row
+    lo = hi * rng.uniform(-2 ** -53, 2 ** -53, hi.shape)
+    lo[0, :3] = [5e-324, -1e-310, 2e-300]  # tiny lo words
+    out = np.empty((count,) + hi.shape)
+    e, r_hi, r_lo = split_slices(hi, lo, b, out)
+    assert np.all(out == np.rint(out)) and np.all(np.abs(out) <= 2 ** b)
+    assert np.all(out[:, 3] == 0)
+    for i, j in np.ndindex(hi.shape):
+        rest = Fraction(r_hi[i, j]) + Fraction(r_lo[i, j])
+        assert abs(rest) <= Fraction(1, 2) + Fraction(2) ** (b - 53)
+        rebuilt = sum(Fraction(out[s, i, j]) / 2 ** (b * (s + 1)) for s in range(count))
+        rebuilt = (rebuilt + rest / Fraction(2) ** (b * count)) * Fraction(2) ** int(e[i, 0])
+        assert rebuilt == Fraction(hi[i, j]) + Fraction(lo[i, j])
+
+
+def test_split_slices_all_zero_operand():
+    out = np.full((6, 2, 4), np.nan)
+    e, r_hi, r_lo = split_slices(np.zeros((2, 4)), np.zeros((2, 4)), 18, out)
+    assert np.all(out == 0) and np.all(r_hi == 0) and np.all(r_lo == 0)
+
+
+def _extreme_slices(rng, b, count, shape):
+    """Gaussian-integer slices mixing parts of the largest size 2^b with random ones."""
+    parts = rng.integers(-2 ** b, 2 ** b + 1, (2, count) + shape)
+    parts[:, :, ..., ::3] = 2 ** b * rng.choice([-1, 1], parts[:, :, ..., ::3].shape)
+    return parts[0] + 1j * parts[1]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_convolve_slices_exact(k):
+    # at the widths slice_plan gives, with the data on n = m/2 points and
+    # the filter on 2n - 1 points as in dd_dft
+    m = 2 ** k
+    n = max(1, m // 2)
+    b, count = slice_plan(m)
+    rng = np.random.default_rng(k)
+    stack = np.zeros((count, 2, m), dtype=np.complex128)  # one data row, the filter
+    stack[:, :, :n] = _extreme_slices(rng, b, count, (2, n))
+    stack[:, 1, m - (n - 1):] = stack[:, 1, n - 1:0:-1]
+    want = grouped_int_convolutions(stack[:, 0], stack[:, 1])
+    got = convolve_slices(stack.copy(), m)
+    assert np.array_equal(got, want[:, None].view(np.float64))
+
+
+def test_slice_plan_meets_error_bound():
+    # the error model of dd.slice_plan evaluated in 60-digit arithmetic: the
+    # bound is at most 1/8 and one slice fewer would break it, the slices
+    # cover 106 bits, and every group sum is an integer below 2^53
+    with mp.workdps(60):
+        eps = mp.mpf(2) ** -53
+        for k in range(1, 22):
+            m = 2 ** k
+            b, count = slice_plan(m)
+            assert b * count >= 106 and b == -(-106 // count)
+
+            def bound(b, count):
+                growth = ((1 + eps) ** (3 * k + count) * (1 + mp.sqrt(5) * eps) ** (3 * k + 1)
+                          * (1 + 4 * eps) ** (3 * k) - 1)
+                return count * mp.sqrt(2) * m * mp.mpf(4) ** b * growth
+
+            assert bound(b, count) <= mp.mpf(1) / 8
+            assert bound(-(-106 // (count - 1)), count - 1) > mp.mpf(1) / 8
+            assert count * m * 4 ** b < 2 ** 53
+
+
+def test_wide_slices_trip_residual_check(monkeypatch):
+    # 26-bit slices at m = 1024 put the group sums near 2^62, past exactness
+    real = slice_plan
+    monkeypatch.setattr(ddm, "slice_plan", lambda m: (26, 5) if m == 1024 else real(m))
+    rng = np.random.default_rng(26)
+    rows = lambda n: DDC(DD(rng.uniform(-3, 3, (2, n))), DD(rng.uniform(-3, 3, (2, n))))
+    dd_dft(rows(256), roots_of_unity(512))  # m = 512 keeps its planned widths
+    with pytest.raises(RoundingError, match=r"off an integer by .* > 0.25 \(5 slices, length 1024\)"):
+        dd_dft(rows(257), roots_of_unity(514))
 
 
 def test_gamma_zeta_kernels_against_mpmath():

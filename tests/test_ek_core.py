@@ -31,7 +31,7 @@ def test_dd_mode_matches_reference_tightly(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 97, 499, 997, 8209])
 def test_dd_record_matches_own_root_reference(monkeypatch, q):
-    # one root per record, the filter in the data's FFT batch and log q from
+    # one root per record, both packed rows in one transform and log q from
     # the table keep every hi and lo word of the spectra and of the assembly
     ctx = primitive_root(q)
     pt = character_sums_dd(ctx)

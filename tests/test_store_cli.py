@@ -242,6 +242,23 @@ def test_failed_record_exits_2_and_keeps_checkpoint(tmp_path, monkeypatch, capsy
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_dd_transform_rounding_failure_exits_2(tmp_path, monkeypatch, capsys):
+    """Slices too wide for exact FFT convolutions at m = 1024 (q = 521, the
+    first q of the range that pads to 1024) trip the dd transform's residual
+    check; compute exits 2 naming q, the packed rows and the stage."""
+    import ekcyclo.dd as dd
+    real = dd.slice_plan
+    monkeypatch.setattr(dd, "slice_plan", lambda m: (26, 5) if m == 1024 else real(m))
+    out = tmp_path / "run.csv"
+    assert cli_main(["compute", "--min", "500", "--max", "530", "--precision", "dd",
+                     "--out", str(out), "--checkpoint-every", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FFT convolution off an integer by ") and "Traceback" not in err
+    assert ("(q=521, kernel lngamma+zeta2 (even) and linear+lngamma (odd), "
+            "stage dd transform)") in err
+    assert json.loads(Path(str(out) + ".checkpoint").read_text())["last_q"] == 509
+
+
 def test_read_records_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(CSV_HEADER + "\n3,0.1,0.2\n")
