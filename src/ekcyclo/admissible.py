@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_SIZE, _sieve_segments, simple_sieve
+from .primes import DEFAULT_SEGMENT_SIZE, prime_blocks, simple_sieve
 from .special_functions import CONSTANTS
 
 
@@ -105,10 +105,9 @@ def singular_series_c1(cutoff: int = 10 ** 8,
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     log_total = 0.0
-    for start, mask in _sieve_segments(1, cutoff, segment_size):
-        p = (start + np.flatnonzero(mask)).astype(np.float64)
-        if p.size:
-            log_total += float(np.sum(np.log1p(2.0 / (p * (p - 1.0)))))
+    for block in prime_blocks(1, cutoff, segment_size):
+        p = block.astype(np.float64)
+        log_total += float(np.sum(np.log1p(2.0 / (p * (p - 1.0)))))
     value = math.exp(log_total)
     return value, value * math.expm1(2.0 / cutoff)
 

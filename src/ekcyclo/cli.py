@@ -10,7 +10,6 @@ import sys
 
 from . import analysis
 from .admissible import constants_table, harmonic_threshold
-from .charsum import KernelError
 from .dd import RoundingError
 from .ek_core import ComputationError
 from .store import RunConfig, StoreError, read_records, run_range, verify_reference
@@ -54,12 +53,8 @@ def _cmd_compute(args) -> int:
         cfg = RunConfig(q_min=args.q_min, q_max=args.q_max, out_path=args.out,
                         threads=args.threads, precision=args.precision,
                         checkpoint_every=args.checkpoint_every)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         rows = run_range(cfg)
-    except (OSError, StoreError, ComputationError, KernelError, RoundingError) as exc:
+    except (ValueError, OSError, StoreError, ComputationError, RoundingError) as exc:
         # a failed record names its q, kernel and stage; the last checkpoint stays
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -104,7 +99,6 @@ def _cmd_analyze(args) -> int:
     except ValueError:
         print(f"error: bad --range {args.range_!r}, expected LO:HI", file=sys.stderr)
         return 2
-    prefix = args.out_prefix
 
     # every option and value is checked before the first output file is written
     try:
@@ -122,41 +116,38 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    def density(x: float) -> str:
+        if hist.sigma in (None, 0.0):
+            return "nan"
+        return f"{float(hist.normal_density(x)):.17g}"
+
+    half = 0.5 * args.bins
+    cells = [(lo - half, hist.underflow),
+             *zip(hist.bin_centers().tolist(), hist.counts.tolist()),
+             (hi + half, hist.overflow)]
+    outputs = {"histogram.csv": ["bin_center,count,normal_overlay",
+                                 *(f"{x:.17g},{n},{density(x)}" for x, n in cells)]}
+    if report is not None:
+        mean = "nan" if report.sample_mean is None else f"{report.sample_mean:.17g}"
+        outputs["spikes.csv"] = ["m,b,exclusive,count,sample_mean,target",
+                                 f"{report.m},{report.b},{int(report.exclusive)},"
+                                 f"{report.count},{mean},{report.target:.17g}"]
+    outputs["delta.csv"] = ["cap,frac_within,mean_abs",
+                            f"{args.delta_cap:.17g},{frac:.17g},{mean_abs:.17g}"]
+    anomalies = analysis.envelope_check(records)
+    outputs["anomalies.csv"] = ["q,kappa,kind",
+                                *(f"{a.q},{a.kappa:.17g},{a.kind}" for a in anomalies)]
+
     try:  # an output file that cannot be written is an I/O error
-        centers = hist.bin_centers()
-        with open(prefix + "histogram.csv", "w", encoding="ascii", newline="\n") as f:
-            f.write("bin_center,count,normal_overlay\n")
-            def density(x: float) -> str:
-                if hist.sigma in (None, 0.0):
-                    return "nan"
-                return f"{float(hist.normal_density(x)):.17g}"
-            f.write(f"{lo - 0.5 * args.bins:.17g},{hist.underflow},{density(lo - 0.5 * args.bins)}\n")
-            for c, cnt in zip(centers, hist.counts):
-                f.write(f"{c:.17g},{cnt},{density(float(c))}\n")
-            f.write(f"{hi + 0.5 * args.bins:.17g},{hist.overflow},{density(hi + 0.5 * args.bins)}\n")
-
-        if report is not None:
-            with open(prefix + "spikes.csv", "w", encoding="ascii", newline="\n") as f:
-                f.write("m,b,exclusive,count,sample_mean,target\n")
-                mean = "nan" if report.sample_mean is None else f"{report.sample_mean:.17g}"
-                f.write(f"{report.m},{report.b},{int(report.exclusive)},{report.count},"
-                        f"{mean},{report.target:.17g}\n")
-
-        with open(prefix + "delta.csv", "w", encoding="ascii", newline="\n") as f:
-            f.write("cap,frac_within,mean_abs\n")
-            f.write(f"{args.delta_cap:.17g},{frac:.17g},{mean_abs:.17g}\n")
-        print(f"delta: frac(|delta| <= {args.delta_cap:g}) = {frac:.4f}, "
-              f"mean |delta| = {mean_abs:.6f}")
-
-        anomalies = analysis.envelope_check(records)
-        with open(prefix + "anomalies.csv", "w", encoding="ascii", newline="\n") as f:
-            f.write("q,kappa,kind\n")
-            for a in anomalies:
-                f.write(f"{a.q},{a.kappa:.17g},{a.kind}\n")
-        print(f"envelope anomalies: {len(anomalies)}")
+        for name, lines in outputs.items():
+            with open(args.out_prefix + name, "w", encoding="ascii", newline="\n") as f:
+                f.write("".join(line + "\n" for line in lines))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"delta: frac(|delta| <= {args.delta_cap:g}) = {frac:.4f}, "
+          f"mean |delta| = {mean_abs:.6f}")
+    print(f"envelope anomalies: {len(anomalies)}")
     return 0
 
 

@@ -191,20 +191,19 @@ def compute_record(q: int, mode: str = "double") -> EkRecord:
                     delta=kap - r, flags=flags)
 
 
-def kummer_check(q: int, r: float | None = None) -> KummerCheck:
+def kummer_check(q: int) -> KummerCheck:
     """h1(q) recovered as R(q) G(q) with its distance to the nearest integer.
 
-    Without a supplied r the ratio is recomputed in double-double: for
-    q near 100 the class number reaches ~4e11 and a 1e-6 gap needs far
-    more than binary64 accuracy in exp(r + log G).
+    The ratio is computed in double-double from spectra that pass the
+    record's checks: for q near 100 the class number reaches ~4e11 and a
+    1e-6 gap needs far more than binary64 accuracy in exp(r + log G).
     """
     if q > 100:
         raise ValueError("kummer_check is limited to q <= 100")
-    if r is None:
-        ctx = primitive_root(q)
-        r_dd = assemble_dd(ctx, character_sums_dd(ctx).sums())["r"]
-    else:
-        r_dd = DD(float(r))
+    ctx = primitive_root(q)
+    pt = character_sums_dd(ctx)
+    _check_spectra(pt, "dd")
+    r_dd = assemble_dd(ctx, pt.sums())["r"]
     log_g = dd_log(DD(2.0 * q)) + (dd_log(DD(float(q))) - ddm.LOG_2PI_DD.scale_pow2(2.0)) * ((q - 1) / 4.0)
     h1 = dd_exp(r_dd + log_g)
     nearest = int(round(float(h1.hi)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_SIZE, _sieve_segments, mult_order, simple_sieve
+from .primes import DEFAULT_SEGMENT_SIZE, mult_order, prime_blocks, simple_sieve
 from .special_functions import compensated_sum
 
 
@@ -60,10 +60,8 @@ def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> di
     qs = [int(q) for q in qs]
     inv = {q: [] for q in qs}  # signed class sums per segment, m = 1
     logp = {q: [] for q in qs}
-    for start, mask in _sieve_segments(0, int(x), segment_size):
-        p = (start + np.flatnonzero(mask)).astype(np.float64)
-        if p.size == 0:
-            continue
+    for block in prime_blocks(0, int(x), segment_size):
+        p = block.astype(np.float64)
         logs = np.log(p)
         for q in qs:
             residues = p % q
@@ -135,10 +133,7 @@ def bias(t: float, q: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     if t < 2:
         raise ValueError("t must be >= 2")
     plus = minus = 0
-    for start, mask in _sieve_segments(0, int(t), segment_size):
-        p = start + np.flatnonzero(mask)
-        if p.size == 0:
-            continue
+    for p in prime_blocks(0, int(t), segment_size):
         residues = p % q
         plus += int(np.count_nonzero(residues == 1))
         minus += int(np.count_nonzero(residues == q - 1))

@@ -52,8 +52,9 @@ def simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _sieve_segments(lo: int, hi: int, segment_size: int):
-    """Yield (start, mask) for each segment of (lo, hi]; mask[i] marks start+i prime."""
+def prime_blocks(lo: int, hi: int, segment_size: int):
+    """Yield the ascending int64 primes of (lo, hi], one non-empty array per
+    sieve segment of segment_size integers."""
     if hi <= max(lo, 1):
         return
     base = simple_sieve(math.isqrt(hi))
@@ -68,7 +69,9 @@ def _sieve_segments(lo: int, hi: int, segment_size: int):
             first = max(p * p, ((start + p - 1) // p) * p)
             if first < stop:
                 mask[first - start:: p] = False
-        yield start, mask
+        block = start + np.flatnonzero(mask).astype(np.int64, copy=False)
+        if block.size:
+            yield block
         start = stop
 
 
@@ -76,16 +79,12 @@ def primes_in(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.
     """Ascending primes p with lo < p <= hi (segmented sieve, bounded memory)."""
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid range ({lo}, {hi}]")
-    chunks = [start + np.flatnonzero(mask)
-              for start, mask in _sieve_segments(lo, hi, segment_size)]
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks).astype(np.int64)
+    return np.concatenate([np.empty(0, dtype=np.int64), *prime_blocks(lo, hi, segment_size)])
 
 
 def count_primes_in(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """Number of primes in (lo, hi] without materialising them."""
-    return sum(int(mask.sum()) for _, mask in _sieve_segments(lo, hi, segment_size))
+    return sum(block.size for block in prime_blocks(lo, hi, segment_size))
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -14,6 +14,7 @@ bytes do not depend on the worker count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -104,7 +105,7 @@ def _run_identity(cfg: RunConfig) -> dict:
             "header": CSV_HEADER, "version": __version__}
 
 
-def _load_checkpoint(cfg: RunConfig) -> tuple[int, "hashlib._Hash"] | None:
+def _load_checkpoint(cfg: RunConfig) -> tuple[int, int, "hashlib._Hash"] | None:
     ck_path = _checkpoint_path(cfg.out_path)
     out = Path(cfg.out_path)
     if not ck_path.exists():
@@ -136,7 +137,7 @@ def _load_checkpoint(cfg: RunConfig) -> tuple[int, "hashlib._Hash"] | None:
         if digest.hexdigest() != sha:
             raise StoreError(f"checkpoint digest mismatch for {cfg.out_path}")
         f.truncate(nbytes)
-    return last_q, digest
+    return last_q, nbytes, digest
 
 
 def _write_checkpoint(cfg: RunConfig, last_q: int, nbytes: int, digest) -> None:
@@ -147,59 +148,41 @@ def _write_checkpoint(cfg: RunConfig, last_q: int, nbytes: int, digest) -> None:
     tmp.replace(ck_path)
 
 
-def _worker(args) -> EkRecord:
-    q, mode = args
-    return compute_record(q, mode=mode)
-
-
-def _records_for(primes, mode: str, threads: int):
+def _records_for(pending: list[int], mode: str, threads: int):
+    # compute_record is read from this module at call time, so a wrapper put on
+    # store.compute_record sees every serial call
+    modes = itertools.repeat(mode)
     if threads == 1:
-        for q in primes:
-            yield compute_record(int(q), mode=mode)
+        yield from map(compute_record, pending, modes)
         return
+    # about four chunks per worker, so that a few heavy primes still spread out
+    chunksize = max(1, min(16, len(pending) // (4 * threads)))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(_worker, ((int(q), mode) for q in primes), chunksize=16)
+        yield from pool.map(compute_record, pending, modes, chunksize=chunksize)
 
 
 def run_range(cfg: RunConfig) -> int:
     """Write one CSV row per odd prime in [q_min, q_max]; resumable; returns rows."""
-    primes = [int(q) for q in primes_in(max(cfg.q_min - 1, 2), cfg.q_max)]
-    resumed = _load_checkpoint(cfg)
-    if resumed is None:
-        mode = "w"
-        digest = hashlib.sha256()
-        header = CSV_HEADER + "\n"
-        pending = [int(q) for q in primes]
-        start_bytes = 0
-        prefix = header
-    else:
-        last_q, digest = resumed
-        mode = "a"
-        pending = [q for q in primes if q > last_q]
-        start_bytes = Path(cfg.out_path).stat().st_size
-        prefix = ""
+    last_q, nbytes, digest = _load_checkpoint(cfg) or (0, 0, hashlib.sha256())
+    pending = primes_in(max(cfg.q_min - 1, 2, last_q), cfg.q_max).tolist()
     rows = 0
-    with open(cfg.out_path, mode, encoding="ascii", newline="\n") as f:
-        nbytes = start_bytes
-        if prefix:
-            f.write(prefix)
-            digest.update(prefix.encode("ascii"))
-            nbytes += len(prefix)
-        last_q = None
-        for rec in _records_for(pending, cfg.precision, cfg.threads):
-            line = format_record(rec) + "\n"
+    with open(cfg.out_path, "a" if nbytes else "w", encoding="ascii", newline="\n") as f:
+        def emit(line: str) -> None:
+            nonlocal nbytes
             f.write(line)
             digest.update(line.encode("ascii"))
             nbytes += len(line)
-            last_q = rec.q
+
+        if not nbytes:
+            emit(CSV_HEADER + "\n")
+        for rec in _records_for(pending, cfg.precision, cfg.threads):
+            emit(format_record(rec) + "\n")
             rows += 1
             if rows % cfg.checkpoint_every == 0:
                 f.flush()
                 os.fsync(f.fileno())  # the rows reach the disk before the checkpoint names them
-                _write_checkpoint(cfg, last_q, nbytes, digest.copy())
-    ck = _checkpoint_path(cfg.out_path)
-    if ck.exists():
-        ck.unlink()
+                _write_checkpoint(cfg, rec.q, nbytes, digest.copy())
+    _checkpoint_path(cfg.out_path).unlink(missing_ok=True)
     return rows
 
 

@@ -81,16 +81,16 @@ def test_kummer_known_class_numbers():
     assert kummer_check(37).nearest_int == 37
 
 
-def test_kummer_check_accepts_external_r():
-    rec = compute_record(23)
-    kc = kummer_check(23, r=rec.r)
-    assert kc.nearest_int == 3
-    assert kc.gap < 1e-9
-
-
 def test_kummer_check_refuses_large_q():
     with pytest.raises(ValueError):
         kummer_check(101)
+
+
+def test_kummer_check_runs_spectrum_checks(monkeypatch):
+    import ekcyclo.ek_core as ek_core
+    monkeypatch.setattr(ek_core, "spectrum_checks", lambda pt: {("s0", "linear (odd)"): 1.0})
+    with pytest.raises(ComputationError, match=r"q=23, kernel linear \(odd\), stage dd spectrum check"):
+        kummer_check(23)
 
 
 @pytest.mark.parametrize("q", [5, 13, 61, 293])

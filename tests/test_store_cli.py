@@ -56,27 +56,62 @@ def test_output_independent_of_thread_count(tmp_path):
 
 
 def test_checkpoint_resume_identical(tmp_path, monkeypatch):
+    """A run broken at --threads 1 resumes, at 1 or 2 workers, to the bytes of
+    an uninterrupted run."""
     ref = tmp_path / "ref.csv"
     run_range(RunConfig(3, 700, str(ref), checkpoint_every=10))
-
-    out = tmp_path / "resumed.csv"
-    calls = {"n": 0}
     real = store.compute_record
+    for resume_threads in (1, 2):
+        out = tmp_path / f"resumed{resume_threads}.csv"
+        calls = {"n": 0}
 
-    def flaky(q, mode="double"):
-        calls["n"] += 1
-        if calls["n"] > 55:
-            raise KeyboardInterrupt
-        return real(q, mode=mode)
+        def flaky(q, mode="double"):
+            calls["n"] += 1
+            if calls["n"] > 55:
+                raise KeyboardInterrupt
+            return real(q, mode=mode)
 
-    monkeypatch.setattr(store, "compute_record", flaky)
-    with pytest.raises(KeyboardInterrupt):
-        run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
-    monkeypatch.setattr(store, "compute_record", real)
-    assert (tmp_path / "resumed.csv.checkpoint").exists()
-    run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
+        monkeypatch.setattr(store, "compute_record", flaky)
+        with pytest.raises(KeyboardInterrupt):
+            run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
+        monkeypatch.setattr(store, "compute_record", real)
+        ck = Path(str(out) + ".checkpoint")
+        assert json.loads(ck.read_text())["last_q"] == 233  # row 50
+        run_range(RunConfig(3, 700, str(out), threads=resume_threads, checkpoint_every=10))
+        assert out.read_bytes() == ref.read_bytes()
+        assert not ck.exists()
+
+
+def test_pool_chunks_spread_few_primes(tmp_path, monkeypatch):
+    """Eight primes on two workers go out in at least two chunks; the desk
+    run's chunks stay at 16 primes."""
+    chunksizes = []
+
+    class SerialPool:  # maps in this process and keeps each chunksize
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            chunksizes.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(store, "ProcessPoolExecutor", SerialPool)
+    ref = tmp_path / "ref.csv"
+    run_range(RunConfig(3, 23, str(ref)))
+    out = tmp_path / "two.csv"
+    assert run_range(RunConfig(3, 23, str(out), threads=2)) == 8
     assert out.read_bytes() == ref.read_bytes()
-    assert not (tmp_path / "resumed.csv.checkpoint").exists()
+    (chunk,) = chunksizes
+    assert math.ceil(8 / chunk) >= 2
+    desk = store.primes_in(2, 10 ** 5).tolist()
+    next(store._records_for(desk, "double", 4))  # the pool is mapped on the first record
+    assert chunksizes[-1] == 16
 
 
 @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["sigint", "sigkill"])
