@@ -59,8 +59,8 @@ def harmonic_threshold(c: float, even_only: bool = True) -> tuple[int, float]:
     multiplier beyond the unit must be even; otherwise the plain harmonic
     sum of {1, .., N} is used.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:  # a NaN would stop at once, an inf never
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     terms = [1.0] if even_only else []
     n = 0
     total = terms[0] if terms else 0.0

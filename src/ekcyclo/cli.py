@@ -1,6 +1,7 @@
 """Command-line entry points: compute, verify-table2, analyze, constants.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input, I/O or
+record error (one ``error:`` line on stderr, printed by ``main``).
 """
 from __future__ import annotations
 
@@ -49,23 +50,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    try:
-        cfg = RunConfig(q_min=args.q_min, q_max=args.q_max, out_path=args.out,
-                        threads=args.threads, precision=args.precision,
-                        checkpoint_every=args.checkpoint_every)
-        rows = run_range(cfg)
-    except (ValueError, OSError, StoreError, ComputationError, RoundingError) as exc:
-        # a failed record names its q, kernel and stage; the last checkpoint stays
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = RunConfig(q_min=args.q_min, q_max=args.q_max, out_path=args.out,
+                    threads=args.threads, precision=args.precision,
+                    checkpoint_every=args.checkpoint_every)
+    rows = run_range(cfg)
     print(f"wrote {rows} rows to {cfg.out_path}")
     return 0
 
 
 def _cmd_verify(args) -> int:
     if not 0.0 < args.tol < math.inf:
-        print(f"error: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
     result = verify_reference(args.tol, mode=args.precision)
     print(f"max |kappa - reference| = {result.max_deviation:.3e} at q={result.worst_q} "
           f"(tolerance {args.tol:g}, {args.precision})")
@@ -76,45 +71,25 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _parse_spike(spec: str) -> tuple[int, int]:
+def _pair(text: str, flag: str, form: str, kind):
+    """The two values of an option written A:B, each converted by kind."""
     try:
-        m_str, b_str = spec.split(":")
-        m, b = int(m_str), int(b_str)
-    except ValueError as exc:
-        raise ValueError(f"bad --spike {spec!r}, expected M:B") from exc
-    return m, b
+        a, b = text.split(":")
+        return kind(a), kind(b)
+    except ValueError:
+        raise ValueError(f"bad {flag} {text!r}, expected {form}") from None
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        records = read_records(args.in_path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StoreError as exc:
-        print(f"error: {args.in_path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        lo, hi = (float(v) for v in args.range_.split(":"))
-    except ValueError:
-        print(f"error: bad --range {args.range_!r}, expected LO:HI", file=sys.stderr)
-        return 2
-
     # every option and value is checked before the first output file is written
-    try:
-        hist = analysis.histogram([r.kappa for r in records], args.bins, lo, hi)
-    except ValueError as exc:
-        print(f"error: {args.in_path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = None
-        if args.spike:
-            m, b = _parse_spike(args.spike)
-            report = analysis.spike_report(records, m, b, exclusive=args.exclusive)
-        frac, mean_abs = analysis.delta_stats(records, args.delta_cap)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = read_records(args.in_path)
+    lo, hi = _pair(args.range_, "--range", "LO:HI", float)
+    hist = analysis.histogram([r.kappa for r in records], args.bins, lo, hi)
+    report = None
+    if args.spike:
+        m, b = _pair(args.spike, "--spike", "M:B", int)
+        report = analysis.spike_report(records, m, b, exclusive=args.exclusive)
+    frac, mean_abs = analysis.delta_stats(records, args.delta_cap)
 
     def density(x: float) -> str:
         if hist.sigma in (None, 0.0):
@@ -138,13 +113,9 @@ def _cmd_analyze(args) -> int:
     outputs["anomalies.csv"] = ["q,kappa,kind",
                                 *(f"{a.q},{a.kappa:.17g},{a.kind}" for a in anomalies)]
 
-    try:  # an output file that cannot be written is an I/O error
-        for name, lines in outputs.items():
-            with open(args.out_prefix + name, "w", encoding="ascii", newline="\n") as f:
-                f.write("".join(line + "\n" for line in lines))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for name, lines in outputs.items():
+        with open(args.out_prefix + name, "w", encoding="ascii", newline="\n") as f:
+            f.write("".join(line + "\n" for line in lines))
     print(f"delta: frac(|delta| <= {args.delta_cap:g}) = {frac:.4f}, "
           f"mean |delta| = {mean_abs:.6f}")
     print(f"envelope anomalies: {len(anomalies)}")
@@ -152,12 +123,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    try:
-        table = constants_table(args.c1_cutoff)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for const in table.values():
+    for const in constants_table(args.c1_cutoff).values():
         print(f"{const.name:12s} = {const.value:.10f}   [{const.expression}]")
     for c in (4, 6):
         n, total = harmonic_threshold(float(c))
@@ -173,7 +139,13 @@ def main(argv=None) -> int:
         "analyze": _cmd_analyze,
         "constants": _cmd_constants,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError, StoreError, ComputationError, RoundingError) as exc:
+        # input, I/O and record failures: a failed record names its q, kernel
+        # and stage, and a compute run keeps its last checkpoint
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

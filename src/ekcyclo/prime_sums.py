@@ -38,6 +38,11 @@ class TruncatedSums:
     w: float
 
 
+def _check_modulus(q: int) -> None:
+    if q < 3:  # below 3 the classes +1 and -1 mod q are not distinct
+        raise ValueError(f"modulus q must be >= 3, got {q}")
+
+
 def _power_terms(x: float) -> list[tuple[int, int, int]]:
     """(p, m, p^m) for m >= 2, p^m <= x, ascending in p^m."""
     out = []
@@ -58,6 +63,8 @@ def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> di
     if x < 2:
         raise ValueError("x must be >= 2")
     qs = [int(q) for q in qs]
+    for q in qs:
+        _check_modulus(q)
     inv = {q: [] for q in qs}  # signed class sums per segment, m = 1
     logp = {q: [] for q in qs}
     for block in prime_blocks(0, int(x), segment_size):
@@ -108,6 +115,7 @@ def s12(q: int, cutoff: int) -> OrderSums:
     Terms are kept while p^ord <= cutoff; the reported tail radius bounds
     the discarded mass by sum_{n > cutoff} log n/(n(n-1)).
     """
+    _check_modulus(q)
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     log_cut = math.log(cutoff)
@@ -130,6 +138,7 @@ def s12(q: int, cutoff: int) -> OrderSums:
 
 def bias(t: float, q: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """pi(t; q, 1) - pi(t; q, -1) via the segmented sieve."""
+    _check_modulus(q)
     if t < 2:
         raise ValueError("t must be >= 2")
     plus = minus = 0

@@ -60,18 +60,30 @@ def parse_record(line: str, lineno: int) -> EkRecord:
                     delta=delta, flags=flags)
 
 
+def _ascii_line(line: str, lineno: int) -> str:
+    line = line.rstrip("\n")
+    if not line.isascii():  # an undecodable byte is read as a lone surrogate
+        byte = ord(next(c for c in line if not c.isascii())) - 0xDC00
+        raise StoreError(f"line {lineno}: non-ASCII byte {byte:#04x}")
+    return line
+
+
 def read_records(path: str | os.PathLike) -> list[EkRecord]:
+    """The rows of a CSV of this schema; every StoreError starts with the path."""
     out = []
-    with open(path, "r", encoding="ascii") as f:
-        header = f.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise StoreError(f"line 1: unexpected header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if line:
-                out.append(parse_record(line, lineno))
-    if not out:
-        raise StoreError("no data rows")
+    try:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
+            header = _ascii_line(f.readline(), 1)
+            if header != CSV_HEADER:
+                raise StoreError(f"line 1: unexpected header {header!r}")
+            for lineno, line in enumerate(f, start=2):
+                line = _ascii_line(line, lineno)
+                if line:
+                    out.append(parse_record(line, lineno))
+        if not out:
+            raise StoreError("no data rows")
+    except StoreError as exc:
+        raise StoreError(f"{path}: {exc}") from None
     return out
 
 
@@ -136,6 +148,10 @@ def _load_checkpoint(cfg: RunConfig) -> tuple[int, int, "hashlib._Hash"] | None:
         digest = hashlib.sha256(head)
         if digest.hexdigest() != sha:
             raise StoreError(f"checkpoint digest mismatch for {cfg.out_path}")
+        last_row = head[:-1].rsplit(b"\n", 1)[-1]
+        if not last_row.startswith(b"%d," % last_q):
+            raise StoreError(f"checkpoint {ck_path} names last_q {last_q}, but the last "
+                             f"row of its {nbytes} bytes starts {last_row[:16]!r}")
         f.truncate(nbytes)
     return last_q, nbytes, digest
 

@@ -69,6 +69,10 @@ def test_harmonic_thresholds_paper_values():
 def test_harmonic_threshold_small_c():
     # the unit multiplier alone already exceeds any c < 1
     assert harmonic_threshold(0.4) == (0, 1.0)
+    # a NaN would end the search at once and an infinite c never
+    for c in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match=f"finite and positive, got {c!r}"):
+            harmonic_threshold(c)
 
 
 def test_harmonic_threshold_monotone():

@@ -44,6 +44,12 @@ def test_v_q_hand_enumeration():
 def test_domain_guards():
     with pytest.raises(ValueError):
         truncated_sums([3], 1.5)
+    # below 3 the classes +1 and -1 mod q are not distinct
+    for call in (lambda q: truncated_sums([3, q], 100), lambda q: bias(100, q),
+                 lambda q: s12(q, 100)):
+        for q in (1, 2):
+            with pytest.raises(ValueError, match=f"modulus q must be >= 3, got {q}"):
+                call(q)
 
 
 def test_segment_size_determinism():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -114,6 +115,28 @@ def test_pool_chunks_spread_few_primes(tmp_path, monkeypatch):
     assert chunksizes[-1] == 16
 
 
+def _child_env() -> dict:
+    """The environment of a child Python that imports this ekcyclo."""
+    env = dict(os.environ)
+    src = str(Path(store.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_child(argv, patch=""):
+    """Run ekcyclo.cli.main(argv) in a child process after the Python source patch."""
+    code = f"import sys\nfrom ekcyclo.cli import main\n{patch}\nsys.exit(main({argv!r}))"
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=300)
+
+
+def _one_error_line(stderr: str) -> str:
+    assert "Traceback" not in stderr
+    (line,) = stderr.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
 @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["sigint", "sigkill"])
 def test_interrupted_cli_run_resumes_to_same_bytes(tmp_path, sig):
     """A compute process stopped by a signal after a checkpoint resumes to the
@@ -124,9 +147,7 @@ def test_interrupted_cli_run_resumes_to_same_bytes(tmp_path, sig):
     ck = tmp_path / "run.csv.checkpoint"
     cmd = [sys.executable, "-m", "ekcyclo.cli", "compute", "--min", "3", "--max", "6000",
            "--out", str(out), "--checkpoint-every", "20"]
-    env = dict(os.environ)
-    src = str(Path(store.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 120
@@ -213,21 +234,27 @@ def test_resume_refuses_checkpoint_without_binding(tmp_path, monkeypatch):
     assert out.read_bytes() == before
 
 
-@pytest.mark.parametrize("damage", ["short", "foreign"])
+@pytest.mark.parametrize("damage", ["short", "foreign", "last_q"])
 def test_refused_resume_leaves_csv_intact(tmp_path, monkeypatch, capsys, damage):
     """A CSV shorter than the checkpoint's byte count, or one with other
-    content, is refused before it is truncated or padded."""
+    content, or a checkpoint whose last_q is not the q of its last row, is
+    refused before the CSV is truncated or padded."""
     out = _interrupted_run(tmp_path, monkeypatch)
-    nbytes = json.loads(Path(str(out) + ".checkpoint").read_text())["nbytes"]
+    ck = Path(str(out) + ".checkpoint")
+    state = json.loads(ck.read_text())
     if damage == "short":
         out.write_bytes(out.read_bytes()[:100])
-    else:
-        out.write_bytes(b"x" * (nbytes + 200))
+    elif damage == "foreign":
+        out.write_bytes(b"x" * (state["nbytes"] + 200))
+    else:  # byte count and digest still match; a resume would skip 37..151
+        assert state["last_q"] == 31
+        ck.write_text(json.dumps({**state, "last_q": 151}))
     before = out.read_bytes()
     assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
                      "--checkpoint-every", "10"]) == 2
-    err = capsys.readouterr().err
-    assert ("fewer than" if damage == "short" else "digest mismatch") in err
+    message = {"short": "fewer than", "foreign": "digest mismatch",
+               "last_q": "names last_q 151, but the last row"}[damage]
+    assert message in capsys.readouterr().err
     assert out.read_bytes() == before
 
 
@@ -297,14 +324,17 @@ def test_dd_transform_rounding_failure_exits_2(tmp_path, monkeypatch, capsys):
 def test_read_records_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(CSV_HEADER + "\n3,0.1,0.2\n")
-    with pytest.raises(StoreError, match="line 2"):
+    with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2")):
         read_records(bad)
     bad.write_text("not,a,header\n")
-    with pytest.raises(StoreError, match="line 1"):
+    with pytest.raises(StoreError, match=re.escape(f"{bad}: line 1")):
+        read_records(bad)
+    bad.write_bytes(CSV_HEADER.encode() + b"\n3,0.1\xff\n")
+    with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2: non-ASCII byte 0xff")):
         read_records(bad)
     empty = tmp_path / "empty.csv"
     empty.write_text(CSV_HEADER + "\n")
-    with pytest.raises(StoreError, match="no data"):
+    with pytest.raises(StoreError, match=re.escape(f"{empty}: no data")):
         read_records(empty)
 
 
@@ -398,6 +428,27 @@ def test_cli_analyze_missing_and_empty(tmp_path):
     assert cli_main(["analyze", "--in", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("damage", ["non-ascii", "directory"])
+def test_cli_analyze_unreadable_input_exits_2(tmp_path, damage):
+    """An input that is a directory, or has a byte that is not ASCII, ends
+    analyze with one error line naming the path and no output file."""
+    target = tmp_path / "in.csv"
+    if damage == "directory":
+        target.mkdir()
+    else:
+        run_range(RunConfig(3, 20, str(target)))
+        data = bytearray(target.read_bytes())
+        data[len(CSV_HEADER) + 1 + 7] = 0xFF  # line 2, in kappa
+        target.write_bytes(bytes(data))
+    done = _cli_child(["analyze", "--in", str(target), "--out-prefix", str(tmp_path / "p_")])
+    assert done.returncode == 2
+    line = _one_error_line(done.stderr)
+    assert str(target) in line
+    if damage == "non-ascii":
+        assert line == f"error: {target}: line 2: non-ASCII byte 0xff"
+    assert list(tmp_path.glob("p_*")) == []
+
+
 def test_cli_analyze_rejects_nan_kappa(tmp_path, capsys):
     out = tmp_path / "nan.csv"
     run_range(RunConfig(3, 20, str(out)))
@@ -434,6 +485,25 @@ def test_cli_verify_rejects_bad_tolerance(monkeypatch, capsys, tol):
     assert cli_main(["verify-table2", "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+
+
+def test_cli_verify_failed_record_exits_2():
+    """A record that fails a check ends verify-table2 with exit 2 and one error
+    line naming q, kernel and stage, before any result is printed."""
+    patch = """
+import ekcyclo.ek_core as ek_core
+real = ek_core.transform_kernel
+def broken_at_101(packed):
+    spec = real(packed)
+    if packed.shape[-1] == 50:  # q = 101
+        spec[1, 7] += 1.0
+    return spec
+ek_core.transform_kernel = broken_at_101
+"""
+    done = _cli_child(["verify-table2", "--tol", "1e-8"], patch)
+    assert done.returncode == 2 and done.stdout == ""
+    line = _one_error_line(done.stderr)
+    assert "q=101, kernel linear+lngamma (odd), stage double spectrum check" in line
 
 
 def test_verify_reference_nan_kappa_is_an_offender(monkeypatch, capsys):
