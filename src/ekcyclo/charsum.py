@@ -210,7 +210,8 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     and imaginary parts are the principal LNGAMMA (times _REAL_SCALE) and
     ZETA2 sums.
     Double-double transforms are checked in binary64 against the high
-    words of their inputs.
+    words of their inputs, and their principal sums once more in dd ("s0
+    dd"), against one tree sum, relative to sum |y|.
     """
     y, spec = pt.packed, pt.spec
     if isinstance(spec, DDC):
@@ -223,4 +224,10 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     lg, z2 = PACKED_KERNELS[EVEN]
     for kernel, got, want in ((lg, s0.real, total0.real), (z2, s0.imag, total0.imag)):
         out["s0", kernel.value] = abs(float(got - want)) / max(1.0, abs(float(got)))
+    if isinstance(pt.spec, DDC):
+        row = DD.stack([pt.packed.real[EVEN], pt.packed.imag[EVEN]])
+        diff = (DD.stack([pt.spec.real[EVEN, 0], pt.spec.imag[EVEN, 0]]) - row.sum()).to_float()
+        scale = float(np.sum(np.hypot(*row.hi)))
+        for kernel, d in zip((lg, z2), diff):
+            out["s0 dd", kernel.value] = abs(float(d)) / scale
     return out

@@ -59,7 +59,7 @@ def _split(a):
 def _two_prod(a, b):
     p = a * b
     ah, al = _split(a)
-    bh, bl = _split(b)
+    bh, bl = (ah, al) if b is a else _split(b)
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, err
 
@@ -90,6 +90,11 @@ class DD:
     @staticmethod
     def zeros(shape) -> "DD":
         return _dd(np.zeros(shape), np.zeros(shape))
+
+    @staticmethod
+    def stack(parts, axis=0, join=np.stack) -> "DD":
+        """The words of parts joined by np.stack, or by join (np.concatenate)."""
+        return _dd(join([p.hi for p in parts], axis), join([p.lo for p in parts], axis))
 
     # -- structure helpers --------------------------------------------
     @property
@@ -216,8 +221,8 @@ def dd_exp(a: DD) -> DD:
     r = a - LN2_DD._mul_double(k)
     r = r.scale_pow2(1.0 / 512.0)  # |r| <= ~6.8e-4 after 2^9 scaling
     # expm1 via Taylor, 10 terms reach ~1e-39
-    p = DD.zeros(r.shape)
-    for i in range(10, 0, -1):
+    p = _INV_FACT[10] * r  # the bits of (0 + 1/10!) r
+    for i in range(9, 0, -1):
         p = (p + _INV_FACT[i]) * r
     # repeated (1+s)^2 - 1 = s^2 + 2s keeps full accuracy near zero
     for _ in range(9):
@@ -233,23 +238,6 @@ def dd_log(a: DD) -> DD:
     r = a * dd_exp(DD(-y0)) - 1.0
     # |r| ~ 1e-16, so r^2/2 only matters at double precision
     return DD(y0) + r - DD(0.5 * r.hi * r.hi)
-
-
-_SIGNED_INV_FACT = [f * (1 if i % 4 < 2 else -1) for i, f in enumerate(_INV_FACT)]
-# (cos, sin / theta) Taylor coefficients of t2^(i/2), highest first
-_COS_SIN_COEFFS = [DD(np.stack([_SIGNED_INV_FACT[i].hi, _SIGNED_INV_FACT[i + 1].hi]),
-                      np.stack([_SIGNED_INV_FACT[i].lo, _SIGNED_INV_FACT[i + 1].lo]))
-                   for i in range(40, 1, -2)]
-
-
-def dd_cos_sin(theta: DD) -> tuple[DD, DD]:
-    """Taylor cos/sin for |theta| <= pi/2 (twiddle seeds), as one (..., 2) series."""
-    t2 = theta.square()[..., None]
-    cs = DD.zeros(theta.shape + (2,))
-    for coeff in _COS_SIN_COEFFS:
-        cs = (cs + coeff) * t2
-    cs = cs + 1.0
-    return cs[..., 0], cs[..., 1] * theta
 
 
 class DDC:
@@ -305,25 +293,43 @@ class DDC:
 
 
 # -- roots of unity and the DFT -------------------------------------------
+_FIX = 160  # fraction bits of the fixed-point seeds; PI_STR carries 230 bits
+_PI_FIX = round(Fraction(PI_STR) * 2 ** _FIX)
+
+
 def _root_of_unity(m: int) -> DDC:
-    """exp(2 pi i / m) in double-double, m a positive integer.  (2 pi)/m is
-    the double-double pi/(m/2): they differ only by power-of-two scalings."""
-    return DDC(*dd_cos_sin((PI_DD * 2.0) / float(m)))
+    """exp(2 pi i / m) in double-double, m a positive integer, each part the
+    nearest dd to a value within 2^-150.  2 pi / m = t pi/2 + phi, t = round(4/m)
+    quarter turns, phi = (pi/2) r/m with |r/m| <= 1/2: cos and sin of phi are
+    Taylor series in Python integers with _FIX fraction bits, and i^t swaps parts."""
+    t = (4 + m // 2) // m
+    r = 4 - t * m
+    x = _PI_FIX * abs(r) // (2 * m)  # |phi| <= pi/4 in fixed point
+    parts, term, k = [0, 0], 1 << _FIX, 0
+    while term:  # x^k / k! for cos (k even) and sin (k odd), alternating by pairs
+        parts[k % 2] += term if k % 4 < 2 else -term
+        k += 1
+        term = term * x // (k << _FIX)
+    c, s = parts[0], parts[1] if r >= 0 else -parts[1]
+    for _ in range(t % 4):
+        c, s = -s, c
+    return DDC(*(DD.from_fraction(Fraction(v, 1 << _FIX)) for v in (c, s)))
 
 
 def _powers(w: DDC, count: int) -> DDC:
-    """w^k for k < count, by doubling the computed prefix.  Element k is
-    filled at the same step for any count: a shorter table is a prefix."""
+    """w^k for k < count, by doubling the computed prefix; one product per step
+    gives out[:take] w^s and the next w^s w^s.  Element k is filled at the same
+    step for any count: a shorter table is a prefix."""
     out = DDC.zeros(count)
     out[0] = DDC(DD(1.0), DD(0.0))
-    wp = w
-    size = 1
+    wp, size = w, 1
     while size < count:
         take = min(size, count - size)
-        out[size:size + take] = out[0:take] * wp
+        left = DDC.zeros(take + 1)
+        left[:take], left[take] = out[:take], wp
+        step = left * wp
+        out[size:size + take], wp = step[:take], step[take]
         size *= 2
-        if size < count:
-            wp = wp * wp
     return out
 
 
@@ -455,7 +461,8 @@ def dd_dft(x: DDC, u: DDC) -> DDC:
 
 # -- double-double kernels at rational points a/q -----------------------
 _EM_SHIFT_DD = 32
-_EM_COEFF_DD = [(DD.from_fraction(c), DD.from_fraction(h)) for c, h in EM_COEFFS]
+# the columns c and h, shape (K, 1), of euler_maclaurin_tails
+_EM_COEFF_DD = tuple(DD.stack([DD.from_fraction(x) for x in col])[:, None] for col in zip(*EM_COEFFS))
 
 _INT_LOG_CAP = 4_000_000
 _integer_logs = IntegerLogCache(lambda m: dd_log(DD(m)), DD.zeros, _INT_LOG_CAP)

@@ -115,26 +115,33 @@ def log_deriv_ratios(sums: ParitySums) -> np.ndarray:
 # -- double-double route -------------------------------------------------
 
 
-def _dd_fold_sum(values: DD, weights: np.ndarray) -> DD:
-    if values.shape[-1] == 0:
-        return DD(0.0)
-    return values.scale_pow2(weights).sum()
-
-
 def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
-    """kappa/r/gamma_plus/gamma in double-double from the parity spectra."""
+    """kappa/r/gamma_plus/gamma in double-double from the parity spectra: the
+    real parts of G/B1 (odd) and Z/(2G) (even) by one division of the joined
+    sums, the three fold sums by one tree over a zero-padded (3, L) DD."""
     log_q = ddm.dd_log_int(ctx.q)
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
     half = ctx.n / 2.0
+    odd, even = sums.w_odd.size, sums.w_even.size
+    num, den = (DDC(DD.stack([x.real, y.real], join=np.concatenate),
+                    DD.stack([x.imag, y.imag], join=np.concatenate))
+                for x, y in ((sums.lg_odd, sums.z2), (sums.b1, sums.lg_even.scale_pow2(2.0))))
+    den2 = den.abs2()
+    if np.any(den2.hi[:odd] == 0):
+        raise _assembly_error("vanishing B1 sum", ctx.q, KernelId.LINEAR)
+    if np.any(den2.hi[odd:] == 0):
+        raise _assembly_error("vanishing L'(0) sum", ctx.q, KernelId.LNGAMMA)
+    ratios = (num.real * den.real - num.imag * -den.imag) / den2  # Re(num conj(den)) / |den|^2
 
-    ratios = sums.lg_odd / sums.b1
-    kap = -(c_dd * half + _dd_fold_sum(ratios.real, sums.w_odd)) / log_q
+    terms, weights = DD.zeros((3, odd)), np.zeros((3, odd))
+    terms[0], terms[1] = ratios[:odd], dd_log(den2[:odd]).scale_pow2(0.5)  # log |B1|
+    terms[2, :even] = c_dd - ratios[odd:]
+    weights[:2], weights[2, :even] = sums.w_odd, sums.w_even
+    fold = terms.scale_pow2(weights).sum()
 
-    log_mags = dd_log(sums.b1.abs2()).scale_pow2(0.5)
-    r = (ddm.LOG_PI_DD - log_q.scale_pow2(0.5)) * half + _dd_fold_sum(log_mags, sums.w_odd)
-
-    u = (sums.z2 / sums.lg_even.scale_pow2(2.0)).real
-    gplus = ddm.EULER_GAMMA_DD + _dd_fold_sum(c_dd - u, sums.w_even)
+    kap = -(c_dd * half + fold[0]) / log_q
+    r = (ddm.LOG_PI_DD - log_q.scale_pow2(0.5)) * half + fold[1]
+    gplus = ddm.EULER_GAMMA_DD + fold[2]
     gamma = gplus - kap * log_q
     return {"kappa": kap, "r": r, "gamma_plus": gplus, "gamma": gamma}
 
@@ -142,9 +149,24 @@ def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
 _SPECTRUM_TOL = {"s0": 1e-12, "parseval": 1e-9}
 
 
+# The dd principal sums Y_0 = sum y of the even row are checked in dd, against
+# one tree sum, relative to S = sum |y|.  With u = 2^-53, a dd product is within
+# 7u^2 relative (Joldes, Muller and Popescu, ACM TOMS 44(2), 2017) and a dd sum
+# within 3u^2 (|a| + |b|), so a DDC product is within rho = 15u^2 |a| |b|.
+# dd_dft gives Y_0 = c_0 conv_0 with c_0 = 1 exactly and conv_0 = sum_k (y_k c_k)
+# conj(c_k), the chirp c_k a power w^i, i < 2h, from _powers: the root is within
+# u^2/2 of |w| = 1 and w^i takes at most i products, so ||c_k|^2 - 1| <= 4h
+# (u^2/2 + rho).  Beyond that, relative to S, the products y_k c_k add rho, the
+# slice bits dropped past 106 3u^2 h (data) and 3u^2 (filter), the count group
+# sums 6 count u^2, the tree of depth d 3 d u^2 and the difference 6u^2.
+def _s0_dd_tolerance(h: int) -> float:
+    count = ddm.slice_plan(1 << (2 * h - 1).bit_length())[1]
+    return (65 * h + 6 * count + 3 * (h - 1).bit_length() + 24) * 2.0 ** -106
+
+
 def _check_spectra(pt: PackedTransforms, mode: str) -> None:
     for (name, kernels), residual in spectrum_checks(pt).items():
-        tol = _SPECTRUM_TOL[name]
+        tol = _s0_dd_tolerance(pt.packed.shape[-1]) if name == "s0 dd" else _SPECTRUM_TOL[name]
         if not residual <= tol:
             raise ComputationError(
                 f"spectrum invariant '{name}' failed: residual {residual:.3e} > {tol:g} "

@@ -45,11 +45,12 @@ def harmonic_fraction(m: int) -> Fraction:
 
 
 # Decimal expansions kept to 40 digits so both the double and the
-# double-double layers parse the same source of truth.
+# double-double layers parse the same source of truth; pi to 70, for the
+# fixed-point seeds of the dd roots of unity.
 EULER_GAMMA_STR = "0.5772156649015328606065120900824024310422"
 ZETA3_STR = "1.2020569031595942853997381615114499907650"
 LOG_2PI_STR = "1.8378770664093454835606594728112352797228"
-PI_STR = "3.1415926535897932384626433832795028841972"
+PI_STR = "3.141592653589793238462643383279502884197169399375105820974944592307816"
 LOG_PI_STR = "1.1447298858494001741434273513530587116473"
 LN2_STR = "0.6931471805599453094172321214581765680755"
 
@@ -85,7 +86,7 @@ EM_COEFFS: list[tuple[Fraction, Fraction]] = [
 ]
 
 _EM_SHIFT = 6  # binary64; see the module docstring
-_EM_COEFF = [(float(c), float(h)) for c, h in EM_COEFFS[:10]]
+_EM_COEFF = tuple(tuple(float(x) for x in col) for col in zip(*EM_COEFFS[:10]))  # (c, h)
 
 
 def euler_maclaurin_tails(w, L, coeff, s2, s1=None):
@@ -94,22 +95,43 @@ def euler_maclaurin_tails(w, L, coeff, s2, s1=None):
     s2 = sum_{n<N} log^2(x+n) and s1 = -sum_{n<N} log(x+n); without s1 the
     first derivative is skipped and returned as None.  Only arithmetic
     operators are used, so w, L and the heads may be float64 or DD arrays,
-    with coeff converted to the same precision.
+    with coeff = (c, h) the K coefficients in the same precision: floats, or
+    DD columns of shape (K, 1).  Float64 and large DD operands add one term
+    at a time; small DD operands (s1 given) take the K terms as rows, each
+    element through the same steps.
     """
     z2 = s2 + w * (2.0 * L - L * L - 2.0) + 0.5 * L * L
     z1 = None if s1 is None else s1 + w * (L - 1.0) - 0.5 * L
     # not (1/w)^2: in binary64 that moves gamma_q+ by up to 2.2e-12 near q = 1e6
     w2 = 1.0 / (w * w)
     wp = 1.0 / w
-    for c, h in coeff:
-        # in place only where no bit changes: DD rebinds, operand order kept
-        t = 2.0 * c * (h - L)
-        t *= wp
-        z2 += t
-        if z1 is not None:
-            z1 += c * wp
-        wp *= w2
-    return z1, z2
+    c, h = coeff
+    if isinstance(w, np.ndarray) or 8 * c.shape[0] * w.hi.size > _ROWS_BYTES:
+        for ck, hk in zip(c, h):  # a DD column yields (1,) rows
+            # in place only where no bit changes: DD rebinds, operand order kept
+            t = 2.0 * ck * (hk - L)
+            t *= wp
+            z2 += t
+            if z1 is not None:
+                z1 += ck * wp
+            wp *= w2
+        return z1, z2
+    powers = type(w).zeros(c.shape[:1] + w.shape)  # row k - 1 holds w^(1-2k)
+    powers[0] = wp
+    for k in range(1, c.shape[0]):
+        powers[k] = powers[k - 1] * w2
+    terms = type(w).stack([2.0 * c * (h - L) * powers, c * powers], axis=1)
+    z = type(w).stack([z2, z1])
+    for k in range(c.shape[0]):
+        z = z + terms[k]
+    return z[1], z[0]
+
+
+# The DD rows save Python overhead, which matters only for few columns S.  They
+# run while a (K, S) word array stays below glibc's default 128 KiB mmap threshold
+# (S <= 1365 for K = 12); past it each temporary is faulted in anew.  The dd kernels
+# took as long either way at S = 1408, 1.1 times the loop's at 2002, twice at 16384.
+_ROWS_BYTES = 1 << 17
 
 
 class IntegerLogCache:

@@ -179,8 +179,9 @@ def bits_equal(x, y) -> bool:
 
 
 def looped_dd_cos_sin(theta):
-    """dd.dd_cos_sin as two separate Taylor loops, one per function, with
-    the signed coefficients formed on every call (the form before merging)."""
+    """cos and sin of a DD theta, |theta| <= pi/2, as two Taylor loops of 20
+    Horner steps each on DD arrays (the dd root-of-unity seed before the
+    integer one)."""
     from ekcyclo.dd import _INV_FACT, DD
     t2 = theta.square()
     c, s = DD.zeros(theta.shape), DD.zeros(theta.shape)
@@ -188,6 +189,59 @@ def looped_dd_cos_sin(theta):
         c = (c + _INV_FACT[i] * (1 if i % 4 == 0 else -1)) * t2
         s = (s + _INV_FACT[i + 1] * (1 if i % 4 == 0 else -1)) * t2
     return c + 1.0, (s + 1.0) * theta
+
+
+def two_product_powers(w, count: int):
+    """dd._powers with two DDC products per doubling step, one for the new
+    block of powers and one for the next square (the form before merging)."""
+    from ekcyclo.dd import DD, DDC
+    out = DDC.zeros(count)
+    out[0] = DDC(DD(1.0), DD(0.0))
+    wp, size = w, 1
+    while size < count:
+        take = min(size, count - size)
+        out[size:size + take] = out[0:take] * wp
+        size *= 2
+        if size < count:
+            wp = wp * wp
+    return out
+
+
+def looped_em_tails(w, L, s2, s1):
+    """special_functions.euler_maclaurin_tails on DD operands with one
+    Euler-Maclaurin term per loop step (the form before the terms became rows)."""
+    from ekcyclo.dd import DD
+    from ekcyclo.special_functions import EM_COEFFS
+    z2 = s2 + w * (2.0 * L - L * L - 2.0) + 0.5 * L * L
+    z1 = s1 + w * (L - 1.0) - 0.5 * L
+    w2 = 1.0 / (w * w)
+    wp = 1.0 / w
+    for c, h in EM_COEFFS:
+        c, h = DD.from_fraction(c), DD.from_fraction(h)
+        z2 = z2 + 2.0 * c * (h - L) * wp
+        z1 = z1 + c * wp
+        wp = wp * w2
+    return z1, z2
+
+
+def separate_assemble_dd(ctx: PrimeContext, sums):
+    """ek_core.assemble_dd with one DDC division per parity, the imaginary
+    parts formed too, and one fold tree per quantity (the form before merging)."""
+    import ekcyclo.dd as ddm
+    from ekcyclo.dd import DD, dd_log
+
+    def fold(values, weights):
+        return DD(0.0) if values.shape[-1] == 0 else values.scale_pow2(weights).sum()
+
+    log_q = ddm.dd_log_int(ctx.q)
+    c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
+    half = ctx.n / 2.0
+    kap = -(c_dd * half + fold((sums.lg_odd / sums.b1).real, sums.w_odd)) / log_q
+    log_mags = dd_log(sums.b1.abs2()).scale_pow2(0.5)
+    r = (ddm.LOG_PI_DD - log_q.scale_pow2(0.5)) * half + fold(log_mags, sums.w_odd)
+    u = (sums.z2 / sums.lg_even.scale_pow2(2.0)).real
+    gplus = ddm.EULER_GAMMA_DD + fold(c_dd - u, sums.w_even)
+    return {"kappa": kap, "r": r, "gamma_plus": gplus, "gamma": gplus - kap * log_q}
 
 
 def _bit_reverse_indices(m: int) -> np.ndarray:
@@ -281,11 +335,11 @@ def grouped_int_convolutions(data, filt) -> np.ndarray:
 
 
 def own_root_dd_dft(x):
-    """dd.dd_dft with its own chirp root exp(i pi / n) = cos + i sin(pi / n),
-    one row of a (rows, n) batch at a time."""
-    from ekcyclo.dd import DDC, PI_DD, _powers, dd_dft
+    """dd.dd_dft with its own chirp root exp(i pi / n), one row of a (rows, n)
+    batch at a time."""
+    from ekcyclo.dd import DDC, _powers, _root_of_unity, dd_dft
     n = x.shape[-1]
-    u = _powers(DDC(*looped_dd_cos_sin((PI_DD * 1.0) / float(n))), 2 * n)
+    u = _powers(_root_of_unity(2 * n), 2 * n)
     if len(x.shape) == 1:
         return dd_dft(x, u)
     out = DDC.zeros(x.shape)
@@ -298,10 +352,10 @@ def own_root_dd_spectra(ctx: PrimeContext):
     """(packed rows, spectra) of charsum.character_sums_dd with the twiddles
     and the chirp each from a root of their own and own_root_dd_dft."""
     from ekcyclo.charsum import ODD, pack_parities
-    from ekcyclo.dd import DD, DDC, PI_DD, _powers, dd_gamma_zeta_kernels
+    from ekcyclo.dd import DD, DDC, _powers, _root_of_unity, dd_gamma_zeta_kernels
     q, h = ctx.q, ctx.n // 2
     a = ctx.powers()
     lg, z2 = dd_gamma_zeta_kernels(a, q)
     packed = pack_parities(lg, z2, DD(2 * a[:h] - q) / DD(float(q)), DDC.zeros((2, h)))
-    packed[ODD] *= _powers(DDC(*looped_dd_cos_sin((PI_DD * 2.0) / float(ctx.n))), h)
+    packed[ODD] *= _powers(_root_of_unity(ctx.n), h)
     return packed, own_root_dd_dft(packed)

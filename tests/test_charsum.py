@@ -4,7 +4,7 @@ import pytest
 from ekcyclo.charsum import (KernelError, KernelId, _twiddles, character_sums_dd,
                              kernel_values, spectrum_checks, transform_kernel)
 from ekcyclo.dd import DDC
-from ekcyclo.ek_core import parity_transforms
+from ekcyclo.ek_core import _s0_dd_tolerance, parity_transforms
 from ekcyclo.primes import primitive_root
 
 from _oracles import character_table, dft_direct, direct_parity_sums
@@ -78,13 +78,15 @@ def test_character_identification(q):
 @pytest.mark.parametrize("q", [7, 61, 499, 997])
 def test_spectrum_invariants(q):
     ctx = primitive_root(q)
-    for pt in (parity_transforms(ctx), character_sums_dd(ctx)):
+    tol = {"s0": 1e-12, "parseval": 1e-9, "s0 dd": _s0_dd_tolerance((q - 1) // 2)}
+    for pt, dd_keys in ((parity_transforms(ctx), set()),
+                        (character_sums_dd(ctx), {("s0 dd", "lngamma"), ("s0 dd", "zeta2")})):
         res = spectrum_checks(pt)
         assert set(res) == {("parseval", "lngamma+zeta2 (even)"),
                             ("parseval", "linear+lngamma (odd)"),
-                            ("s0", "lngamma"), ("s0", "zeta2")}
+                            ("s0", "lngamma"), ("s0", "zeta2")} | dd_keys
         for (name, _), residual in res.items():
-            assert residual < {"s0": 1e-12, "parseval": 1e-9}[name]
+            assert residual < tol[name]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 101, 499, 997])

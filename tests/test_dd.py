@@ -7,10 +7,12 @@ import pytest
 
 import ekcyclo.dd as ddm
 from _oracles import (bits_equal, dd_fft_pow2, dft_direct, grouped_int_convolutions,
-                      looped_dd_cos_sin, own_root_dd_dft, radix2_dd_dft)
-from ekcyclo.dd import (DD, DDC, EULER_GAMMA_DD, LOG_2PI_DD, PI_DD, RoundingError,
-                        convolve_slices, dd_cos_sin, dd_dft, dd_exp, dd_gamma_zeta_kernels,
+                      looped_dd_cos_sin, looped_em_tails, own_root_dd_dft, radix2_dd_dft,
+                      two_product_powers)
+from ekcyclo.dd import (DD, DDC, EULER_GAMMA_DD, LOG_2PI_DD, PI_DD, RoundingError, _powers,
+                        _root_of_unity, convolve_slices, dd_dft, dd_exp, dd_gamma_zeta_kernels,
                         dd_log, dd_log_int, roots_of_unity, slice_plan, split_slices)
+from ekcyclo.special_functions import PI_STR, euler_maclaurin_tails
 
 mp.mp.dps = 45
 
@@ -55,22 +57,56 @@ def test_exp_log_against_mpmath():
         assert abs(as_mp(lg, (i,)) - mp.log(mp.mpf(y))) < mp.mpf("1e-30")
 
 
-def test_cos_sin_seed_range():
-    for frac in (0.5, 0.25, 0.125, 1 / 3, 1 / 97):
-        theta = PI_DD * frac
-        c, s = dd_cos_sin(theta)
-        want_c = mp.cos(mp.pi * mp.mpf(frac))
-        want_s = mp.sin(mp.pi * mp.mpf(frac))
-        assert abs(as_mp(c) - want_c) < mp.mpf("5e-32")
-        assert abs(as_mp(s) - want_s) < mp.mpf("5e-32")
+def test_pi_str_matches_mpmath():
+    # the fixed-point seeds of _root_of_unity need pi well past 160 bits
+    with mp.workprec(300):
+        assert abs(mp.mpf(Fraction(PI_STR).numerator) / Fraction(PI_STR).denominator
+                   - mp.pi) < mp.mpf("1e-69")
 
 
-@pytest.mark.parametrize("theta", [PI_DD * 0.25, PI_DD / 97.0, DD(np.array([[0.1, -1.5], [1e-9, 0.0]]))],
-                         ids=["0-d", "0-d small", "2x2"])
-def test_cos_sin_matches_separate_loops(theta):
-    # the merged (..., 2) series keeps every bit of the two separate loops
-    for got, want in zip(dd_cos_sin(theta), looped_dd_cos_sin(theta)):
-        assert bits_equal(got, want)
+@pytest.mark.parametrize("ms", [range(1, 401), [999_983, 10 ** 6, 10 ** 6 + 3, 2 * 10 ** 6 + 2]],
+                         ids=["1-400", "near 1e6"])
+def test_root_of_unity_within_half_dd_ulp(ms):
+    # each part within half a dd ulp, ulp(hi) 2^-53, of 300-bit mpmath; the
+    # exact cases m = 1, 2, 4 come out exact
+    with mp.workprec(300):
+        for m in ms:
+            w = _root_of_unity(m)
+            for part, want in ((w.real, mp.cos(2 * mp.pi / m)), (w.imag, mp.sin(2 * mp.pi / m))):
+                hi = float(part.hi)
+                err = abs(mp.mpf(hi) + mp.mpf(float(part.lo)) - want)
+                half_ulp = math.ulp(hi) * 2.0 ** -54 if hi else 0.0
+                assert err <= mp.mpf(half_ulp) + mp.mpf(2) ** -290, (m, err)
+
+
+@pytest.mark.parametrize("m", [4, 5, 8, 9, 12, 100, 996, 1998, 10 ** 6])
+def test_root_of_unity_matches_looped_taylor(m):
+    # the DD Taylor loops of the angle 2 pi / m <= pi/2 agree to 1e-31
+    c, s = looped_dd_cos_sin((PI_DD * 2.0) / float(m))
+    w = _root_of_unity(m)
+    for got, want in ((w.real, c), (w.imag, s)):
+        assert abs(float((got - want).to_float())) < 1e-31
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 64, 100, 998])
+def test_powers_match_two_product_doubling(count):
+    # one product per doubling step keeps every bit of the two-product form
+    w = _root_of_unity(998)
+    assert bits_equal(_powers(w, count), two_product_powers(w, count))
+
+
+@pytest.mark.parametrize("size", [40, 2000], ids=["rows", "loop"])
+def test_em_tail_rows_match_term_loop(size):
+    # the K terms as rows (few columns) and the loop over terms taken by
+    # more columns keep every bit of the loop with one term per step
+    from ekcyclo.dd import _EM_COEFF_DD
+    rng = np.random.default_rng(12)
+    w = DD(rng.uniform(32, 64, size), rng.uniform(-1e-15, 1e-15, size))
+    L = dd_log(w)
+    s2, s1 = DD(rng.uniform(0, 500, size)), DD(rng.uniform(-100, 0, size))
+    got = euler_maclaurin_tails(w, L, _EM_COEFF_DD, s2, s1)
+    for lhs, rhs in zip(got, looped_em_tails(w, L, s2, s1)):
+        assert bits_equal(lhs, rhs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 31, 97])

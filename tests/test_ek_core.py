@@ -1,12 +1,14 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import ekcyclo.dd as ddm
 from ekcyclo.analysis import envelope_check
-from ekcyclo.charsum import KernelId, PackedTransforms, character_sums_dd, kernel_values
+from ekcyclo.charsum import (KernelId, PackedTransforms, character_sums_dd, kernel_values,
+                             spectrum_checks)
 from ekcyclo.dd import DD, DDC, dd_log
 from ekcyclo.ek_core import (ComputationError, assemble_dd, compute_record, gamma_pair, kappa,
                              kummer_check, kummer_r, log_deriv_ratios, parity_transforms)
@@ -14,7 +16,8 @@ from ekcyclo.primes import primitive_root
 from ekcyclo.reference import kappa_reference
 from ekcyclo.special_functions import CONSTANTS
 
-from _oracles import bits_equal, dft_direct, dirichlet_series_ratios, own_root_dd_spectra
+from _oracles import (bits_equal, dft_direct, dirichlet_series_ratios, own_root_dd_spectra,
+                      separate_assemble_dd)
 
 REF = kappa_reference()
 
@@ -43,6 +46,32 @@ def test_dd_record_matches_own_root_reference(monkeypatch, q):
     assert got.keys() == want.keys()
     for name in got:
         assert bits_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 97, 499])
+def test_assemble_dd_matches_separate_folds(q):
+    # one joined division and one (3, L) tree keep every bit of the form with
+    # one division per parity and one tree per quantity
+    ctx = primitive_root(q)
+    sums = character_sums_dd(ctx).sums()
+    got, want = assemble_dd(ctx, sums), separate_assemble_dd(ctx, sums)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert bits_equal(got[name], want[name]), name
+
+
+def test_dd_record_operation_count(monkeypatch):
+    # a warm dd record at q = 101 took 188 DD products and 204 DD sums before
+    # the integer seed root, the Euler-Maclaurin rows and the one-pass assembly
+    compute_record(101, mode="dd")
+    counts = Counter()
+    for name in ("__mul__", "__add__"):  # the __rmul__ and __radd__ aliases are not counted
+        def counted(self, other, real=getattr(DD, name), name=name):
+            counts[name] += 1
+            return real(self, other)
+        monkeypatch.setattr(DD, name, counted)
+    compute_record(101, mode="dd")
+    assert 0 < counts["__mul__"] <= 120 and 0 < counts["__add__"] <= 145, counts
 
 
 def test_record_assembly_identities():
@@ -168,6 +197,47 @@ def test_vanishing_spectrum_raises():
     broken = dataclasses.replace(sums, lg_even=np.zeros_like(sums.lg_even))
     with pytest.raises(ComputationError, match=r"q=5, kernel lngamma, stage assembly"):
         gamma_pair(ctx, 0.0, broken)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("b1", r"vanishing B1 sum \(q=13, kernel linear, stage assembly\)"),
+    ("lg_even", r"vanishing L'\(0\) sum \(q=13, kernel lngamma, stage assembly\)"),
+], ids=["b1", "lg_even"])
+def test_dd_vanishing_sum_raises_as_binary64(field, message):
+    # one zero sum raises the binary64 error in dd too, not a NaN record
+    ctx = primitive_root(13)
+    sums = parity_transforms(ctx).sums()
+    broken = getattr(sums, field).copy()
+    broken[0] = 0
+    broken = dataclasses.replace(sums, **{field: broken})
+    with pytest.raises(ComputationError, match=message):
+        gamma_pair(ctx, kappa(ctx, broken), broken)
+    sums = character_sums_dd(ctx).sums()
+    broken = getattr(sums, field).copy()
+    broken[0] = DDC(DD(0.0), DD(0.0))
+    with pytest.raises(ComputationError, match=message):
+        assemble_dd(ctx, dataclasses.replace(sums, **{field: broken}))
+
+
+def test_dd_principal_sum_gate(monkeypatch):
+    """A dd Y_0 whose lo word is off by 1e-20 of sum |y| passes the binary64
+    checks and fails the dd one, naming q, the kernel and the stage."""
+    import ekcyclo.ek_core as mod
+    real_dd = mod.character_sums_dd
+
+    def shifted(ctx):
+        pt = real_dd(ctx)
+        even = pt.packed[0]
+        pt.spec.real.lo[0, 0] += 1e-20 * np.sum(np.hypot(even.real.hi, even.imag.hi))
+        return pt
+
+    residuals = spectrum_checks(shifted(primitive_root(61)))
+    binary64 = {key: v for key, v in residuals.items() if key[0] != "s0 dd"}
+    assert binary64 and all(v <= mod._SPECTRUM_TOL[name] for (name, _), v in binary64.items())
+    monkeypatch.setattr(mod, "character_sums_dd", shifted)
+    with pytest.raises(ComputationError,
+                       match=r"'s0 dd' failed.*\(q=61, kernel lngamma, stage dd spectrum check\)"):
+        compute_record(61, mode="dd")
 
 
 @pytest.mark.parametrize("mode, row, index, label", [
