@@ -481,5 +481,5 @@ def dd_gamma_zeta_kernels(a: np.ndarray, q: int) -> tuple[DD, DD]:
     all logs are taken at exact integers a + n q, so no rounding enters before dd.
     """
     idx = np.asarray(a, dtype=np.int64) - 1
-    z1, z2 = rational_kernels(q, _integer_logs, dd_log_int(q), _EM_SHIFT_DD, _EM_COEFF_DD, first=True)
+    z1, z2 = rational_kernels(q, _integer_logs, dd_log_int(q), _EM_SHIFT_DD, _EM_COEFF_DD)
     return z1.take(idx) + LOG_2PI_DD.scale_pow2(0.5), z2.take(idx)

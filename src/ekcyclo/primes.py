@@ -102,11 +102,13 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def mult_order(a: int, q: int) -> int:
-    """Least m >= 1 with a^m = 1 (mod q); requires gcd(a, q) = 1."""
+    """Least m >= 1 with a^m = 1 (mod q), for a prime q not dividing a."""
+    if not is_prime(q):
+        raise ValueError(f"mult_order requires a prime modulus, got {q}")
     a %= q
-    if math.gcd(a, q) != 1:
+    if a == 0:
         raise ValueError(f"gcd({a}, {q}) != 1")
-    m = q - 1  # q prime throughout this library
+    m = q - 1
     for p in factorize(m):
         while m % p == 0 and pow(a, m // p, q) == 1:
             m //= p

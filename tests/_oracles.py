@@ -134,24 +134,6 @@ def omega_mirrored(p: int, elements: tuple[int, ...]) -> int:
     return count
 
 
-def unblocked_z2_at_rationals(q: int) -> np.ndarray:
-    """zeta''(0, a/q), a = 1..q-1, in one full-length pass over all 7q logs.
-
-    The binary64 kernel as it was before blocking: heads summed row after
-    row, logs taken directly for every a + n q.
-    """
-    from ekcyclo.special_functions import _EM_COEFF, _EM_SHIFT, euler_maclaurin_tails
-    grid = np.log(np.arange(1, (_EM_SHIFT + 1) * q, dtype=np.float64))
-    lq = math.log(q)
-    acc = np.zeros(q - 1)
-    for n in range(_EM_SHIFT):
-        logs = grid[n * q: (n + 1) * q - 1] - lq
-        acc += logs * logs
-    L = grid[_EM_SHIFT * q: (_EM_SHIFT + 1) * q - 1] - lq
-    w = (np.arange(1, q, dtype=np.float64) + q * _EM_SHIFT) / q
-    return euler_maclaurin_tails(w, L, _EM_COEFF, acc)[1]
-
-
 def unblocked_dd_kernels(q: int):
     """(log Gamma(a/q), zeta''(0, a/q)), a = 1..q-1, in double-double, by one
     gather of all 33 shifted log rows at once (the kernel before blocking)."""

@@ -102,6 +102,12 @@ def test_s12_structure():
     assert out.tail == (math.log(10 ** 4) + 1) / 10 ** 4
 
 
+def test_s12_rejects_composite_modulus():
+    # through mult_order, which no longer reads q - 1 as the group order
+    with pytest.raises(ValueError, match="prime modulus"):
+        s12(9, 10 ** 4)
+
+
 def test_s12_order_one_contributes_nothing():
     # q=7: p=29 = 1 mod 7 has order 1 and must not appear in S1
     full = s12(7, 30 * 30)

@@ -112,6 +112,13 @@ def test_mult_order_rejects_non_coprime():
         mult_order(14, 7)
 
 
+@pytest.mark.parametrize("q", [1, 4, 9, 15, 561])
+def test_mult_order_rejects_composite_modulus(q):
+    # the order mod 9 of 2 is 6, not a divisor search from q - 1 = 8
+    with pytest.raises(ValueError, match="prime modulus"):
+        mult_order(2, q)
+
+
 def test_neighbor_flags_examples():
     f = neighbor_flags(11)
     assert (f.sg2p, f.sg2m, f.sg4p, f.sg4m) == (True, False, False, True)

@@ -51,6 +51,13 @@ def test_ln_gamma_rejects_nonpositive():
         ln_gamma(-1.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, [0.5, math.nan], np.array([[math.nan]])])
+def test_ln_gamma_rejects_nan(x):
+    # NaN is not > 0: it must not pass through as a NaN value
+    with pytest.raises(ValueError):
+        ln_gamma(x)
+
+
 def _rationals(xs, q):
     """The integers a with a/q nearest to each x of xs."""
     return np.rint(np.asarray(xs) * q).astype(np.int64)
@@ -118,20 +125,75 @@ def test_z2_rational_fast_path_matches_generic():
 
 
 @pytest.mark.parametrize("q", [8191, 8209, 16411, 32771])
-@pytest.mark.parametrize("below_cap", [False, True])
-def test_blocked_z2_matches_unblocked_reference(monkeypatch, q, below_cap):
-    # with blocks of 8192 (set here), q - 1 = 8190, 8208, 16410 and 32770
-    # values of a end in a partial block, a block of 16, one of 26 and one of
-    # 2; with the cap forced below 8q every log row is computed
+@pytest.mark.parametrize("small_block", [False, True])
+def test_blocked_z2_matches_unblocked_reference(monkeypatch, q, small_block):
+    # the kernel fills b = 1..(q-1)/2 and the partners q - b by blocks of b:
+    # (q-1)/2 = 4095, 4104, 8205 and 16385 values of b take one partial block
+    # of 8192 at the first two q, then a last block of 13 and of 1; blocks of 7
+    # end in 7, 2, 1 and 5.  Either must match one block over all b, bit for bit
     import ekcyclo.special_functions as sf
-    from _oracles import unblocked_z2_at_rationals
-    monkeypatch.setattr(sf, "_BLOCK", 8192)
-    if below_cap:
-        monkeypatch.setattr(sf._integer_logs, "cap", (sf._EM_SHIFT + 2) * q - 1)
     a = np.arange(1, q)[::-1]
+    monkeypatch.setattr(sf, "_BLOCK", q)
+    want = hurwitz_z2_at_rationals(a, q)
+    monkeypatch.setattr(sf, "_BLOCK", 7 if small_block else 8192)
     got = hurwitz_z2_at_rationals(a, q)
-    want = unblocked_z2_at_rationals(q)[a - 1]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _z2_taylor_coefficient(j: int) -> mp.mpf:
+    """c_j of zeta''(0, 3/2 + t) = sum_j c_j t^j, from its closed form."""
+    y = mp.mpf(3) / 2
+    if j == 0:
+        return -y * mp.log(2) ** 2 - mp.log(2) * mp.log(2 * mp.pi)
+    if j == 1:
+        return 2 * mp.stieltjes(1, y)
+    return 2 * (-1) ** j * (mp.harmonic(j - 1) * mp.zeta(j, y) + mp.zeta(j, y, 1)) / j
+
+
+def test_z2_taylor_coefficients_are_nearest_doubles():
+    from ekcyclo.special_functions import _Z2_HORNER, _Z2_TAYLOR
+    with mp.workdps(40):
+        exact = [_z2_taylor_coefficient(j) for j in range(len(_Z2_TAYLOR))]
+        # the closed forms against mpmath's own Taylor expansion of zeta''(0, y)
+        series = mp.taylor(lambda y: mp.zeta(0, y, 2), mp.mpf(3) / 2, 4)
+        for c, s in zip(exact, series):
+            assert abs(c - s) < mp.mpf("1e-35")
+        # the omitted tail at |t| = 1/2, which the kernel's comment bounds
+        tail = sum(abs(_z2_taylor_coefficient(j)) / mp.mpf(2) ** j for j in range(34, 90))
+    assert len(_Z2_TAYLOR) == 34 and tail < 2e-17
+    for c, stored in zip(exact, _Z2_TAYLOR):
+        # nearest: the stored double is within half an ulp of the exact value
+        assert stored == float(c)
+        assert abs(mp.mpf(stored) - c) <= math.ulp(stored) / 2
+    assert np.array_equal(_Z2_HORNER[::-1, :, 0].reshape(-1), _Z2_TAYLOR)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 101, 997, 10007])
+def test_z2_kernel_within_rounding_bound_of_dd(q):
+    # every a against the double-double kernel (accurate to 1e-27).  The bound
+    # is the rounding of the kernel's own steps, with eps = 2^-53:
+    # - term c_j t^j: t and u = t^2 round (3 eps on t^2), the stored c_j (1),
+    #   Horner's multiply and add per step, the product t P_o and the two final
+    #   additions stay within gamma_{3j+4} |c_j| |t|^j, gamma_n = n eps/(1 - n eps);
+    # - log x: a/q rounds once (eps) and the log adds at most 4 ulp (numpy's
+    #   SIMD bound) <= 8 eps |L|, so |dL| <= eps (1 + 8|L|); squaring and the
+    #   final addition round once each: 2|L||dL| + dL^2 + 2 eps L^2;
+    # - the series tail past c_33 (below 2e-17) and the dd value's own error.
+    from ekcyclo.special_functions import _Z2_TAYLOR
+    eps = 2.0 ** -53
+    a = np.arange(1, q)
+    lg, z2_dd = dd_gamma_zeta_kernels(a, q)
+    got = hurwitz_z2_at_rationals(a, q)
+    t = np.abs(a / q - 0.5)
+    j = np.arange(len(_Z2_TAYLOR))[:, None]
+    n = 3 * j + 4
+    gamma = n * eps / (1 - n * eps)
+    series = np.sum(np.abs(np.array(_Z2_TAYLOR))[:, None] * t ** j * gamma, axis=0)
+    L = np.abs(np.log(a / q))
+    dL = eps * (1 + 8 * L)
+    bound = series + 2 * L * dL + dL ** 2 + 2 * eps * L ** 2 + 2e-17 + 1e-25 * np.maximum(1, L ** 2)
+    err = np.abs((got - z2_dd.hi) - z2_dd.lo)
+    assert np.all(err <= bound), (int(a[np.argmax(err / bound)]), float(np.max(err / bound)))
 
 
 def test_grown_log_table_matches_fresh_logs():

@@ -137,6 +137,17 @@ def _one_error_line(stderr: str) -> str:
     return line
 
 
+def test_python_dash_m_package_runs_the_cli(tmp_path):
+    # python -m ekcyclo is the ekcyclo command: same rows as run_range
+    ref, out = tmp_path / "ref.csv", tmp_path / "run.csv"
+    run_range(RunConfig(3, 200, str(ref)))
+    done = subprocess.run([sys.executable, "-m", "ekcyclo", "compute", "--min", "3",
+                           "--max", "200", "--out", str(out)],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == ref.read_bytes()
+
+
 @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["sigint", "sigkill"])
 def test_interrupted_cli_run_resumes_to_same_bytes(tmp_path, sig):
     """A compute process stopped by a signal after a checkpoint resumes to the
