@@ -51,11 +51,10 @@ def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
     if kernel is KernelId.ZETA2:
         vals = hurwitz_z2_at_rationals(ctx.powers(), ctx.q)
     else:
-        x = ctx.powers().astype(np.float64) / ctx.q
+        x = ctx.powers() / ctx.q  # float64: every power is exact in it
         vals = x if kernel is KernelId.LINEAR else ln_gamma(x)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        k = int(bad[0])
+    if not np.isfinite(vals).all():
+        k = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise KernelError(
             f"non-finite value at k={k}, a={int(ctx.powers()[k])} "
             f"(q={ctx.q}, kernel {kernel.value}, stage kernel evaluation)")
@@ -97,16 +96,26 @@ class ParitySums:
     w_even: np.ndarray
 
 
-def _unpack(re, im, m: np.ndarray, partner: np.ndarray):
-    """(U, V) at m, as (re, im) pairs, from Y = DFT(_REAL_SCALE u + i v), u, v real.
+def _unpack(y, start: int, size: int):
+    """(U, V) at the characters y[start:start + size] of Y = DFT(_REAL_SCALE u + i v),
+    u, v real, as (re, im) pairs.
 
-    Y[partner] belongs to the conjugate character, so U = (Y + conj Y')/(2
-    _REAL_SCALE) and V = (Y - conj Y')/(2i).  Works on float arrays and on
-    DD alike; every scale is an exact power of two.
+    Their partners, the conjugate characters, are y[h-1], y[h-2], ... in
+    turn, so U = (Y + conj Y')/(2 _REAL_SCALE) and V = (Y - conj Y')/(2i).
+    Works on complex128 and DDC rows alike; every scale is an exact power of
+    two.
     """
-    ar, ai, br, bi = re[m], im[m], re[partner], im[partner]
-    u = 0.5 / _REAL_SCALE
-    return ((ar + br) * u, (ai - bi) * u), ((ai + bi) * 0.5, (br - ar) * 0.5)
+    a, b = y[start:start + size], y[::-1][:size]
+    scale = 0.5 / _REAL_SCALE
+    return (((a.real + b.real) * scale, (a.imag - b.imag) * scale),
+            ((a.imag + b.imag) * 0.5, (b.real - a.real) * 0.5))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im, written straight into one complex128 array."""
+    out = np.empty(re.shape, np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,13 +134,13 @@ class PackedTransforms:
         """Split the packed spectra into one sum per conjugate pair and parity."""
         spec = self.spec
         h = spec.shape[-1]
-        join = DDC if isinstance(spec, DDC) else lambda x, y: x + 1j * y
-        m = np.arange(1, h // 2 + 1)  # j = 2m, partner j = -2m
-        lg_even, z2 = _unpack(spec.real[EVEN], spec.imag[EVEN], m, h - m)
-        w_even = np.where(2 * m < h, 2.0, 1.0)
-        m = np.arange((h + 1) // 2)  # j = 2m+1, partner j = -(2m+1)
-        b1, lg_odd = _unpack(spec.real[ODD], spec.imag[ODD], m, h - 1 - m)
-        w_odd = np.where(2 * m + 1 < h, 2.0, 1.0)
+        join = DDC if isinstance(spec, DDC) else _complex
+        # j = 2m for m = 1..h//2, j = 2m + 1 for m < (h+1)/2; each sum stands
+        # for j and its conjugate -j, but j = h is its own
+        lg_even, z2 = _unpack(spec[EVEN], 1, h // 2)
+        b1, lg_odd = _unpack(spec[ODD], 0, (h + 1) // 2)
+        w_even, w_odd = np.full(h // 2, 2.0), np.full((h + 1) // 2, 2.0)
+        (w_odd if h % 2 else w_even)[-1:] = 1.0
         return ParitySums(q=self.q, b1=join(*b1), lg_odd=join(*lg_odd),
                           lg_even=join(*lg_even), z2=join(*z2), w_odd=w_odd, w_even=w_even)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_SIZE, mult_order, prime_blocks, simple_sieve
+from .primes import DEFAULT_SEGMENT_SIZE, is_prime, mult_order, prime_blocks, simple_sieve
 from .special_functions import compensated_sum
 
 
@@ -116,6 +116,9 @@ def s12(q: int, cutoff: int) -> OrderSums:
     the discarded mass by sum_{n > cutoff} log n/(n(n-1)).
     """
     _check_modulus(q)
+    # mult_order rejects a composite q too, but only once a prime p <= sqrt(cutoff) reaches it
+    if not is_prime(q):
+        raise ValueError(f"s12 requires a prime modulus, got {q}")
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     log_cut = math.log(cutoff)

@@ -133,3 +133,22 @@ def test_kernel_failure_diagnostic(monkeypatch):
     with pytest.raises(KernelError, match=r"k=0.*q=7"):
         kernel_values(ctx, KernelId.LNGAMMA)
 
+
+@pytest.mark.parametrize("kernel, name", [(KernelId.LNGAMMA, "ln_gamma"),
+                                          (KernelId.ZETA2, "hurwitz_z2_at_rationals")])
+def test_kernel_failure_names_first_interior_k(monkeypatch, kernel, name):
+    ctx = primitive_root(101)
+    import ekcyclo.charsum as mod
+    evaluate = getattr(mod, name)
+
+    def broken(*args):
+        vals = evaluate(*args)
+        vals[[37, 60]] = np.nan, np.inf
+        return vals
+
+    monkeypatch.setattr(mod, name, broken)
+    a = int(ctx.powers()[37])
+    with pytest.raises(KernelError, match=rf"k=37, a={a} \(q=101, kernel {kernel.value},"):
+        kernel_values(ctx, kernel)
+
+

@@ -103,9 +103,10 @@ def test_s12_structure():
 
 
 def test_s12_rejects_composite_modulus():
-    # through mult_order, which no longer reads q - 1 as the group order
-    with pytest.raises(ValueError, match="prime modulus"):
-        s12(9, 10 ** 4)
+    # up front: at cutoff 3 no prime up to sqrt(cutoff) reaches mult_order
+    for q, cutoff in ((9, 10 ** 4), (15, 100), (9, 3)):
+        with pytest.raises(ValueError, match=f"requires a prime modulus, got {q}"):
+            s12(q, cutoff)
 
 
 def test_s12_order_one_contributes_nothing():

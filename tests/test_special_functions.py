@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekcyclo.dd import dd_gamma_zeta_kernels
-from ekcyclo.special_functions import (BERNOULLI_2K, CONSTANTS, IntegerLogCache,
+from ekcyclo.special_functions import (_FSUM_MAX, BERNOULLI_2K, CONSTANTS, IntegerLogCache,
                                        compensated_sum, hurwitz_z2_at_rationals, ln_gamma)
 
 mp.mp.dps = 40
@@ -222,22 +222,58 @@ def exact_sum(values) -> float:
 WIDE = st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)
 
 
-@settings(max_examples=100)
-@given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), max_size=60))
+def _signs(rng, n):
+    return rng.choice([-1.0, 1.0], n)
+
+
+def _wide_tail(rng, n):
+    # mantissas of full width times 2^-1074 .. 2^995: subnormal up to 4e299
+    mantissas = rng.uniform(0.5, 1.0, n)
+    return (_signs(rng, n) * np.ldexp(mantissas, rng.integers(-1074, 996, n))).tolist()
+
+
+def _moderate_tail(rng, n):
+    return (_signs(rng, n) * 10.0 ** rng.uniform(-12.0, 12.0, n)).tolist()
+
+
+@st.composite
+def float_lists(draw, elements, tail, max_head=60):
+    """A drawn head of up to max_head values, then n generated ones.
+
+    n runs to 3000, on both sides of the short-input cut-off _FSUM_MAX, past
+    which the array levels take the sum; hypothesis could not draw that many
+    floats one by one."""
+    head = draw(st.lists(elements, max_size=max_head))
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return head + tail(rng, n)
+
+
+def _assert_fsum_bits(values):
+    got = compensated_sum(values)
+    assert got == math.fsum(values) == exact_sum(values)
+    assert math.copysign(1.0, got) == math.copysign(1.0, math.fsum(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_lists(st.floats(-1e12, 1e12, allow_nan=False), _moderate_tail))
 def test_compensated_sum_is_exactly_rounded(values):
     # exact rounding is what makes the result independent of how callers
     # chunk or stream a fixed-order sequence
-    assert compensated_sum(values) == exact_sum(values)
+    _assert_fsum_bits(values)
 
 
-@settings(max_examples=100)
-@given(st.lists(WIDE, max_size=60))
+@settings(max_examples=100, deadline=None)
+@given(float_lists(WIDE, _wide_tail))
 def test_compensated_sum_wide_exponent_range(values):
-    assert compensated_sum(values) == exact_sum(values)
+    _assert_fsum_bits(values)
 
 
-@settings(max_examples=100)
-@given(st.lists(st.tuples(WIDE, st.integers(-3, 3)), max_size=40), st.randoms())
+@settings(max_examples=100, deadline=None)
+@given(float_lists(st.tuples(WIDE, st.integers(-3, 3)),
+                   lambda rng, n: list(zip(_wide_tail(rng, n), rng.integers(-3, 4, n).tolist())),
+                   max_head=40),
+       st.randoms())
 def test_compensated_sum_near_cancelling_pairs(pairs, rnd):
     # x and -x nudged by a few ulps: the sum is all in the low bits
     values = []
@@ -247,10 +283,11 @@ def test_compensated_sum_near_cancelling_pairs(pairs, rnd):
             y = math.nextafter(y, math.copysign(math.inf, k))
         values += [x, -y]
     rnd.shuffle(values)
-    assert compensated_sum(values) == exact_sum(values)
+    _assert_fsum_bits(values)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 254, 255, 256, 257, 4094, 4095, 4096, 4097])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 254, 255, 256, 257, _FSUM_MAX, _FSUM_MAX + 1,
+                               4094, 4095, 4096, 4097])
 def test_compensated_sum_length_around_powers_of_two(n):
     # n + 2 <= 2^M sets the extraction level; it changes at n = 2^k - 1
     rng = np.random.default_rng(n)
@@ -258,14 +295,37 @@ def test_compensated_sum_length_around_powers_of_two(n):
     assert compensated_sum(values) == exact_sum(values)
 
 
+@pytest.mark.parametrize("fine_bits", [0, 24, -24])
+@pytest.mark.parametrize("n", [_FSUM_MAX + 1, 3000, 70_000])
+def test_compensated_sum_stops_when_nothing_is_left(n, fine_bits):
+    # integers below 2^40 plus multiples of 2^-|fine_bits| below 2^(20 - |fine_bits|),
+    # subtracted for a negative fine_bits: no remainder past the integers is > 0.
+    # The first level extracts multiples of 2^(M - 12), n + 2 <= 2^M, so the
+    # integers leave nothing after it for n <= 2^12 - 2 and nothing after the
+    # second level for larger n; the fine part leaves nothing after the second
+    rng = np.random.default_rng(n + abs(fine_bits))
+    fine = np.ldexp(rng.integers(0, 2 ** 20, n), -abs(fine_bits))
+    values = rng.integers(-2 ** 40, 2 ** 40, n) + np.copysign(fine, fine_bits)
+    _assert_fsum_bits(values)
+
+
+def test_compensated_sum_keeps_the_remainder_after_three_levels():
+    # the levels extract 2^100 - 2^100, then 1, then 2^-53, a tie at half an
+    # ulp of 1; only 2^-700, left over after them, rounds it up
+    values = [2.0 ** 100, -2.0 ** 100, 1.0, 2.0 ** -53, 2.0 ** -700] + [0.0] * _FSUM_MAX
+    assert compensated_sum(values) == 1.0 + 2.0 ** -52
+    _assert_fsum_bits(values)
+
+
 def test_compensated_sum_nonfinite_matches_fsum():
     nan, inf = math.nan, math.inf
-    assert math.isnan(compensated_sum([1.0, nan, 2.0]))
-    assert math.isnan(compensated_sum(np.array([nan])))
-    assert compensated_sum([1.0, inf]) == inf == math.fsum([1.0, inf])
-    assert compensated_sum([-inf, 2.0]) == -inf
-    # fsum raises on inf - inf and on an overflowing total; so does the sum
-    with pytest.raises(ValueError):
-        compensated_sum([inf, -inf])
-    with pytest.raises(OverflowError):
-        compensated_sum([1e308, 1e308])
+    for pad in ([], [0.0] * _FSUM_MAX):  # short inputs go to fsum at once
+        assert math.isnan(compensated_sum([1.0, nan, 2.0] + pad))
+        assert math.isnan(compensated_sum(np.array([nan] + pad)))
+        assert compensated_sum([1.0, inf] + pad) == inf == math.fsum([1.0, inf])
+        assert compensated_sum([-inf, 2.0] + pad) == -inf
+        # fsum raises on inf - inf and on an overflowing total; so does the sum
+        with pytest.raises(ValueError):
+            compensated_sum([inf, -inf] + pad)
+        with pytest.raises(OverflowError):
+            compensated_sum([1e308, 1e308] + pad)
