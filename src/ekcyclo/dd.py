@@ -12,7 +12,9 @@ slices are convolved on binary64 FFTs (scipy.fft) with an error bound below
 1/8, and rint recovers the integer convolutions, which are summed back in
 double-double.  No fused-multiply-add is assumed.  The DFT takes its chirp
 table from the caller: a record's twiddles exp(2 pi i k / (q-1)) are that
-table, so one root of unity serves both.
+table, so one root of unity serves both.  Last come the record's kernels
+log Gamma(a/q) and zeta''(0, a/q), from the Taylor series at 3/2 of
+special_functions (dd_gamma_zeta_kernels).
 """
 from __future__ import annotations
 
@@ -23,14 +25,13 @@ import numpy as np
 import scipy.fft
 
 from .special_functions import (
-    EM_COEFFS,
     EULER_GAMMA_STR,
+    F_TAYLOR_STR,
+    LG_TAYLOR_STR,
     LN2_STR,
     LOG_2PI_STR,
     LOG_PI_STR,
     PI_STR,
-    IntegerLogCache,
-    rational_kernels,
 )
 
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -460,26 +461,56 @@ def dd_dft(x: DDC, u: DDC) -> DDC:
 
 
 # -- double-double kernels at rational points a/q -----------------------
-_EM_SHIFT_DD = 32
-# the columns c and h, shape (K, 1), of euler_maclaurin_tails
-_EM_COEFF_DD = tuple(DD.stack([DD.from_fraction(x) for x in col])[:, None] for col in zip(*EM_COEFFS))
+# The Taylor series at 3/2 of special_functions as Horner columns in u = t^2:
+# column k holds (c_2k, c_2k+1) of LG and of F, the rows (LG even, LG odd, F
+# even, F odd), highest k first.  The head k < 17 (c_0..c_33) takes dd steps.
+# The tail k >= 17 runs in binary64 on u.hi: at |t| = 1/2 its terms sum to at
+# most 2.7e-18 (LG) and 1.95e-17 (F), and its 18 Horner steps and the dropped
+# u.lo move each by at most about 55 eps relative, 1.6e-32 (LG) and 1.2e-31 (F).
+_HEAD_COLUMNS = 17
+_COLUMNS = [[Fraction(table[j + i]) for table in (LG_TAYLOR_STR, F_TAYLOR_STR) for i in (0, 1)]
+            for j in range(0, len(LG_TAYLOR_STR), 2)][::-1]
+_TAIL = np.array(_COLUMNS[:-_HEAD_COLUMNS], dtype=np.float64)[:, :, None]
+_HEAD = [DD.stack([DD.from_fraction(c) for c in col])[:, None] for col in _COLUMNS[-_HEAD_COLUMNS:]]
 
-_INT_LOG_CAP = 4_000_000
-_integer_logs = IntegerLogCache(lambda m: dd_log(DD(m)), DD.zeros, _INT_LOG_CAP)
-
-
-def dd_log_int(q: int) -> DD:
-    """log q, q >= 1 an integer, from the integer-log table (computed above its cap)."""
-    table = _integer_logs.upto(q)
-    return table[q - 1] if table is not None else _integer_logs.log(np.array([float(q)]))[0]
+# Values of b per block.  A (4, S) word array of 128000 bytes stays below glibc's
+# default 128 KiB mmap threshold, past which temporaries can be faulted in anew: a
+# cold kernel at q = 99991 took about 1e3 to 2e3 minor faults for S <= 4096, 2.9e3
+# at S = 6000 and 8192, 6.4e3 at 16384, and about as long for S = 4000 to 8192.
+_BLOCK = 4000
 
 
 def dd_gamma_zeta_kernels(a: np.ndarray, q: int) -> tuple[DD, DD]:
     """(log Gamma(a/q), zeta''(0, a/q)) in double-double for integer 0 < a < q.
 
-    Euler-Maclaurin with shift 32 through B_24 by special_functions.rational_kernels;
-    all logs are taken at exact integers a + n q, so no rounding enters before dd.
+    log Gamma(x) = LG(3/2 + t) - log x and zeta''(0, x) = F(3/2 + t) + log^2 x
+    with t = x - 1/2 (see special_functions): the pair a = b and a = q - b,
+    b = 1..q/2, shares u = t^2 and the four Horner polynomials, and log x is
+    the dd log of the integer b or q - b less log q.  Blocks of b are filled
+    in place; every operation is elementwise, so no value depends on its block.
     """
+    lg, z2 = DD.zeros(q - 1), DD.zeros(q - 1)
+    half = q // 2
+    for lo in range(0, half, _BLOCK):
+        b = np.arange(lo + 1.0, min(lo + _BLOCK, half) + 1.0)
+        t = DD(2.0 * b - q) / DD(2.0 * q)  # b/q - 1/2
+        u = t * t
+        tail = np.empty((4, b.size))
+        tail[:] = _TAIL[0]
+        for c in _TAIL[1:]:
+            tail *= u.hi
+            tail += c
+        p = DD(tail)
+        for c in _HEAD:
+            p = p * u + c
+        even, odd = p[0::2], p[1::2] * t  # rows LG, F
+        logs = dd_log(DD(np.concatenate([b, q - b, [q]])))  # log q rides along, last
+        logs = (logs[:-1] - logs[-1]).reshape(2, b.size)  # log(b/q), log((q - b)/q)
+        # rows LG, F; columns a = b (at 3/2 + t) and a = q - b (at 3/2 - t)
+        vals = DD.stack([even + odd, even - odd], axis=1) + DD.stack([-logs, logs * logs])
+        end = lo + b.size
+        for out, v in zip((lg, z2), vals):
+            out[lo:end] = v[0]
+            out[q - 1 - end:q - 1 - lo] = v[1, ::-1]
     idx = np.asarray(a, dtype=np.int64) - 1
-    z1, z2 = rational_kernels(q, _integer_logs, dd_log_int(q), _EM_SHIFT_DD, _EM_COEFF_DD)
-    return z1.take(idx) + LOG_2PI_DD.scale_pow2(0.5), z2.take(idx)
+    return lg.take(idx), z2.take(idx)

@@ -119,7 +119,6 @@ def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
     """kappa/r/gamma_plus/gamma in double-double from the parity spectra: the
     real parts of G/B1 (odd) and Z/(2G) (even) by one division of the joined
     sums, the three fold sums by one tree over a zero-padded (3, L) DD."""
-    log_q = ddm.dd_log_int(ctx.q)
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
     half = ctx.n / 2.0
     odd, even = sums.w_odd.size, sums.w_even.size
@@ -134,7 +133,10 @@ def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
     ratios = (num.real * den.real - num.imag * -den.imag) / den2  # Re(num conj(den)) / |den|^2
 
     terms, weights = DD.zeros((3, odd)), np.zeros((3, odd))
-    terms[0], terms[1] = ratios[:odd], dd_log(den2[:odd]).scale_pow2(0.5)  # log |B1|
+    # log |B1|^2 and, last, log q in one dd_log
+    logs = dd_log(DD.stack([den2[:odd], DD([float(ctx.q)])], join=np.concatenate))
+    log_q = logs[-1]
+    terms[0], terms[1] = ratios[:odd], logs[:odd].scale_pow2(0.5)  # log |B1|
     terms[2, :even] = c_dd - ratios[odd:]
     weights[:2], weights[2, :even] = sums.w_odd, sums.w_even
     fold = terms.scale_pow2(weights).sum()
@@ -195,7 +197,7 @@ def compute_record(q: int, mode: str = "double") -> EkRecord:
     if mode not in ("double", "dd"):
         raise ValueError(f"unknown precision mode {mode!r}")
     ctx = primitive_root(q)
-    flags = neighbor_flags(q)
+    flags = neighbor_flags(ctx.q)
     pt = parity_transforms(ctx) if mode == "double" else character_sums_dd(ctx)
     _check_spectra(pt, mode)
     sums = pt.sums()
@@ -209,7 +211,7 @@ def compute_record(q: int, mode: str = "double") -> EkRecord:
         r = float(parts["r"].hi)
         gplus = float(parts["gamma_plus"].hi)
         g = float(parts["gamma"].hi)
-    return EkRecord(q=q, kappa=kap, r=r, gamma_plus=gplus, gamma=g,
+    return EkRecord(q=ctx.q, kappa=kap, r=r, gamma_plus=gplus, gamma=g,
                     delta=kap - r, flags=flags)
 
 

@@ -6,6 +6,7 @@ on these routines both for production runs and as test oracles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,9 @@ def _power_table(g: int, q: int, n: int) -> np.ndarray:
 
 
 def primitive_root(q: int) -> PrimeContext:
-    """Smallest positive primitive root modulo an odd prime q."""
+    """Smallest positive primitive root modulo an odd prime q (any integer
+    type, numpy's too; the context holds a Python int)."""
+    q = operator.index(q)
     if q < 3 or not is_prime(q):
         raise ValueError(f"{q} is not an odd prime")
     phi = q - 1

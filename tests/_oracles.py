@@ -136,19 +136,23 @@ def omega_mirrored(p: int, elements: tuple[int, ...]) -> int:
 
 def unblocked_dd_kernels(q: int):
     """(log Gamma(a/q), zeta''(0, a/q)), a = 1..q-1, in double-double, by one
-    gather of all 33 shifted log rows at once (the kernel before blocking)."""
-    from ekcyclo.dd import _EM_COEFF_DD, _EM_SHIFT_DD, DD, LOG_2PI_DD, dd_log
-    from ekcyclo.special_functions import euler_maclaurin_tails
-    a = np.arange(1, q, dtype=np.int64)
-    grid = dd_log(DD(np.arange(1, (_EM_SHIFT_DD + 1) * q, dtype=np.float64)))
-    log_q = grid[q - 1]
-    shifted = a[None, :] + q * np.arange(_EM_SHIFT_DD + 1, dtype=np.int64)[:, None]
-    all_logs = grid.take(shifted - 1)
-    logs = all_logs[:_EM_SHIFT_DD] - log_q
-    w = DD(a + q * _EM_SHIFT_DD) / DD(float(q))
-    z1, z2 = euler_maclaurin_tails(w, all_logs[_EM_SHIFT_DD] - log_q, _EM_COEFF_DD,
-                                   logs.square().sum(axis=0), -logs.sum(axis=0))
-    return z1 + LOG_2PI_DD.scale_pow2(0.5), z2
+    pass of the Taylor series over every a with its own t = a/q - 1/2: no
+    blocks, and a and q - a not paired."""
+    from ekcyclo.dd import _HEAD, _TAIL, DD, dd_log
+    a = np.arange(1.0, q)
+    t = DD(2.0 * a - q) / DD(2.0 * q)
+    u = t * t
+    tail = np.empty((4, a.size))
+    tail[:] = _TAIL[0]
+    for c in _TAIL[1:]:
+        tail *= u.hi
+        tail += c
+    p = DD(tail)
+    for c in _HEAD:
+        p = p * u + c
+    f = p[0::2] + p[1::2] * t  # LG(1 + a/q), F(1 + a/q)
+    logs = dd_log(DD(a)) - dd_log(DD(float(q)))
+    return f[0] - logs, f[1] + logs * logs
 
 
 def bits_equal(x, y) -> bool:
@@ -189,23 +193,6 @@ def two_product_powers(w, count: int):
     return out
 
 
-def looped_em_tails(w, L, s2, s1):
-    """special_functions.euler_maclaurin_tails on DD operands with one
-    Euler-Maclaurin term per loop step (the form before the terms became rows)."""
-    from ekcyclo.dd import DD
-    from ekcyclo.special_functions import EM_COEFFS
-    z2 = s2 + w * (2.0 * L - L * L - 2.0) + 0.5 * L * L
-    z1 = s1 + w * (L - 1.0) - 0.5 * L
-    w2 = 1.0 / (w * w)
-    wp = 1.0 / w
-    for c, h in EM_COEFFS:
-        c, h = DD.from_fraction(c), DD.from_fraction(h)
-        z2 = z2 + 2.0 * c * (h - L) * wp
-        z1 = z1 + c * wp
-        wp = wp * w2
-    return z1, z2
-
-
 def separate_assemble_dd(ctx: PrimeContext, sums):
     """ek_core.assemble_dd with one DDC division per parity, the imaginary
     parts formed too, and one fold tree per quantity (the form before merging)."""
@@ -215,7 +202,7 @@ def separate_assemble_dd(ctx: PrimeContext, sums):
     def fold(values, weights):
         return DD(0.0) if values.shape[-1] == 0 else values.scale_pow2(weights).sum()
 
-    log_q = ddm.dd_log_int(ctx.q)
+    log_q = dd_log(DD(float(ctx.q)))
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
     half = ctx.n / 2.0
     kap = -(c_dd * half + fold((sums.lg_odd / sums.b1).real, sums.w_odd)) / log_q

@@ -166,9 +166,9 @@ def test_criterion_7_property_battery(desk_run, tmp_path):
             err = np.max(np.abs(getattr(sums, field) - want), initial=0.0)
             ok_spec &= bool(err < 1e-9 * max(1.0, np.max(np.abs(want), initial=0.0)))
 
-    # Lerch identity and the zeta''(0, x) finite-difference oracle, on the
-    # kernels that records read, at the points a/q nearest to uniform draws:
-    # the dd log Gamma kernel is zeta'(0, a/q) + log(2 pi)/2
+    # the dd log Gamma kernel against scipy's gammaln and the zeta''(0, x)
+    # finite-difference oracle, on the kernels that records read, at the
+    # points a/q nearest to uniform draws
     q = 10007
     a = np.rint(rng.uniform(0.01, 0.99, 1000) * q).astype(np.int64)
     lg, _ = dd_gamma_zeta_kernels(a, q)

@@ -7,12 +7,11 @@ import pytest
 
 import ekcyclo.dd as ddm
 from _oracles import (bits_equal, dd_fft_pow2, dft_direct, grouped_int_convolutions,
-                      looped_dd_cos_sin, looped_em_tails, own_root_dd_dft, radix2_dd_dft,
-                      two_product_powers)
+                      looped_dd_cos_sin, own_root_dd_dft, radix2_dd_dft, two_product_powers)
 from ekcyclo.dd import (DD, DDC, EULER_GAMMA_DD, LOG_2PI_DD, PI_DD, RoundingError, _powers,
                         _root_of_unity, convolve_slices, dd_dft, dd_exp, dd_gamma_zeta_kernels,
-                        dd_log, dd_log_int, roots_of_unity, slice_plan, split_slices)
-from ekcyclo.special_functions import PI_STR, euler_maclaurin_tails
+                        dd_log, roots_of_unity, slice_plan, split_slices)
+from ekcyclo.special_functions import PI_STR
 
 mp.mp.dps = 45
 
@@ -93,20 +92,6 @@ def test_powers_match_two_product_doubling(count):
     # one product per doubling step keeps every bit of the two-product form
     w = _root_of_unity(998)
     assert bits_equal(_powers(w, count), two_product_powers(w, count))
-
-
-@pytest.mark.parametrize("size", [40, 2000], ids=["rows", "loop"])
-def test_em_tail_rows_match_term_loop(size):
-    # the K terms as rows (few columns) and the loop over terms taken by
-    # more columns keep every bit of the loop with one term per step
-    from ekcyclo.dd import _EM_COEFF_DD
-    rng = np.random.default_rng(12)
-    w = DD(rng.uniform(32, 64, size), rng.uniform(-1e-15, 1e-15, size))
-    L = dd_log(w)
-    s2, s1 = DD(rng.uniform(0, 500, size)), DD(rng.uniform(-100, 0, size))
-    got = euler_maclaurin_tails(w, L, _EM_COEFF_DD, s2, s1)
-    for lhs, rhs in zip(got, looped_em_tails(w, L, s2, s1)):
-        assert bits_equal(lhs, rhs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 31, 97])
@@ -254,66 +239,35 @@ def test_gamma_zeta_kernels_against_mpmath():
         assert abs(as_mp(z2, (i,)) - mp.zeta(0, xa, 2)) < mp.mpf("1e-27")
 
 
-def test_integer_log_table_consistency():
-    from ekcyclo.dd import _integer_logs
-    m = np.array([1, 2, 3, 10, 12345, 999983], dtype=np.int64)
-    table = _integer_logs.upto(int(m.max())).take(m - 1)
-    direct = dd_log(DD(m.astype(np.float64)))
-    diff = (table - direct).to_float()
-    assert np.max(np.abs(diff)) < 1e-30
+def _kernel_points(q: int) -> np.ndarray:
+    """16 seeded a in 1..q-1, the ends, and the pair around q/2 (|t| at its largest and least)."""
+    rng = np.random.default_rng(q)
+    return np.unique(np.concatenate([rng.integers(1, q, 16), [1, q - 1, q // 2, q // 2 + 1]]))
 
 
-def test_kernels_beyond_table_cap(monkeypatch):
-    # forcing direct logs past the table cap must not change a single bit
-    import ekcyclo.dd as mod
-    q = 211
-    a = np.arange(1, q)
-    with_table = dd_gamma_zeta_kernels(a, q)
-    monkeypatch.setattr(mod._integer_logs, "cap", 10)
-    without = dd_gamma_zeta_kernels(a, q)
-    for lhs, rhs in zip(with_table, without):
-        assert bits_equal(lhs, rhs)
+@pytest.mark.parametrize("q", [3, 101, 997, 10007])
+def test_gamma_zeta_kernels_at_dd_precision(q):
+    # both dd kernels within 1e-30 of 45-digit mpmath, relative to max(1, |f|)
+    # (5.2e-31 at most measured, most of it from the dd logs of a and q)
+    a = _kernel_points(q)
+    lngam, z2 = dd_gamma_zeta_kernels(a, q)
+    for i, ai in enumerate(a):
+        x = mp.mpf(int(ai)) / q
+        for got, want in ((as_mp(lngam, (i,)), mp.loggamma(x)), (as_mp(z2, (i,)), mp.zeta(0, x, 2))):
+            assert abs(got - want) <= mp.mpf("1e-30") * max(1, abs(want)), (q, int(ai))
 
 
-@pytest.mark.parametrize("cap", [None, 10])
-def test_log_int_matches_scalar_log(monkeypatch, cap):
-    # log q read from the table, or computed above its cap, is dd_log(q) bit for bit
-    import ekcyclo.dd as mod
-    from _oracles import naive_primes_upto
-    if cap is not None:
-        monkeypatch.setattr(mod._integer_logs, "cap", cap)
-    for q in naive_primes_upto(1000) + [8209, 999983]:
-        got = dd_log_int(q)
-        assert got.shape == ()
-        assert bits_equal(got, dd_log(DD(float(q))))
-
-
-@pytest.mark.parametrize("cap", [None, 10])
-def test_blocked_kernels_match_unblocked_reference(monkeypatch, cap):
-    # 8208 values of a in blocks of 4096 (set here): two full blocks and one
-    # of 16; with the cap forced down every log row is computed
-    import ekcyclo.dd as mod
-    import ekcyclo.special_functions as sf
+@pytest.mark.parametrize("block", [4096, 10])
+def test_blocked_kernels_match_unblocked_reference(monkeypatch, block):
+    # 4104 values of b in blocks of 4096 (one full block and one of 8), or of
+    # 10 (410 full blocks and one of 4), against one pass over every a
     from _oracles import unblocked_dd_kernels
-    monkeypatch.setattr(sf, "_BLOCK", 4096)
+    monkeypatch.setattr(ddm, "_BLOCK", block)
     q = 8209
-    if cap is not None:
-        monkeypatch.setattr(mod._integer_logs, "cap", cap)
     a = np.arange(1, q)[::-1]
     got = dd_gamma_zeta_kernels(a, q)
     for lhs, rhs in zip(got, unblocked_dd_kernels(q)):
         assert bits_equal(lhs, rhs.take(a - 1))
-
-
-def test_grown_log_table_matches_fresh_logs():
-    from ekcyclo.special_functions import IntegerLogCache
-    cache = IntegerLogCache(lambda m: dd_log(DD(m)), DD.zeros, 30_000)
-    for top in (5, 150, 9000, 20_000):  # the last growth hits the cap
-        table = cache.upto(top)
-    assert cache.limit == 30_000 and table.shape == (20_000,)
-    fresh = dd_log(DD(np.arange(1, 30_001, dtype=np.float64)))
-    assert bits_equal(cache.table, fresh)
-    assert cache.upto(30_001) is None
 
 
 def test_from_string_round_trip():

@@ -33,15 +33,14 @@ def test_dd_mode_matches_reference_tightly(q):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 97, 499, 997, 8209])
-def test_dd_record_matches_own_root_reference(monkeypatch, q):
-    # one root per record, both packed rows in one transform and log q from
-    # the table keep every hi and lo word of the spectra and of the assembly
+def test_dd_record_matches_own_root_reference(q):
+    # one root per record and both packed rows in one transform keep every
+    # hi and lo word of the spectra and of the assembly
     ctx = primitive_root(q)
     pt = character_sums_dd(ctx)
     packed, spec = own_root_dd_spectra(ctx)
     assert bits_equal(pt.packed, packed) and bits_equal(pt.spec, spec)
     got = assemble_dd(ctx, pt.sums())
-    monkeypatch.setattr(ddm, "dd_log_int", lambda m: dd_log(DD(float(m))))
     want = assemble_dd(ctx, PackedTransforms(q=q, packed=packed, spec=spec).sums())
     assert got.keys() == want.keys()
     for name in got:
@@ -62,7 +61,8 @@ def test_assemble_dd_matches_separate_folds(q):
 
 def test_dd_record_operation_count(monkeypatch):
     # a warm dd record at q = 101 took 188 DD products and 204 DD sums before
-    # the integer seed root, the Euler-Maclaurin rows and the one-pass assembly
+    # the integer seed root, the Euler-Maclaurin rows and the one-pass assembly;
+    # with the Taylor kernels, log q riding along in their dd_log calls, 117 and 131
     compute_record(101, mode="dd")
     counts = Counter()
     for name in ("__mul__", "__add__"):  # the __rmul__ and __radd__ aliases are not counted
@@ -72,6 +72,20 @@ def test_dd_record_operation_count(monkeypatch):
         monkeypatch.setattr(DD, name, counted)
     compute_record(101, mode="dd")
     assert 0 < counts["__mul__"] <= 120 and 0 < counts["__add__"] <= 145, counts
+
+
+@pytest.mark.parametrize("mode", ["double", "dd"])
+def test_compute_record_takes_numpy_integers(mode):
+    # np.int64 and np.int32 are the element types primes_in returns; the
+    # record keeps every bit and holds q as a Python int
+    want = compute_record(101, mode)
+    for q in (np.int64(101), np.int32(101)):
+        got = compute_record(q, mode)
+        assert type(got.q) is int and got.q == 101 and got.flags == want.flags
+        for name in ("kappa", "r", "gamma_plus", "gamma", "delta"):
+            assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), name
+    with pytest.raises(TypeError):
+        compute_record(101.0, mode)
 
 
 def test_record_assembly_identities():

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekcyclo.dd import dd_gamma_zeta_kernels
-from ekcyclo.special_functions import (_FSUM_MAX, BERNOULLI_2K, CONSTANTS, IntegerLogCache,
+from ekcyclo.special_functions import (_FSUM_MAX, CONSTANTS, F_TAYLOR_STR, LG_TAYLOR_STR,
                                        compensated_sum, hurwitz_z2_at_rationals, ln_gamma)
+from make_hurwitz_taylor import TERMS, f_coefficient, lg_coefficient, tables
 
 mp.mp.dps = 40
 
@@ -20,14 +21,6 @@ def test_constants():
     assert abs(CONSTANTS.euler_gamma - 0.57721566) < 5e-9
     assert abs(CONSTANTS.zeta3 - 1.2020569031595943) < 1e-15
     assert abs(CONSTANTS.log_2pi - math.log(2 * math.pi)) < 1e-15
-
-
-def test_bernoulli_recurrence():
-    from fractions import Fraction
-    assert BERNOULLI_2K[2] == Fraction(1, 6)
-    assert BERNOULLI_2K[12] == Fraction(-691, 2730)
-    assert BERNOULLI_2K[16] == Fraction(-3617, 510)
-    assert BERNOULLI_2K[56] != 0
 
 
 def test_ln_gamma_examples():
@@ -70,7 +63,7 @@ def _z2_second_difference(x):
 
 
 def test_hurwitz_examples():
-    # the dd log Gamma kernel is zeta'(0, a/q) + log(2 pi)/2 (Lerch)
+    # the dd log Gamma kernel against scipy's
     lg, _ = dd_gamma_zeta_kernels(np.array([1]), 4)
     assert abs(lg.hi[0] - ln_gamma(0.25)) < 1e-11
     assert abs(hurwitz_z2_at_rationals(np.array([1]), 3)[0]
@@ -140,26 +133,42 @@ def test_blocked_z2_matches_unblocked_reference(monkeypatch, q, small_block):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _z2_taylor_coefficient(j: int) -> mp.mpf:
-    """c_j of zeta''(0, 3/2 + t) = sum_j c_j t^j, from its closed form."""
-    y = mp.mpf(3) / 2
-    if j == 0:
-        return -y * mp.log(2) ** 2 - mp.log(2) * mp.log(2 * mp.pi)
-    if j == 1:
-        return 2 * mp.stieltjes(1, y)
-    return 2 * (-1) ** j * (mp.harmonic(j - 1) * mp.zeta(j, y) + mp.zeta(j, y, 1)) / j
+def test_taylor_tables_match_closed_forms():
+    # every stored string within 1e-36 of its closed form, relative, and the
+    # LG forms against mpmath's own Taylor expansion of log Gamma
+    stored = {"LG_TAYLOR_STR": LG_TAYLOR_STR, "F_TAYLOR_STR": F_TAYLOR_STR}
+    with mp.workdps(50):
+        for j, s in enumerate(mp.taylor(mp.loggamma, mp.mpf(3) / 2, 6)):
+            assert abs(lg_coefficient(j) - s) < mp.mpf("1e-45")
+        for name, exact in tables().items():
+            assert len(stored[name]) == len(exact) == TERMS
+            for j, (text, c) in enumerate(zip(stored[name], exact)):
+                assert abs(mp.mpf(text) - c) <= mp.mpf("1e-36") * abs(c), (name, j)
+
+
+def test_taylor_tails_within_stated_bounds():
+    # the comment above special_functions.LG_TAYLOR_STR: |c_{j+1}/c_j| < 2/3
+    # from j = 33 on (checked to 130), so the terms at |t| = 1/2 past c_{m-1}
+    # sum to below |c_m| 2^-m / (1 - 1/3), which it states for m = 34 and 72
+    with mp.workdps(40):
+        for coefficient, past_33, past_71 in ((lg_coefficient, 2.7e-18, 9.3e-37),
+                                              (f_coefficient, 1.95e-17, 8.3e-36)):
+            c = {j: abs(coefficient(j)) for j in range(33, 131)}
+            assert all(c[j + 1] < c[j] * 2 / 3 for j in range(33, 130))
+            assert 1.5 * c[34] / mp.mpf(2) ** 34 < past_33
+            assert 1.5 * c[72] / mp.mpf(2) ** 72 < past_71
 
 
 def test_z2_taylor_coefficients_are_nearest_doubles():
     from ekcyclo.special_functions import _Z2_HORNER, _Z2_TAYLOR
     with mp.workdps(40):
-        exact = [_z2_taylor_coefficient(j) for j in range(len(_Z2_TAYLOR))]
+        exact = [f_coefficient(j) for j in range(len(_Z2_TAYLOR))]
         # the closed forms against mpmath's own Taylor expansion of zeta''(0, y)
         series = mp.taylor(lambda y: mp.zeta(0, y, 2), mp.mpf(3) / 2, 4)
         for c, s in zip(exact, series):
             assert abs(c - s) < mp.mpf("1e-35")
         # the omitted tail at |t| = 1/2, which the kernel's comment bounds
-        tail = sum(abs(_z2_taylor_coefficient(j)) / mp.mpf(2) ** j for j in range(34, 90))
+        tail = sum(abs(f_coefficient(j)) / mp.mpf(2) ** j for j in range(34, 90))
     assert len(_Z2_TAYLOR) == 34 and tail < 2e-17
     for c, stored in zip(exact, _Z2_TAYLOR):
         # nearest: the stored double is within half an ulp of the exact value
@@ -170,7 +179,7 @@ def test_z2_taylor_coefficients_are_nearest_doubles():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 101, 997, 10007])
 def test_z2_kernel_within_rounding_bound_of_dd(q):
-    # every a against the double-double kernel (accurate to 1e-27).  The bound
+    # every a against the double-double kernel (accurate to 1e-30).  The bound
     # is the rounding of the kernel's own steps, with eps = 2^-53:
     # - term c_j t^j: t and u = t^2 round (3 eps on t^2), the stored c_j (1),
     #   Horner's multiply and add per step, the product t P_o and the two final
@@ -194,16 +203,6 @@ def test_z2_kernel_within_rounding_bound_of_dd(q):
     bound = series + 2 * L * dL + dL ** 2 + 2 * eps * L ** 2 + 2e-17 + 1e-25 * np.maximum(1, L ** 2)
     err = np.abs((got - z2_dd.hi) - z2_dd.lo)
     assert np.all(err <= bound), (int(a[np.argmax(err / bound)]), float(np.max(err / bound)))
-
-
-def test_grown_log_table_matches_fresh_logs():
-    cache = IntegerLogCache(np.log, np.zeros, 50_000)
-    for top in (10, 1500, 9000, 30_000, 20):  # grown to 20, 3000, 18000, 50000 (the cap)
-        table = cache.upto(top)
-    assert cache.limit == 50_000 and table.shape == (20,)
-    fresh = np.log(np.arange(1, 50_001, dtype=np.float64))
-    assert np.array_equal(cache.table.view(np.int64), fresh.view(np.int64))
-    assert cache.upto(50_001) is None
 
 
 def test_compensated_sum_examples():
