@@ -6,15 +6,19 @@ classic error-free transforms (Knuth two-sum, Dekker split/product), so the
 whole layer vectorises over arrays of any shape.
 
 On top of the scalar layer sit complex pairs, exp/log, roots of unity and a
-Bluestein chirp-z DFT of any length n.  Its convolution is taken exactly:
-the double-double rows are cut into signed integer slices of b bits, the
-slices are convolved on binary64 FFTs (scipy.fft) with an error bound below
-1/8, and rint recovers the integer convolutions, which are summed back in
-double-double.  No fused-multiply-add is assumed.  The DFT takes its chirp
-table from the caller: a record's twiddles exp(2 pi i k / (q-1)) are that
-table, so one root of unity serves both.  Last come the record's kernels
-log Gamma(a/q) and zeta''(0, a/q), from the Taylor series at 3/2 of
-special_functions (dd_gamma_zeta_kernels).
+Bluestein chirp-z DFT of any length n.  exp is table-driven: a Cody-Waite
+reduction by ln2/64, a 64-entry table of 2^(j/64) built from Python integers
+and ten Taylor terms; log is one Newton step on it.  The roots of unity of an
+even n are powers of one root up to a quarter turn and exact reflections of
+them.  The DFT's convolution is taken exactly: the double-double rows are
+cut into signed integer slices of b bits, the slices are convolved on
+binary64 FFTs (scipy.fft) with an error bound below 1/8, and rint recovers
+the integer convolutions, which are summed back in double-double.  No
+fused-multiply-add is assumed.  The DFT takes its chirp table from the
+caller: a record's twiddles exp(2 pi i k / (q-1)) are that table, so one
+root of unity serves both.  Last come the record's kernels log Gamma(a/q)
+and zeta''(0, a/q), from the Taylor series at 3/2 of special_functions
+(dd_gamma_zeta_kernels).
 """
 from __future__ import annotations
 
@@ -208,28 +212,56 @@ def _dd(hi, lo) -> DD:
 
 # -- transcendental constants ------------------------------------------
 PI_DD = DD.from_str(PI_STR)
-LN2_DD = DD.from_str(LN2_STR)
 LOG_2PI_DD = DD.from_str(LOG_2PI_STR)
 LOG_PI_DD = DD.from_str(LOG_PI_STR)
 EULER_GAMMA_DD = DD.from_str(EULER_GAMMA_STR)
 
 _INV_FACT = [DD.from_fraction(Fraction(1, math.factorial(i))) for i in range(44)]
+_FIX = 160  # fraction bits of the fixed-point seeds; PI_STR carries 230 bits
+
+
+def _exp_table() -> DD:
+    """2^(j/64) for j < 64: 2^(1/64) by six nested isqrt of 2 in _FIX-bit fixed
+    point, the others its powers, in Python integers (each within 2^-150); the
+    int divisions round hi and lo to nearest."""
+    one, root = 1 << _FIX, 2 << _FIX
+    for _ in range(6):
+        root = math.isqrt(root << _FIX)
+    x, his, los = one, [], []
+    for _ in range(64):
+        his.append(x / one)
+        los.append((x - int(his[-1] * one)) / one)
+        x = x * root >> _FIX
+    return DD(his, los)
+
+
+_EXP_TABLE = _exp_table()
+# Cody-Waite split of ln2/64: C1 keeps 36 significant bits, so n C1 is exact for
+# |n| < 2^17 (|a| < 1400), and C2 = ln2/64 - C1 is a dd
+_LN2_64 = Fraction(LN2_STR) / 64
+_EXP_C1 = round(_LN2_64 * 2 ** 42) / 2.0 ** 42
+_EXP_C2 = DD.from_fraction(_LN2_64 - Fraction(_EXP_C1))
+_INV_LN2_64 = float(1 / _LN2_64)
 
 
 def dd_exp(a: DD) -> DD:
-    """exp(a) for moderate |a| (reduction by ln 2, then scaled Taylor)."""
-    k = np.rint(a.hi / float(LN2_DD.hi))
-    r = a - LN2_DD._mul_double(k)
-    r = r.scale_pow2(1.0 / 512.0)  # |r| <= ~6.8e-4 after 2^9 scaling
-    # expm1 via Taylor, 10 terms reach ~1e-39
+    """exp(a), to dd precision for -670 < a < 709 (below, the low word goes
+    subnormal); table-driven (Tang, ACM TOMS 15(2), 1989).
+
+    a = (64 k + j) ln2/64 + r with |r| <= ln2/128, so exp(a) = 2^k T_j (1 +
+    expm1(r)), T_j = 2^(j/64) from a dd table and expm1(r) by 10 Taylor terms
+    (truncation below 3e-33).  r = (a.hi - n C1) + a.lo - n C2: n C1 is exact,
+    and so, by Sterbenz, is its difference from a.hi.
+    """
+    n = np.rint(a.hi * _INV_LN2_64)
+    r = _dd(*_two_sum(a.hi - n * _EXP_C1, a.lo)) - _EXP_C2._mul_double(n)
     p = _INV_FACT[10] * r  # the bits of (0 + 1/10!) r
     for i in range(9, 0, -1):
         p = (p + _INV_FACT[i]) * r
-    # repeated (1+s)^2 - 1 = s^2 + 2s keeps full accuracy near zero
-    for _ in range(9):
-        p = p.square() + p.scale_pow2(2.0)
-    out = p + 1.0
-    two_k = np.ldexp(1.0, k.astype(np.int32))
+    n = n.astype(np.int64)
+    t = _EXP_TABLE.take(n & 63)
+    out = t + t * p
+    two_k = np.ldexp(1.0, n >> 6)
     return _dd(out.hi * two_k, out.lo * two_k)
 
 
@@ -294,7 +326,6 @@ class DDC:
 
 
 # -- roots of unity and the DFT -------------------------------------------
-_FIX = 160  # fraction bits of the fixed-point seeds; PI_STR carries 230 bits
 _PI_FIX = round(Fraction(PI_STR) * 2 ** _FIX)
 
 
@@ -335,8 +366,24 @@ def _powers(w: DDC, count: int) -> DDC:
 
 
 def roots_of_unity(n: int) -> DDC:
-    """exp(2 pi i k / n) for k < n: with n = 2 len, the chirp table of dd_dft."""
-    return _powers(_root_of_unity(n), n)
+    """exp(2 pi i k / n) for k < n: with n = 2 len, the chirp table of dd_dft.
+
+    Odd n takes every power of the root.  Even n takes the powers k < n/4, sets
+    w^(n/4) = i when 4 | n, and fills the rest by exact symmetries, negations
+    and copies: w^(n/2 - k) = -conj(w^k) and w^(n/2 + k) = -w^k.
+    """
+    w = _root_of_unity(n)
+    if n % 2:
+        return _powers(w, n)
+    half, count = n // 2, (n + 2) // 4
+    head = _powers(w, count)
+    out = DDC.zeros(n)
+    out[:count] = head
+    if 4 * count == n:
+        out.imag.hi[count] = 1.0
+    out[half + 1 - count:half + 1] = DDC(-head.real[::-1], head.imag[::-1])
+    out[half:] = DDC(-out.real[:half], -out.imag[:half])
+    return out
 
 
 class RoundingError(ArithmeticError):

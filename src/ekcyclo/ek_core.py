@@ -23,6 +23,7 @@ ones, each with the fold weights that come with them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,11 +157,12 @@ _SPECTRUM_TOL = {"s0": 1e-12, "parseval": 1e-9}
 # 7u^2 relative (Joldes, Muller and Popescu, ACM TOMS 44(2), 2017) and a dd sum
 # within 3u^2 (|a| + |b|), so a DDC product is within rho = 15u^2 |a| |b|.
 # dd_dft gives Y_0 = c_0 conv_0 with c_0 = 1 exactly and conv_0 = sum_k (y_k c_k)
-# conj(c_k), the chirp c_k a power w^i, i < 2h, from _powers: the root is within
-# u^2/2 of |w| = 1 and w^i takes at most i products, so ||c_k|^2 - 1| <= 4h
-# (u^2/2 + rho).  Beyond that, relative to S, the products y_k c_k add rho, the
-# slice bits dropped past 106 3u^2 h (data) and 3u^2 (filter), the count group
-# sums 6 count u^2, the tree of depth d 3 d u^2 and the difference 6u^2.
+# conj(c_k), the chirp c_k = +-w^i or +-conj(w^i), i <= h/2, from roots_of_unity:
+# the root is within u^2/2 of |w| = 1 and w^i takes at most i products, so
+# ||c_k|^2 - 1| <= 4h (u^2/2 + rho).  Beyond that, relative to S, the products
+# y_k c_k add rho, the slice bits dropped past 106 3u^2 h (data) and 3u^2
+# (filter), the count group sums 6 count u^2, the tree of depth d 3 d u^2 and
+# the difference 6u^2.
 def _s0_dd_tolerance(h: int) -> float:
     count = ddm.slice_plan(1 << (2 * h - 1).bit_length())[1]
     return (65 * h + 6 * count + 3 * (h - 1).bit_length() + 24) * 2.0 ** -106
@@ -222,6 +224,7 @@ def kummer_check(q: int) -> KummerCheck:
     record's checks: for q near 100 the class number reaches ~4e11 and a
     1e-6 gap needs far more than binary64 accuracy in exp(r + log G).
     """
+    q = operator.index(q)
     if q > 100:
         raise ValueError("kummer_check is limited to q <= 100")
     ctx = primitive_root(q)

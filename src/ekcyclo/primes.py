@@ -20,6 +20,7 @@ DEFAULT_SEGMENT_SIZE = 1 << 22
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all 64-bit inputs."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -104,6 +105,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def mult_order(a: int, q: int) -> int:
     """Least m >= 1 with a^m = 1 (mod q), for a prime q not dividing a."""
+    a, q = operator.index(a), operator.index(q)
     if not is_prime(q):
         raise ValueError(f"mult_order requires a prime modulus, got {q}")
     a %= q

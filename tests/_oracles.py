@@ -304,11 +304,11 @@ def grouped_int_convolutions(data, filt) -> np.ndarray:
 
 
 def own_root_dd_dft(x):
-    """dd.dd_dft with its own chirp root exp(i pi / n), one row of a (rows, n)
-    batch at a time."""
-    from ekcyclo.dd import DDC, _powers, _root_of_unity, dd_dft
+    """dd.dd_dft with its own chirp table roots_of_unity(2n), one row of a
+    (rows, n) batch at a time."""
+    from ekcyclo.dd import DDC, dd_dft, roots_of_unity
     n = x.shape[-1]
-    u = _powers(_root_of_unity(2 * n), 2 * n)
+    u = roots_of_unity(2 * n)
     if len(x.shape) == 1:
         return dd_dft(x, u)
     out = DDC.zeros(x.shape)
@@ -319,12 +319,13 @@ def own_root_dd_dft(x):
 
 def own_root_dd_spectra(ctx: PrimeContext):
     """(packed rows, spectra) of charsum.character_sums_dd with the twiddles
-    and the chirp each from a root of their own and own_root_dd_dft."""
+    and the chirp each from a roots_of_unity table of their own and
+    own_root_dd_dft."""
     from ekcyclo.charsum import ODD, pack_parities
-    from ekcyclo.dd import DD, DDC, _powers, _root_of_unity, dd_gamma_zeta_kernels
+    from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels, roots_of_unity
     q, h = ctx.q, ctx.n // 2
     a = ctx.powers()
     lg, z2 = dd_gamma_zeta_kernels(a, q)
     packed = pack_parities(lg, z2, DD(2 * a[:h] - q) / DD(float(q)), DDC.zeros((2, h)))
-    packed[ODD] *= _powers(_root_of_unity(ctx.n), h)
+    packed[ODD] *= roots_of_unity(ctx.n)[:h]
     return packed, own_root_dd_dft(packed)

@@ -56,6 +56,34 @@ def test_exp_log_against_mpmath():
         assert abs(as_mp(lg, (i,)) - mp.log(mp.mpf(y))) < mp.mpf("1e-30")
 
 
+def test_exp_log_at_dd_precision():
+    # dd_exp within 5e-32 relative of 50-digit mpmath: random a in [-600, 700]
+    # with random low words (below about -670 the low word goes subnormal and
+    # no dd keeps 32 digits), every table edge m ln2/64 and midpoint (m + 1/2)
+    # ln2/64, where j wraps and k carries, 0 and |a| < 1e-300.  dd_log within
+    # 3e-31 absolute over (1e-8, 1e9), the integers 1..2000 and 2^-30..2^29.
+    rng = np.random.default_rng(17)
+    with mp.workdps(50):
+        edges = [mp.log(2) * m / 128 for m in range(-128, 129)]
+        hi = np.concatenate([rng.uniform(-600, 700, 500), [float(e) for e in edges],
+                             [0.0, 1e-300, -1e-300, 5e-324, -5e-324]])
+        lo = np.zeros_like(hi)
+        lo[:500] = np.spacing(np.abs(hi[:500])) * rng.uniform(-0.5, 0.5, 500)
+        lo[500:500 + len(edges)] = [float(e - mp.mpf(float(e))) for e in edges]
+        ex = dd_exp(DD(hi, lo))
+        for i in range(hi.size):
+            want = mp.exp(mp.mpf(hi[i]) + mp.mpf(lo[i]))
+            assert abs(as_mp(ex, (i,)) / want - 1) < mp.mpf("5e-32"), (hi[i], lo[i])
+        spread = np.exp(rng.uniform(math.log(1e-8), math.log(1e9), 500))
+        ys = np.concatenate([spread, np.arange(1.0, 2001.0), 2.0 ** np.arange(-30, 30)])
+        ylo = np.zeros_like(ys)
+        ylo[:500] = np.spacing(spread) * rng.uniform(-0.5, 0.5, 500)
+        lg = dd_log(DD(ys, ylo))
+        for i in range(ys.size):
+            want = mp.log(mp.mpf(ys[i]) + mp.mpf(ylo[i]))
+            assert abs(as_mp(lg, (i,)) - want) < mp.mpf("3e-31"), (ys[i], ylo[i])
+
+
 def test_pi_str_matches_mpmath():
     # the fixed-point seeds of _root_of_unity need pi well past 160 bits
     with mp.workprec(300):
@@ -94,6 +122,27 @@ def test_powers_match_two_product_doubling(count):
     assert bits_equal(_powers(w, count), two_product_powers(w, count))
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 100, 102, 996, 998, 1000, 1002])
+def test_roots_of_unity_by_symmetry(n):
+    # the powers k < n/4 and their exact reflections are no further from
+    # 300-bit mpmath than every power of the root, and the symmetries hold
+    # exactly (as values: the sign of a zero word aside)
+    u = roots_of_unity(n)
+    with mp.workprec(300):
+        want = [mp.expjpi(mp.mpf(2 * k) / n) for k in range(n)]
+
+        def worst(table):
+            return max(max(abs(as_mp(table.real, (k,)) - w.real), abs(as_mp(table.imag, (k,)) - w.imag))
+                       for k, w in enumerate(want))
+
+        assert worst(u) <= worst(_powers(_root_of_unity(n), n))
+    k = np.arange(n)
+    for got, mirror in ((u[(n // 2 + k) % n], DDC(-u.real, -u.imag)),
+                        (u[(n // 2 - k) % n], DDC(-u.real, u.imag))):
+        for a, b in ((got.real, mirror.real), (got.imag, mirror.imag)):
+            assert np.array_equal(a.hi, b.hi) and np.array_equal(a.lo, b.lo)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 31, 97])
 def test_dd_dft_against_mpmath(n):
     rng = np.random.default_rng(n)
@@ -110,8 +159,8 @@ def test_dd_dft_against_mpmath(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 31, 97, 498, 499])
 @pytest.mark.parametrize("rows", [None, 2])
 def test_dd_dft_matches_own_root_reference(n, rows):
-    # the chirp from roots_of_unity(2n) and the rows batched with one filter
-    # give the bits of an own root exp(i pi / n), one row at a time
+    # the rows batched with one filter and one chirp table give the bits of
+    # a table of their own, one row at a time
     rng = np.random.default_rng(n)
     shape = (n,) if rows is None else (rows, n)
     x = DDC(DD(rng.uniform(-3, 3, shape), rng.uniform(-1e-17, 1e-17, shape)),

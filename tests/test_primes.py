@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,21 @@ def test_is_prime_large_and_carmichael():
     assert not is_prime((2 ** 31 - 1) ** 2)
     for carmichael in (561, 1105, 1729, 2465, 2821, 6601, 8911, 252601):
         assert not is_prime(carmichael)
+
+
+def _types(x):
+    return [type(v) for v in dataclasses.astuple(x)] if dataclasses.is_dataclass(x) else type(x)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_numpy_integers_give_python_results(kind):
+    # the element types of primes_in give the results, and the result types, of int
+    for n in (5, 41, 101):
+        for f in (is_prime, neighbor_flags, lambda q: mult_order(2, q)):
+            want, got = f(n), f(kind(n))
+            assert got == want and _types(got) == _types(want), (f, n)
+    with pytest.raises(TypeError):
+        is_prime(41.0)
 
 
 def test_primes_in_examples():
