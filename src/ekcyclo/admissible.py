@@ -6,8 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_SIZE, prime_blocks, simple_sieve
+from .primes import prime_blocks, simple_sieve
 from .special_functions import CONSTANTS
+
+C1_CUTOFF = 10 ** 8  # the singular series C1 is a product over the primes up to this cutoff
+_C2_K_MAX = 201  # c2 is minimised over odd k up to this bound
 
 
 @dataclass(frozen=True)
@@ -51,22 +54,21 @@ def is_admissible(a: AdmissibleSet) -> bool:
     return all(omega(int(p), a) < p for p in simple_sieve(s + 1))
 
 
-def harmonic_threshold(c: float, even_only: bool = True) -> tuple[int, float]:
+def harmonic_threshold(c: float) -> tuple[int, float]:
     """Least N whose greedy multiplier measure exceeds c, with that measure.
 
-    With ``even_only`` the measure is mu({1, 2, 4, ..., 2N}) =
-    1 + sum_{n<=N} 1/(2n), the cheapest growth available when every
-    multiplier beyond the unit must be even; otherwise the plain harmonic
-    sum of {1, .., N} is used.
+    The measure is mu({1, 2, 4, ..., 2N}) = 1 + sum_{n<=N} 1/(2n), the
+    cheapest growth available when every multiplier beyond the unit must
+    be even.
     """
     if not 0 < c < math.inf:  # a NaN would stop at once, an inf never
         raise ValueError(f"c must be finite and positive, got {c!r}")
-    terms = [1.0] if even_only else []
+    terms = [1.0]
     n = 0
-    total = terms[0] if terms else 0.0
+    total = 1.0
     while total <= c:
         n += 1
-        terms.append(1.0 / (2 * n) if even_only else 1.0 / n)
+        terms.append(1.0 / (2 * n))
         total += terms[-1]
     return n, math.fsum(terms)
 
@@ -89,14 +91,13 @@ def c2_sum(k: int) -> float:
     return 0.25 * s - math.log(math.log(k))
 
 
-def c2_minimum(k_max: int = 201) -> tuple[int, float]:
-    """Minimiser of c2 over odd k <= k_max."""
-    best = min(range(3, k_max + 1, 2), key=c2_sum)
+def c2_minimum() -> tuple[int, float]:
+    """Minimiser of c2 over odd k <= _C2_K_MAX."""
+    best = min(range(3, _C2_K_MAX + 1, 2), key=c2_sum)
     return best, c2_sum(best)
 
 
-def singular_series_c1(cutoff: int = 10 ** 8,
-                       segment_size: int = DEFAULT_SEGMENT_SIZE) -> tuple[float, float]:
+def singular_series_c1(cutoff: int = C1_CUTOFF) -> tuple[float, float]:
     """prod_{p <= cutoff} (1 + 2/(p(p-1))) and a radius bounding the tail.
 
     The omitted factor is below exp(sum_{n > cutoff} 2/(n(n-1))) =
@@ -105,7 +106,7 @@ def singular_series_c1(cutoff: int = 10 ** 8,
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     log_total = 0.0
-    for block in prime_blocks(1, cutoff, segment_size):
+    for block in prime_blocks(1, cutoff):
         p = block.astype(np.float64)
         log_total += float(np.sum(np.log1p(2.0 / (p * (p - 1.0)))))
     value = math.exp(log_total)
@@ -119,7 +120,7 @@ class NamedConstant:
     expression: str
 
 
-def constants_table(c1_cutoff: int = 10 ** 8) -> dict[str, NamedConstant]:
+def constants_table(c1_cutoff: int = C1_CUTOFF) -> dict[str, NamedConstant]:
     """The named constants used in the explicit bounds, with their formulas."""
     kummer_lead = (43.0 - 18.0 * CONSTANTS.zeta3) / 13.0
     c1_value, c1_tail = singular_series_c1(c1_cutoff)
@@ -131,7 +132,7 @@ def constants_table(c1_cutoff: int = 10 ** 8) -> dict[str, NamedConstant]:
             "C1", c1_value,
             f"prod_p<= {c1_cutoff:.0e} (1 + 2/(p(p-1))), tail radius {c1_tail:.2e}"),
         "c2_argmin": NamedConstant(
-            "c2_argmin", float(k_best), "argmin over odd k <= 201 of c2(k)"),
+            "c2_argmin", float(k_best), f"argmin over odd k <= {_C2_K_MAX} of c2(k)"),
         "c2_min": NamedConstant(
             "c2_min", c2_best,
             "(1/4) sum_j (1/j)(1 + log(2j)/1400) - log log k at the minimiser"),

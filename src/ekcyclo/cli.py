@@ -10,7 +10,7 @@ import math
 import sys
 
 from . import analysis
-from .admissible import constants_table, harmonic_threshold
+from .admissible import C1_CUTOFF, constants_table, harmonic_threshold
 from .dd import RoundingError
 from .ek_core import ComputationError
 from .store import RunConfig, StoreError, read_records, run_range, verify_reference
@@ -38,14 +38,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--bins", type=float, default=analysis.DEFAULT_BIN_WIDTH,
                    help="bin width")
-    p.add_argument("--range", dest="range_", default="-0.6:0.6", metavar="LO:HI")
+    p.add_argument("--range", dest="range_", default="{}:{}".format(*analysis.DEFAULT_RANGE),
+                   metavar="LO:HI")
     p.add_argument("--spike", metavar="M:B", help="e.g. 2:+1 or 4:-1")
     p.add_argument("--exclusive", action="store_true")
     p.add_argument("--delta-cap", type=float, default=0.08)
     p.add_argument("--out-prefix", default="ek_")
 
     p = sub.add_parser("constants", help="print the named constants and thresholds")
-    p.add_argument("--c1-cutoff", type=int, default=10 ** 8)
+    p.add_argument("--c1-cutoff", type=int, default=C1_CUTOFF)
     return parser
 
 

@@ -188,10 +188,9 @@ class DD:
     def square(self) -> "DD":
         return self * self
 
-    def sum(self, axis=-1) -> "DD":
-        """Pairwise tree reduction along an axis."""
-        acc = self if axis in (-1, self.hi.ndim - 1) else _dd(
-            np.moveaxis(self.hi, axis, -1), np.moveaxis(self.lo, axis, -1))
+    def sum(self) -> "DD":
+        """Pairwise tree reduction along the last axis."""
+        acc = self
         while acc.shape[-1] > 1:
             m = acc.shape[-1]
             half = m // 2
@@ -366,17 +365,13 @@ def _powers(w: DDC, count: int) -> DDC:
 
 
 def roots_of_unity(n: int) -> DDC:
-    """exp(2 pi i k / n) for k < n: with n = 2 len, the chirp table of dd_dft.
-
-    Odd n takes every power of the root.  Even n takes the powers k < n/4, sets
-    w^(n/4) = i when 4 | n, and fills the rest by exact symmetries, negations
-    and copies: w^(n/2 - k) = -conj(w^k) and w^(n/2 + k) = -w^k.
+    """exp(2 pi i k / n) for k < n, n even: with n = 2 len, the chirp table of
+    dd_dft.  The powers k < n/4 of the root, w^(n/4) = i when 4 | n, and the
+    rest by exact symmetries, negations and copies: w^(n/2 - k) = -conj(w^k)
+    and w^(n/2 + k) = -w^k.
     """
-    w = _root_of_unity(n)
-    if n % 2:
-        return _powers(w, n)
     half, count = n // 2, (n + 2) // 4
-    head = _powers(w, count)
+    head = _powers(_root_of_unity(n), count)
     out = DDC.zeros(n)
     out[:count] = head
     if 4 * count == n:

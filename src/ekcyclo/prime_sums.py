@@ -13,7 +13,7 @@ with sign +1 for p^m = 1 (mod q) and -1 for p^m = -1 (mod q); the pairs
 independent cross-route oracle.  Primes are streamed through a segmented
 sieve; every reduction is an exactly-rounded sum per segment, and the
 segment sums are merged by one more exactly-rounded sum, so results are
-deterministic for a fixed segment size.
+deterministic.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_SIZE, is_prime, mult_order, prime_blocks, simple_sieve
+from .primes import is_prime, mult_order, prime_blocks, simple_sieve
 from .special_functions import compensated_sum
 
 
@@ -58,7 +58,7 @@ def _power_terms(x: float) -> list[tuple[int, int, int]]:
     return out
 
 
-def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> dict[int, TruncatedSums]:
+def truncated_sums(qs, x: float) -> dict[int, TruncatedSums]:
     """f/g/v/w for several moduli in a single pass over the primes <= x."""
     if x < 2:
         raise ValueError("x must be >= 2")
@@ -67,7 +67,7 @@ def truncated_sums(qs, x: float, segment_size: int = DEFAULT_SEGMENT_SIZE) -> di
         _check_modulus(q)
     inv = {q: [] for q in qs}  # signed class sums per segment, m = 1
     logp = {q: [] for q in qs}
-    for block in prime_blocks(0, int(x), segment_size):
+    for block in prime_blocks(0, int(x)):
         p = block.astype(np.float64)
         logs = np.log(p)
         for q in qs:
@@ -139,13 +139,13 @@ def s12(q: int, cutoff: int) -> OrderSums:
     return OrderSums(s1=math.fsum(s1), s2=math.fsum(s2), tail=tail)
 
 
-def bias(t: float, q: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+def bias(t: float, q: int) -> int:
     """pi(t; q, 1) - pi(t; q, -1) via the segmented sieve."""
     _check_modulus(q)
     if t < 2:
         raise ValueError("t must be >= 2")
     plus = minus = 0
-    for p in prime_blocks(0, int(t), segment_size):
+    for p in prime_blocks(0, int(t)):
         residues = p % q
         plus += int(np.count_nonzero(residues == 1))
         minus += int(np.count_nonzero(residues == q - 1))

@@ -15,7 +15,7 @@ import numpy as np
 # integers (Sorenson & Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-DEFAULT_SEGMENT_SIZE = 1 << 22
+_SEGMENT = 1 << 22  # integers per sieve segment of prime_blocks, read at each call
 
 
 def is_prime(n: int) -> bool:
@@ -54,15 +54,18 @@ def simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def prime_blocks(lo: int, hi: int, segment_size: int):
+def prime_blocks(lo: int, hi: int):
     """Yield the ascending int64 primes of (lo, hi], one non-empty array per
-    sieve segment of segment_size integers."""
+    sieve segment of _SEGMENT integers; a range with lo < 0 or hi < lo raises
+    ValueError at the first step."""
+    if lo < 0 or hi < lo:
+        raise ValueError(f"invalid range ({lo}, {hi}]")
     if hi <= max(lo, 1):
         return
     base = simple_sieve(math.isqrt(hi))
     start = lo + 1
     while start <= hi:
-        stop = min(start + segment_size, hi + 1)  # exclusive
+        stop = min(start + _SEGMENT, hi + 1)  # exclusive
         mask = np.ones(stop - start, dtype=bool)
         if start == 1:
             mask[0] = False
@@ -77,16 +80,14 @@ def prime_blocks(lo: int, hi: int, segment_size: int):
         start = stop
 
 
-def primes_in(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def primes_in(lo: int, hi: int) -> np.ndarray:
     """Ascending primes p with lo < p <= hi (segmented sieve, bounded memory)."""
-    if lo < 0 or hi < lo:
-        raise ValueError(f"invalid range ({lo}, {hi}]")
-    return np.concatenate([np.empty(0, dtype=np.int64), *prime_blocks(lo, hi, segment_size)])
+    return np.concatenate([np.empty(0, dtype=np.int64), *prime_blocks(lo, hi)])
 
 
-def count_primes_in(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+def count_primes_in(lo: int, hi: int) -> int:
     """Number of primes in (lo, hi] without materialising them."""
-    return sum(block.size for block in prime_blocks(lo, hi, segment_size))
+    return sum(block.size for block in prime_blocks(lo, hi))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -108,8 +109,7 @@ def mult_order(a: int, q: int) -> int:
     a, q = operator.index(a), operator.index(q)
     if not is_prime(q):
         raise ValueError(f"mult_order requires a prime modulus, got {q}")
-    a %= q
-    if a == 0:
+    if a % q == 0:
         raise ValueError(f"gcd({a}, {q}) != 1")
     m = q - 1
     for p in factorize(m):

@@ -108,7 +108,7 @@ def test_criterion_5_named_constants():
     n6, s6 = harmonic_threshold(6.0)
     lead = (43.0 - 18.0 * CONSTANTS.zeta3) / 13.0
     c1, _ = singular_series_c1(4 * 10 ** 6)
-    k_best, c2_best = c2_minimum(201)
+    k_best, c2_best = c2_minimum()
     elapsed = time.time() - start
     ok = (n4 == 227 and abs(s4 - 4.0021833) < 1e-7
           and n6 == 12367 and abs(s6 - 6.0000215) < 1e-7

@@ -83,11 +83,6 @@ def test_harmonic_threshold_monotone():
         prev = n
 
 
-def test_harmonic_threshold_plain_mode():
-    n, total = harmonic_threshold(2.0, even_only=False)
-    assert n == 4 and abs(total - (1 + 0.5 + 1 / 3 + 0.25)) < 1e-15
-
-
 def test_constants_kummer_lead():
     t = constants_table(c1_cutoff=10 ** 5)
     assert abs(t["kummer_lead"].value - 1.6433058) < 1e-7

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ekcyclo import primes
 from ekcyclo.prime_sums import bias, s12, truncated_sums
 from ekcyclo.primes import mult_order
 
@@ -52,12 +53,13 @@ def test_domain_guards():
                 call(q)
 
 
-def test_segment_size_determinism():
-    a = truncated_sums([7], 10 ** 4, segment_size=509)[7]
-    b = truncated_sums([7], 10 ** 4, segment_size=509)[7]
+def test_segment_size_determinism(monkeypatch):
+    c = truncated_sums([7], 10 ** 4)[7]
+    monkeypatch.setattr(primes, "_SEGMENT", 509)
+    a = truncated_sums([7], 10 ** 4)[7]
+    b = truncated_sums([7], 10 ** 4)[7]
     assert (a.f, a.g, a.v, a.w) == (b.f, b.g, b.v, b.w)
     # different segmentations may differ by the last ulp of the merge
-    c = truncated_sums([7], 10 ** 4)[7]
     assert abs(a.f - c.f) < 1e-14 and abs(a.w - c.w) < 1e-14
 
 

@@ -1,10 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from ekcyclo.primes import (count_primes_in, is_prime, mult_order,
-                            neighbor_flags, primes_in, primitive_root)
+from ekcyclo import primes
+from ekcyclo.admissible import singular_series_c1
+from ekcyclo.prime_sums import bias, truncated_sums
+from ekcyclo.primes import (count_primes_in, is_prime, mult_order, neighbor_flags,
+                            primes_in, primitive_root, simple_sieve)
 
 from _oracles import naive_is_prime, naive_primes_upto
 
@@ -55,17 +59,40 @@ def test_primes_in_matches_naive():
     assert primes_in(97, 1000).tolist() == [p for p in ref if 97 < p <= 1000]
 
 
-def test_primes_in_matches_dense_sieve_to_1e5():
-    from ekcyclo.primes import simple_sieve
-    assert np.array_equal(primes_in(0, 10 ** 5, segment_size=8192),
-                          simple_sieve(10 ** 5))
+@pytest.mark.parametrize("segment", [997, 8192])
+def test_segmentation_invariance(monkeypatch, segment):
+    # Below 2^22 each call sieves one segment.  Smaller segments keep the
+    # primes, counts and biases exactly.  A sum rounds each segment's class
+    # sums once before its exact merge, so it moves by at most 2^-52 times
+    # the mass of its terms, plus the roundings of the two results.
+    x, qs = 10 ** 5, (3, 4, 7, 997)
+    full, count = primes_in(0, x), count_primes_in(500, x)
+    biases, sums, c1 = [bias(x, q) for q in qs], truncated_sums(qs, x), singular_series_c1(x)
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
+    assert np.array_equal(full, simple_sieve(x))
+    assert np.array_equal(primes_in(0, x), full)
+    assert count_primes_in(500, x) == count == len(full) - 95
+    assert [bias(x, q) for q in qs] == biases
+    got = truncated_sums(qs, x)
+    assert got == truncated_sums(qs, x)
+    p = full.astype(np.float64)
+    inv, logs = np.sum(1 / p), np.sum(np.log(p) / p)
+    for q in qs:
+        assert got[q].v == sums[q].v  # the prime powers are not sieved in segments
+        for name, mass in (("f", inv), ("g", inv), ("w", logs / math.log(q))):
+            a, b = getattr(got[q], name), getattr(sums[q], name)
+            assert abs(a - b) <= 2 * math.ulp(b) + 2.0 ** -52 * mass, (q, name, a, b)
+    # C1 adds its segments' log sums one by one: at most 4 ulps apart here
+    for a, b in zip(singular_series_c1(x), c1):
+        assert abs(a - b) <= 8 * math.ulp(b), (a, b)
 
 
-def test_primes_in_segmentation_invariance():
+def test_primes_in_segmentation_invariance(monkeypatch):
     full = primes_in(0, 50_000)
-    small = primes_in(0, 50_000, segment_size=997)
+    monkeypatch.setattr(primes, "_SEGMENT", 997)
+    small = primes_in(0, 50_000)
     assert np.array_equal(full, small)
-    assert count_primes_in(0, 50_000, segment_size=997) == len(full)
+    assert count_primes_in(0, 50_000) == len(full)
 
 
 def test_primes_in_rejects_bad_range():
@@ -73,6 +100,12 @@ def test_primes_in_rejects_bad_range():
         primes_in(-1, 10)
     with pytest.raises(ValueError):
         primes_in(10, 5)
+
+
+def test_count_primes_in_rejects_bad_range():
+    for lo, hi in ((-10, 10), (5, 3)):
+        with pytest.raises(ValueError, match=rf"invalid range \({lo}, {hi}\]"):
+            count_primes_in(lo, hi)
 
 
 def test_primitive_root_examples():
@@ -125,8 +158,10 @@ def test_mult_order_divides_group_order():
 
 
 def test_mult_order_rejects_non_coprime():
-    with pytest.raises(ValueError):
-        mult_order(14, 7)
+    # the message names the caller's a, not its residue 0
+    for a in (14, 0, -7):
+        with pytest.raises(ValueError, match=rf"gcd\({a}, 7\) != 1"):
+            mult_order(a, 7)
 
 
 @pytest.mark.parametrize("q", [1, 4, 9, 15, 561])
