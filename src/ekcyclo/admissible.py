@@ -5,12 +5,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma
 
 from .primes import prime_blocks, simple_sieve
 from .special_functions import CONSTANTS
 
 C1_CUTOFF = 10 ** 8  # the singular series C1 is a product over the primes up to this cutoff
 _C2_K_MAX = 201  # c2 is minimised over odd k up to this bound
+_HARMONIC_C_MAX = 16.0  # there N ~ 6e12, and the measure steps by 1/(2N) ~ 20 ulps of c
 
 
 @dataclass(frozen=True)
@@ -57,20 +59,25 @@ def is_admissible(a: AdmissibleSet) -> bool:
 def harmonic_threshold(c: float) -> tuple[int, float]:
     """Least N whose greedy multiplier measure exceeds c, with that measure.
 
-    The measure is mu({1, 2, 4, ..., 2N}) = 1 + sum_{n<=N} 1/(2n), the
-    cheapest growth available when every multiplier beyond the unit must
-    be even.
+    The measure is mu({1, 2, 4, ..., 2N}) = 1 + H_N/2, H_N = sum_{n<=N} 1/n,
+    the cheapest growth available when every multiplier beyond the unit must
+    be even.  H_N = psi(N + 1) + gamma, and H_N - log N - gamma lies in (0,
+    1/(2N)], so N = exp(2(c - 1) - gamma) is within a step or two of the answer.
     """
     if not 0 < c < math.inf:  # a NaN would stop at once, an inf never
         raise ValueError(f"c must be finite and positive, got {c!r}")
-    terms = [1.0]
-    n = 0
-    total = 1.0
-    while total <= c:
+    if c > _HARMONIC_C_MAX:
+        raise ValueError(f"c must be at most {_HARMONIC_C_MAX:g}, got {c!r}")
+
+    def measure(n: int) -> float:  # 1.0 at n = 0: psi(1) = -gamma in binary64
+        return 1.0 + 0.5 * (float(digamma(n + 1.0)) + CONSTANTS.euler_gamma)
+
+    n = int(math.exp(2.0 * (c - 1.0) - CONSTANTS.euler_gamma))
+    while n and measure(n - 1) > c:
+        n -= 1
+    while measure(n) <= c:
         n += 1
-        terms.append(1.0 / (2 * n))
-        total += terms[-1]
-    return n, math.fsum(terms)
+    return n, measure(n)
 
 
 def c1_sum(q: int, k: int) -> float:

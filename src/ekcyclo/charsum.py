@@ -48,8 +48,8 @@ class KernelError(ValueError):
 
 def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
     """f((g^k mod q)/q) for k = 0..q-2, in power order."""
-    if kernel is KernelId.ZETA2:
-        vals = hurwitz_z2_at_rationals(ctx.powers(), ctx.q)
+    if kernel is KernelId.ZETA2:  # the pairs (a_k, a_{k+h} = q - a_k), k < h
+        vals = hurwitz_z2_at_rationals(ctx.powers()[:ctx.n // 2], ctx.q)
     else:
         x = ctx.powers() / ctx.q  # float64: every power is exact in it
         vals = x if kernel is KernelId.LINEAR else ln_gamma(x)
@@ -191,9 +191,9 @@ def transform_kernel(packed: np.ndarray) -> np.ndarray:
 def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
     """The packed parity transforms in double-double, batched in one DFT."""
     q, h = ctx.q, ctx.n // 2
-    a = ctx.powers()
-    lg, z2 = dd_gamma_zeta_kernels(a, q)
-    lin = DD(2 * a[:h] - q) / DD(float(q))
+    a = ctx.powers()[:h]
+    lg, z2 = dd_gamma_zeta_kernels(a, q)  # power order: a_{k+h} = q - a_k
+    lin = DD(2 * a - q) / DD(float(q))
     packed = pack_parities(lg, z2, lin, DDC.zeros((2, h)))
     u = roots_of_unity(ctx.n)  # w^k, and the chirp table of length h
     packed[ODD] *= u[:h]

@@ -12,7 +12,7 @@ import sys
 from . import analysis
 from .admissible import C1_CUTOFF, constants_table, harmonic_threshold
 from .dd import RoundingError
-from .ek_core import ComputationError
+from .ek_core import PRECISIONS, ComputationError
 from .store import RunConfig, StoreError, read_records, run_range, verify_reference
 
 
@@ -26,13 +26,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=int, required=True, dest="q_min")
     p.add_argument("--max", type=int, required=True, dest="q_max")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--precision", choices=("double", "dd"), default="double")
-    p.add_argument("--checkpoint-every", type=int, default=1000)
+    p.add_argument("--threads", type=int, default=RunConfig.threads)
+    p.add_argument("--precision", choices=PRECISIONS, default=RunConfig.precision)
+    p.add_argument("--checkpoint-every", type=int, default=RunConfig.checkpoint_every)
 
     p = sub.add_parser("verify-table2", help="recompute the tabulated kappa values")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--precision", choices=("double", "dd"), default="double")
+    p.add_argument("--precision", choices=PRECISIONS, default=PRECISIONS[0])
 
     p = sub.add_parser("analyze", help="histogram / spike / delta / envelope outputs")
     p.add_argument("--in", dest="in_path", required=True)

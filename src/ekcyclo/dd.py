@@ -36,6 +36,7 @@ from .special_functions import (
     LOG_2PI_STR,
     LOG_PI_STR,
     PI_STR,
+    horner_rows,
 )
 
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -116,9 +117,6 @@ class DD:
     def reshape(self, *shape) -> "DD":
         return _dd(self.hi.reshape(*shape), self.lo.reshape(*shape))
 
-    def take(self, idx, axis=-1) -> "DD":
-        return _dd(np.take(self.hi, idx, axis=axis), np.take(self.lo, idx, axis=axis))
-
     def copy(self) -> "DD":
         return _dd(self.hi.copy(), self.lo.copy())
 
@@ -145,9 +143,6 @@ class DD:
             other = DD(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return DD(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, float) and math.frexp(other)[0] == 0.5:
             return self.scale_pow2(other)  # a power of two scales exactly
@@ -168,9 +163,6 @@ class DD:
         r = r - other._mul_double(q2)
         q3 = r.hi / other.hi
         return _dd(*_quick_two_sum(q1, q2)) + q3
-
-    def __rtruediv__(self, other):
-        return DD(other) / self
 
     def _add_double(self, d):
         s, e = _two_sum(self.hi, d)
@@ -258,7 +250,7 @@ def dd_exp(a: DD) -> DD:
     for i in range(9, 0, -1):
         p = (p + _INV_FACT[i]) * r
     n = n.astype(np.int64)
-    t = _EXP_TABLE.take(n & 63)
+    t = _EXP_TABLE[n & 63]
     out = t + t * p
     two_k = np.ldexp(1.0, n >> 6)
     return _dd(out.hi * two_k, out.lo * two_k)
@@ -522,37 +514,30 @@ _HEAD = [DD.stack([DD.from_fraction(c) for c in col])[:, None] for col in _COLUM
 _BLOCK = 4000
 
 
-def dd_gamma_zeta_kernels(a: np.ndarray, q: int) -> tuple[DD, DD]:
-    """(log Gamma(a/q), zeta''(0, a/q)) in double-double for integer 0 < a < q.
+def dd_gamma_zeta_kernels(b: np.ndarray, q: int) -> tuple[DD, DD]:
+    """(log Gamma(a/q), zeta''(0, a/q)) in double-double at a = b, then at
+    a = q - b, for integers 0 < b < q: each of length 2 len(b).
 
     log Gamma(x) = LG(3/2 + t) - log x and zeta''(0, x) = F(3/2 + t) + log^2 x
-    with t = x - 1/2 (see special_functions): the pair a = b and a = q - b,
-    b = 1..q/2, shares u = t^2 and the four Horner polynomials, and log x is
-    the dd log of the integer b or q - b less log q.  Blocks of b are filled
-    in place; every operation is elementwise, so no value depends on its block.
+    with t = x - 1/2 (see special_functions): a = b and a = q - b share u =
+    t^2 and the four Horner polynomials, and log x is the dd log of the
+    integer b or q - b less log q.  Blocks of b fill the (2, 2, len(b))
+    result, and as in binary64 no value depends on its block or on which of
+    a pair is b.
     """
-    lg, z2 = DD.zeros(q - 1), DD.zeros(q - 1)
-    half = q // 2
-    for lo in range(0, half, _BLOCK):
-        b = np.arange(lo + 1.0, min(lo + _BLOCK, half) + 1.0)
-        t = DD(2.0 * b - q) / DD(2.0 * q)  # b/q - 1/2
+    b = np.asarray(b, dtype=np.float64)
+    out = _dd(np.empty((2, 2, b.size)), np.empty((2, 2, b.size)))  # LG, F; a = b, q - b
+    for lo in range(0, b.size, _BLOCK):
+        bb = b[lo:lo + _BLOCK]
+        t = DD(2.0 * bb - q) / DD(2.0 * q)  # b/q - 1/2
         u = t * t
-        tail = np.empty((4, b.size))
-        tail[:] = _TAIL[0]
-        for c in _TAIL[1:]:
-            tail *= u.hi
-            tail += c
-        p = DD(tail)
+        p = DD(horner_rows(_TAIL, u.hi))
         for c in _HEAD:
             p = p * u + c
         even, odd = p[0::2], p[1::2] * t  # rows LG, F
-        logs = dd_log(DD(np.concatenate([b, q - b, [q]])))  # log q rides along, last
-        logs = (logs[:-1] - logs[-1]).reshape(2, b.size)  # log(b/q), log((q - b)/q)
+        logs = dd_log(DD(np.concatenate([bb, q - bb, [q]])))  # log q rides along, last
+        logs = (logs[:-1] - logs[-1]).reshape(2, bb.size)  # log(b/q), log((q - b)/q)
         # rows LG, F; columns a = b (at 3/2 + t) and a = q - b (at 3/2 - t)
-        vals = DD.stack([even + odd, even - odd], axis=1) + DD.stack([-logs, logs * logs])
-        end = lo + b.size
-        for out, v in zip((lg, z2), vals):
-            out[lo:end] = v[0]
-            out[q - 1 - end:q - 1 - lo] = v[1, ::-1]
-    idx = np.asarray(a, dtype=np.int64) - 1
-    return lg.take(idx), z2.take(idx)
+        out[:, :, lo:lo + bb.size] = (DD.stack([even + odd, even - odd], axis=1)
+                                      + DD.stack([-logs, logs * logs]))
+    return out[0].reshape(-1), out[1].reshape(-1)

@@ -36,6 +36,7 @@ from .primes import NeighborFlags, PrimeContext, neighbor_flags, primitive_root
 from .special_functions import CONSTANTS, compensated_sum
 
 _C = CONSTANTS.log_2pi + CONSTANTS.euler_gamma
+PRECISIONS = ("double", "dd")  # binary64 and double-double; the first is the default
 
 
 class ComputationError(ArithmeticError):
@@ -188,7 +189,7 @@ def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
     return PackedTransforms(q=ctx.q, packed=packed, spec=transform_kernel(packed))
 
 
-def compute_record(q: int, mode: str = "double") -> EkRecord:
+def compute_record(q: int, mode: str = PRECISIONS[0]) -> EkRecord:
     """Full pipeline for one odd prime q.
 
     Each record takes two packed length-(q-1)/2 transforms, one per parity
@@ -196,7 +197,7 @@ def compute_record(q: int, mode: str = "double") -> EkRecord:
     mode "double" runs in binary64; mode "dd" recomputes kernels, twiddle
     factors and the assembly in double-double arithmetic.
     """
-    if mode not in ("double", "dd"):
+    if mode not in PRECISIONS:
         raise ValueError(f"unknown precision mode {mode!r}")
     ctx = primitive_root(q)
     flags = neighbor_flags(ctx.q)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .ek_core import EkRecord, compute_record
+from .ek_core import PRECISIONS, EkRecord, compute_record
 from .primes import NeighborFlags, primes_in
 from .reference import kappa_reference
 
@@ -93,7 +93,7 @@ class RunConfig:
     q_max: int
     out_path: str
     threads: int = 1
-    precision: str = "double"  # "double" | "dd"
+    precision: str = PRECISIONS[0]
     checkpoint_every: int = 1000
 
     def __post_init__(self):
@@ -101,8 +101,8 @@ class RunConfig:
             raise ValueError("need 3 <= q_min <= q_max")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.precision not in ("double", "dd"):
-            raise ValueError("precision must be 'double' or 'dd'")
+        if self.precision not in PRECISIONS:
+            raise ValueError("precision must be " + " or ".join(map(repr, PRECISIONS)))
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
 
@@ -213,7 +213,7 @@ class VerificationResult:
         return not self.offenders
 
 
-def verify_reference(tol: float, mode: str = "double") -> VerificationResult:
+def verify_reference(tol: float, mode: str = PRECISIONS[0]) -> VerificationResult:
     """Recompute kappa(q) for every tabulated q < 1000 against the reference."""
     table = kappa_reference()
     worst = -1.0

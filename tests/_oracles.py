@@ -122,6 +122,19 @@ def mirrored_prime_sum(q: int, x: float, weight: str) -> float:
     return total / math.log(q) if weight in ("w", "v") else total
 
 
+def harmonic_threshold_loop(c: float) -> tuple[int, float]:
+    """Least N with 1 + sum_{n<=N} 1/(2n) > c, and that sum, by adding one term
+    at a time (the threshold as first written: O(N) in time and memory)."""
+    terms = [1.0]
+    n = 0
+    total = 1.0
+    while total <= c:
+        n += 1
+        terms.append(1.0 / (2 * n))
+        total += terms[-1]
+    return n, math.fsum(terms)
+
+
 def omega_mirrored(p: int, elements: tuple[int, ...]) -> int:
     """Root count of X prod (a_i X - 1) mod p by direct scan."""
     count = 0
@@ -139,15 +152,11 @@ def unblocked_dd_kernels(q: int):
     pass of the Taylor series over every a with its own t = a/q - 1/2: no
     blocks, and a and q - a not paired."""
     from ekcyclo.dd import _HEAD, _TAIL, DD, dd_log
+    from ekcyclo.special_functions import horner_rows
     a = np.arange(1.0, q)
     t = DD(2.0 * a - q) / DD(2.0 * q)
     u = t * t
-    tail = np.empty((4, a.size))
-    tail[:] = _TAIL[0]
-    for c in _TAIL[1:]:
-        tail *= u.hi
-        tail += c
-    p = DD(tail)
+    p = DD(horner_rows(_TAIL, u.hi))
     for c in _HEAD:
         p = p * u + c
     f = p[0::2] + p[1::2] * t  # LG(1 + a/q), F(1 + a/q)
@@ -324,8 +333,8 @@ def own_root_dd_spectra(ctx: PrimeContext):
     from ekcyclo.charsum import ODD, pack_parities
     from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels, roots_of_unity
     q, h = ctx.q, ctx.n // 2
-    a = ctx.powers()
+    a = ctx.powers()[:h]
     lg, z2 = dd_gamma_zeta_kernels(a, q)
-    packed = pack_parities(lg, z2, DD(2 * a[:h] - q) / DD(float(q)), DDC.zeros((2, h)))
+    packed = pack_parities(lg, z2, DD(2 * a - q) / DD(float(q)), DDC.zeros((2, h)))
     packed[ODD] *= roots_of_unity(ctx.n)[:h]
     return packed, own_root_dd_dft(packed)

@@ -171,13 +171,13 @@ def test_criterion_7_property_battery(desk_run, tmp_path):
     # points a/q nearest to uniform draws
     q = 10007
     a = np.rint(rng.uniform(0.01, 0.99, 1000) * q).astype(np.int64)
-    lg, _ = dd_gamma_zeta_kernels(a, q)
-    ok_lerch = bool(np.max(np.abs(lg.hi - ln_gamma(a / q))) <= 1e-11)
+    lg, _ = dd_gamma_zeta_kernels(a, q)  # at a, then at q - a
+    ok_lerch = bool(np.max(np.abs(lg.hi - ln_gamma(np.concatenate([a, q - a]) / q))) <= 1e-11)
     q = 997
     a = np.rint(rng.uniform(0.01, 0.99, 25) * q).astype(np.int64)
     step = mp.mpf("1e-4")
     ok_fd = True
-    for ai, z2 in zip(a, hurwitz_z2_at_rationals(a, q)):
+    for ai, z2 in zip(np.concatenate([a, q - a]), hurwitz_z2_at_rationals(a, q)):
         xx = mp.mpf(int(ai)) / q
         fd = (mp.zeta(step, xx) - 2 * mp.zeta(0, xx) + mp.zeta(-step, xx)) / step ** 2
         ok_fd &= abs(z2 - float(fd)) < 1e-6

@@ -7,7 +7,7 @@ from ekcyclo.admissible import (AdmissibleSet, c1_sum, c2_minimum, c2_sum,
                                 constants_table, harmonic_threshold, is_admissible,
                                 omega, singular_series_c1)
 
-from _oracles import naive_primes_upto, omega_mirrored
+from _oracles import harmonic_threshold_loop, naive_primes_upto, omega_mirrored
 
 
 def test_omega_examples():
@@ -73,6 +73,28 @@ def test_harmonic_threshold_small_c():
     for c in (math.nan, 0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match=f"finite and positive, got {c!r}"):
             harmonic_threshold(c)
+
+
+def test_harmonic_threshold_matches_term_by_term_loop():
+    # the same N as adding 1/(2n) one term at a time, and the measure within
+    # 1e-15 of that sum's exactly rounded value (3.2e-16 at most measured)
+    rng = np.random.default_rng(2024)
+    for c in [1.0, 1.5, 4.0, 6.0, 8.0, *rng.uniform(0.3, 8.0, 40)]:
+        n, total = harmonic_threshold(c)
+        want_n, want_total = harmonic_threshold_loop(c)
+        assert n == want_n, c
+        assert abs(total - want_total) <= 1e-15 * want_total, c
+
+
+def test_harmonic_threshold_large_c():
+    # N = 2e9 at c = 12, and the first measure past c stays distinguishable
+    # from the one before it up to c = 16, which is the limit
+    n, total = harmonic_threshold(12.0)
+    assert n == 2012783315 and 12.0 < total < 12.0 + 1e-10
+    n, total = harmonic_threshold(16.0)
+    assert total > 16.0
+    with pytest.raises(ValueError, match=r"c must be at most 16, got 16\.5"):
+        harmonic_threshold(16.5)
 
 
 def test_harmonic_threshold_monotone():

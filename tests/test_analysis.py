@@ -131,6 +131,13 @@ def test_envelope_check(table_records):
         bad = envelope_check([_fake_record(q, 5.0)])
         assert len(bad) == 1 and bad[0].kind == "hard" and bad[0].q == q
     assert envelope_check([]) == []
+    # at q = 1e5 the hard envelope is log log q + 1.41 = 3.85 and the soft one
+    # 2|kappa| > log log log q + 2 = 2.89: kappa = +-2 is soft, 1.4 is neither
+    got = envelope_check([_fake_record(10 ** 5, k) for k in (2.0, -2.0, 1.4)])
+    assert [(a.q, a.kappa, a.kind) for a in got] == [(10 ** 5, 2.0, "soft"),
+                                                     (10 ** 5, -2.0, "soft")]
+    # below q = 20 there is no soft check
+    assert envelope_check([_fake_record(19, 2.0)]) == []
 
 
 def test_histogram_rejects_nan():

@@ -280,9 +280,11 @@ def test_wide_slices_trip_residual_check(monkeypatch):
 
 def test_gamma_zeta_kernels_against_mpmath():
     q = 61
-    a = np.arange(1, q)
-    lngam, z2 = dd_gamma_zeta_kernels(a, q)
-    for i in (0, 1, 29, 58, 59 - 1):
+    b = np.arange(1, 31)
+    a = np.concatenate([b, q - b])  # the kernels return at b, then at q - b
+    lngam, z2 = dd_gamma_zeta_kernels(b, q)
+    assert lngam.shape == z2.shape == (q - 1,)
+    for i in (0, 1, 29, 30, 58, 59):
         xa = mp.mpf(int(a[i])) / q
         assert abs(as_mp(lngam, (i,)) - mp.loggamma(xa)) < mp.mpf("1e-27")
         assert abs(as_mp(z2, (i,)) - mp.zeta(0, xa, 2)) < mp.mpf("1e-27")
@@ -300,7 +302,7 @@ def test_gamma_zeta_kernels_at_dd_precision(q):
     # (5.2e-31 at most measured, most of it from the dd logs of a and q)
     a = _kernel_points(q)
     lngam, z2 = dd_gamma_zeta_kernels(a, q)
-    for i, ai in enumerate(a):
+    for i, ai in enumerate(np.concatenate([a, q - a])):
         x = mp.mpf(int(ai)) / q
         for got, want in ((as_mp(lngam, (i,)), mp.loggamma(x)), (as_mp(z2, (i,)), mp.zeta(0, x, 2))):
             assert abs(got - want) <= mp.mpf("1e-30") * max(1, abs(want)), (q, int(ai))
@@ -308,15 +310,17 @@ def test_gamma_zeta_kernels_at_dd_precision(q):
 
 @pytest.mark.parametrize("block", [4096, 10])
 def test_blocked_kernels_match_unblocked_reference(monkeypatch, block):
-    # 4104 values of b in blocks of 4096 (one full block and one of 8), or of
-    # 10 (410 full blocks and one of 4), against one pass over every a
+    # 4104 values of b, the first half of the power order, in blocks of 4096
+    # (one full block and one of 8), or of 10 (410 full blocks and one of 4),
+    # against one pass over every a, in both halves b and q - b
     from _oracles import unblocked_dd_kernels
+    from ekcyclo.primes import primitive_root
     monkeypatch.setattr(ddm, "_BLOCK", block)
     q = 8209
-    a = np.arange(1, q)[::-1]
-    got = dd_gamma_zeta_kernels(a, q)
+    b = primitive_root(q).powers()[:q // 2]
+    got = dd_gamma_zeta_kernels(b, q)
     for lhs, rhs in zip(got, unblocked_dd_kernels(q)):
-        assert bits_equal(lhs, rhs.take(a - 1))
+        assert bits_equal(lhs, rhs[np.concatenate([b, q - b]) - 1])
 
 
 def test_from_string_round_trip():

@@ -53,6 +53,17 @@ def test_primes_in_examples():
     assert len(primes_in(500, 1000)) == 73  # pi(1000) - pi(500) = 168 - 95
 
 
+def test_empty_range_sieves_nothing(monkeypatch):
+    # an empty range returns before the base sieve up to sqrt(hi), which at
+    # hi = 1e18 would take a gigabyte
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit}")
+    monkeypatch.setattr(primes, "simple_sieve", no_sieve)
+    assert primes_in(5, 5).tolist() == []
+    assert primes_in(0, 1).tolist() == []
+    assert count_primes_in(10 ** 18, 10 ** 18) == 0
+
+
 def test_primes_in_matches_naive():
     ref = naive_primes_upto(10 ** 4)
     assert primes_in(0, 10 ** 4).tolist() == ref

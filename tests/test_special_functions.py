@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekcyclo.dd import dd_gamma_zeta_kernels
+from ekcyclo.primes import primitive_root
 from ekcyclo.special_functions import (_FSUM_MAX, CONSTANTS, F_TAYLOR_STR, LG_TAYLOR_STR,
                                        compensated_sum, hurwitz_z2_at_rationals, ln_gamma)
 from make_hurwitz_taylor import TERMS, f_coefficient, lg_coefficient, tables
@@ -63,11 +64,20 @@ def _z2_second_difference(x):
 
 
 def test_hurwitz_examples():
-    # the dd log Gamma kernel against scipy's
+    # the dd log Gamma kernel against scipy's, at b = 1 and its partner q - b
     lg, _ = dd_gamma_zeta_kernels(np.array([1]), 4)
+    assert lg.shape == (2,)
     assert abs(lg.hi[0] - ln_gamma(0.25)) < 1e-11
-    assert abs(hurwitz_z2_at_rationals(np.array([1]), 3)[0]
-               - _z2_second_difference(mp.mpf(1) / 3)) < 1e-6
+    assert abs(lg.hi[1] - ln_gamma(0.75)) < 1e-11
+    z2 = hurwitz_z2_at_rationals(np.array([1]), 3)
+    assert z2.shape == (2,)
+    for x, got in zip((mp.mpf(1) / 3, mp.mpf(2) / 3), z2):
+        assert abs(got - _z2_second_difference(x)) < 1e-6
+
+
+def _with_partners(b, q):
+    """The points a the kernels return at for b: b, then q - b."""
+    return np.concatenate([b, q - b])
 
 
 def test_hurwitz_against_mpmath_direct():
@@ -76,7 +86,8 @@ def test_hurwitz_against_mpmath_direct():
     a = _rationals(rng.uniform(0.005, 0.995, 60), q)
     z1 = dd_gamma_zeta_kernels(a, q)[0].hi - 0.5 * CONSTANTS.log_2pi
     z2 = hurwitz_z2_at_rationals(a, q)
-    for ai, d1, d2 in zip(a, z1, z2):
+    assert z1.shape == z2.shape == (2 * a.size,)
+    for ai, d1, d2 in zip(_with_partners(a, q), z1, z2):
         x = mp.mpf(int(ai)) / q
         assert abs(d1 - float(mp.zeta(0, x, 1))) < 1e-10
         assert abs(d2 - float(mp.zeta(0, x, 2))) < 1e-10
@@ -86,7 +97,9 @@ def test_hurwitz_z2_finite_difference_oracle():
     rng = np.random.default_rng(11)
     q = 997
     a = _rationals(rng.uniform(0.01, 0.99, 100), q)
-    for ai, z2 in zip(a, hurwitz_z2_at_rationals(a, q)):
+    z2s = hurwitz_z2_at_rationals(a, q)
+    assert z2s.shape == (2 * a.size,)
+    for ai, z2 in zip(_with_partners(a, q), z2s):
         assert abs(z2 - _z2_second_difference(mp.mpf(int(ai)) / q)) < 1e-6
 
 
@@ -95,7 +108,7 @@ def test_lerch_property_random():
     q = 10007
     a = _rationals(rng.uniform(0.01, 0.99, 1000), q)
     lg, _ = dd_gamma_zeta_kernels(a, q)
-    assert np.max(np.abs(lg.hi - ln_gamma(a / q))) <= 1e-11
+    assert np.max(np.abs(lg.hi - ln_gamma(_with_partners(a, q) / q))) <= 1e-11
 
 
 @settings(max_examples=200)
@@ -108,28 +121,30 @@ def test_reflection_identity(x):
 
 def test_z2_rational_fast_path_matches_generic():
     # the generic evaluator is mpmath's Hurwitz zeta; a full row at q = 997
-    # takes about a second there, so that row is sampled
+    # takes about a second there, so that row is sampled.  b = 1..(q-1)/2
+    # and its partners are the full rows at q = 7 and 97
     rng = np.random.default_rng(5)
-    for q, a in ((7, np.arange(1, 7)), (97, np.arange(1, 97)),
+    for q, b in ((7, np.arange(1, 4)), (97, np.arange(1, 49)),
                  (997, np.sort(rng.choice(np.arange(1, 997), 100, replace=False)))):
-        fast = hurwitz_z2_at_rationals(a, q)
-        ref = np.array([float(mp.zeta(0, mp.mpf(int(ai)) / q, 2)) for ai in a])
+        fast = hurwitz_z2_at_rationals(b, q)
+        ref = np.array([float(mp.zeta(0, mp.mpf(int(ai)) / q, 2)) for ai in _with_partners(b, q)])
         assert np.max(np.abs(fast - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("q", [8191, 8209, 16411, 32771])
 @pytest.mark.parametrize("small_block", [False, True])
 def test_blocked_z2_matches_unblocked_reference(monkeypatch, q, small_block):
-    # the kernel fills b = 1..(q-1)/2 and the partners q - b by blocks of b:
-    # (q-1)/2 = 4095, 4104, 8205 and 16385 values of b take one partial block
-    # of 8192 at the first two q, then a last block of 13 and of 1; blocks of 7
-    # end in 7, 2, 1 and 5.  Either must match one block over all b, bit for bit
+    # the kernel fills the values at b, the first half of the power order, and
+    # at the partners q - b by blocks of b: (q-1)/2 = 4095, 4104, 8205 and
+    # 16385 values of b take one partial block of 8192 at the first two q,
+    # then a last block of 13 and of 1; blocks of 7 end in 7, 2, 1 and 5.
+    # Either must match one block over all b, bit for bit, in both halves
     import ekcyclo.special_functions as sf
-    a = np.arange(1, q)[::-1]
+    b = primitive_root(q).powers()[:q // 2]
     monkeypatch.setattr(sf, "_BLOCK", q)
-    want = hurwitz_z2_at_rationals(a, q)
+    want = hurwitz_z2_at_rationals(b, q)
     monkeypatch.setattr(sf, "_BLOCK", 7 if small_block else 8192)
-    got = hurwitz_z2_at_rationals(a, q)
+    got = hurwitz_z2_at_rationals(b, q)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -190,9 +205,10 @@ def test_z2_kernel_within_rounding_bound_of_dd(q):
     # - the series tail past c_33 (below 2e-17) and the dd value's own error.
     from ekcyclo.special_functions import _Z2_TAYLOR
     eps = 2.0 ** -53
-    a = np.arange(1, q)
-    lg, z2_dd = dd_gamma_zeta_kernels(a, q)
-    got = hurwitz_z2_at_rationals(a, q)
+    b = np.arange(1, q // 2 + 1)
+    a = _with_partners(b, q)  # every a once
+    lg, z2_dd = dd_gamma_zeta_kernels(b, q)
+    got = hurwitz_z2_at_rationals(b, q)
     t = np.abs(a / q - 0.5)
     j = np.arange(len(_Z2_TAYLOR))[:, None]
     n = 3 * j + 4

@@ -269,6 +269,38 @@ def test_refused_resume_leaves_csv_intact(tmp_path, monkeypatch, capsys, damage)
     assert out.read_bytes() == before
 
 
+def test_checkpoint_without_csv_starts_fresh(tmp_path, monkeypatch):
+    # a checkpoint whose CSV is gone is stale: it is deleted, and the run
+    # writes the whole range as a run that never had one would
+    out = _interrupted_run(tmp_path, monkeypatch)
+    ck = Path(str(out) + ".checkpoint")
+    assert ck.exists()
+    out.unlink()
+    cfg = RunConfig(3, 200, str(out), checkpoint_every=10)
+    assert store._load_checkpoint(cfg) is None
+    assert not ck.exists()
+    ck.write_text(json.dumps({"last_q": 31}))  # stale again, and unreadable too
+    assert run_range(cfg) == 45  # the odd primes up to 200
+    fresh = tmp_path / "fresh.csv"
+    run_range(RunConfig(3, 200, str(fresh)))
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [("last_q", "31"), ("last_q", 31.0),
+                                          ("nbytes", -1), ("nbytes", None)])
+def test_ill_typed_checkpoint_fields_refused(tmp_path, monkeypatch, capsys, field, value):
+    # the run identity matches, so only the type and sign checks of last_q
+    # and nbytes stand between these values and the CSV
+    out = _interrupted_run(tmp_path, monkeypatch)
+    ck = Path(str(out) + ".checkpoint")
+    ck.write_text(json.dumps({**json.loads(ck.read_text()), field: value}))
+    before = out.read_bytes()
+    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
+                     "--checkpoint-every", "10"]) == 2
+    assert f"checkpoint {ck} is unreadable: last_q " in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 @pytest.mark.parametrize("text", ["{not json", '["a list"]',
                                   "drop nbytes", "drop sha256", "drop last_q"])
 def test_corrupt_checkpoint_refused(tmp_path, monkeypatch, capsys, text):
@@ -340,6 +372,9 @@ def test_read_records_rejects_malformed(tmp_path):
     bad.write_text("not,a,header\n")
     with pytest.raises(StoreError, match=re.escape(f"{bad}: line 1")):
         read_records(bad)
+    bad.write_text(CSV_HEADER + "\n3,0.1,0.2,-0.1,0.3,0.4,0,1,2,0\n")
+    with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2: flag fields must be 0/1")):
+        read_records(bad)
     bad.write_bytes(CSV_HEADER.encode() + b"\n3,0.1\xff\n")
     with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2: non-ASCII byte 0xff")):
         read_records(bad)
@@ -356,8 +391,10 @@ def test_run_config_validation(tmp_path):
         RunConfig(11, 5, str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
         RunConfig(3, 5, str(tmp_path / "x.csv"), threads=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="precision must be 'double' or 'dd'"):
         RunConfig(3, 5, str(tmp_path / "x.csv"), precision="quad")
+    with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+        RunConfig(3, 5, str(tmp_path / "x.csv"), checkpoint_every=0)
 
 
 def test_verify_reference_pass_and_fail(monkeypatch):
@@ -458,6 +495,18 @@ def test_cli_analyze_unreadable_input_exits_2(tmp_path, damage):
     if damage == "non-ascii":
         assert line == f"error: {target}: line 2: non-ASCII byte 0xff"
     assert list(tmp_path.glob("p_*")) == []
+
+
+def test_cli_analyze_one_row_writes_nan_overlay(tmp_path):
+    # one kappa has no spread: the normal overlay is nan in every cell
+    one = tmp_path / "one.csv"
+    run_range(RunConfig(3, 3, str(one)))
+    prefix = str(tmp_path / "p_")
+    assert cli_main(["analyze", "--in", str(one), "--bins", "0.1", "--out-prefix", prefix]) == 0
+    rows = Path(prefix + "histogram.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12 + 2
+    assert {row.split(",")[2] for row in rows} == {"nan"}
+    assert sum(int(row.split(",")[1]) for row in rows) == 1
 
 
 def test_cli_analyze_rejects_nan_kappa(tmp_path, capsys):
