@@ -1,7 +1,6 @@
 """Euler-Kronecker constants, Kummer ratios and prime-sum statistics
 for prime cyclotomic fields."""
 
-# before the submodule imports: store binds it into its checkpoints
 __version__ = "0.1.0"
 
 from .admissible import (AdmissibleSet, NamedConstant, c1_sum, c2_minimum, c2_sum,

@@ -5,14 +5,17 @@ CSV schema (one row per odd prime, ordered by q, LF endings):
     q,kappa,r,delta,gamma_plus,gamma,sg2p,sg2m,sg4p,sg4m
 
 Reals carry 17 significant digits (lossless binary64 round-trip), booleans
-are 0/1.  A run writes a sidecar checkpoint (the run's range, precision,
-CSV header and library version, the last completed q, and the byte count
-and digest of everything emitted) so an interrupted range resumes to a
-byte-identical file, and a checkpoint of another run is refused; output
+are 0/1, and q ascends.  A run holds an exclusive lock on its CSV and writes
+a sidecar checkpoint (the run's range and precision, a digest of the code,
+and the byte count and digest of the rows emitted, the last of which names
+the last completed q) so an interrupted range resumes to a byte-identical
+file, and a checkpoint of another run or other code is refused; output
 bytes do not depend on the worker count.
 """
 from __future__ import annotations
 
+import fcntl
+import functools
 import hashlib
 import itertools
 import json
@@ -22,7 +25,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+import scipy
+
 from .ek_core import PRECISIONS, EkRecord, compute_record
 from .primes import NeighborFlags, primes_in
 from .reference import kappa_reference
@@ -69,7 +74,8 @@ def _ascii_line(line: str, lineno: int) -> str:
 
 
 def read_records(path: str | os.PathLike) -> list[EkRecord]:
-    """The rows of a CSV of this schema; every StoreError starts with the path."""
+    """The rows of a CSV of this schema, in ascending q; every StoreError
+    starts with the path."""
     out = []
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
@@ -79,7 +85,11 @@ def read_records(path: str | os.PathLike) -> list[EkRecord]:
             for lineno, line in enumerate(f, start=2):
                 line = _ascii_line(line, lineno)
                 if line:
-                    out.append(parse_record(line, lineno))
+                    rec = parse_record(line, lineno)
+                    if out and rec.q <= out[-1].q:
+                        raise StoreError(f"line {lineno}: q {rec.q} is not above the "
+                                         f"previous row's q {out[-1].q}")
+                    out.append(rec)
         if not out:
             raise StoreError("no data rows")
     except StoreError as exc:
@@ -111,23 +121,31 @@ def _checkpoint_path(out_path: str) -> Path:
     return Path(str(out_path) + ".checkpoint")
 
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 of this package's sources and the numpy and scipy versions: the
+    code whose rows a checkpoint vouches for."""
+    h = hashlib.sha256(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _run_identity(cfg: RunConfig) -> dict:
     """The checkpoint fields a resume must match."""
     return {"q_min": cfg.q_min, "q_max": cfg.q_max, "precision": cfg.precision,
-            "header": CSV_HEADER, "version": __version__}
+            "code": _code_digest()}
 
 
-def _load_checkpoint(cfg: RunConfig) -> tuple[int, int, "hashlib._Hash"] | None:
+def _load_checkpoint(cfg: RunConfig, out) -> tuple[int, int, "hashlib._Hash"] | None:
+    """The last q, byte count and digest of the rows of the open CSV out
+    that its checkpoint vouches for, or None without a checkpoint."""
     ck_path = _checkpoint_path(cfg.out_path)
-    out = Path(cfg.out_path)
     if not ck_path.exists():
-        return None
-    if not out.exists():
-        ck_path.unlink()
         return None
     try:
         state = json.loads(ck_path.read_text())
-        last_q, nbytes, sha = state["last_q"], state["nbytes"], state["sha256"]
+        nbytes, sha = state["nbytes"], state["sha256"]
     except (ValueError, KeyError, TypeError) as exc:
         raise StoreError(f"checkpoint {ck_path} is unreadable: {exc!r}") from exc
     # everything is checked before the CSV is truncated, so a refused resume
@@ -137,34 +155,32 @@ def _load_checkpoint(cfg: RunConfig) -> tuple[int, int, "hashlib._Hash"] | None:
         if got != want:
             raise StoreError(f"checkpoint {ck_path} belongs to another run: "
                              f"{field} is {got!r}, this run has {want!r}")
-    if not (isinstance(last_q, int) and isinstance(nbytes, int) and nbytes >= 0):
-        raise StoreError(f"checkpoint {ck_path} is unreadable: last_q {last_q!r}, "
-                         f"nbytes {nbytes!r}")
-    with open(out, "r+b") as f:
-        head = f.read(nbytes)
-        if len(head) < nbytes:
-            raise StoreError(f"{cfg.out_path} has {len(head)} bytes, fewer than the "
-                             f"{nbytes} its checkpoint {ck_path} names")
-        digest = hashlib.sha256(head)
-        if digest.hexdigest() != sha:
-            raise StoreError(f"checkpoint digest mismatch for {cfg.out_path}")
-        last_row = head[:-1].rsplit(b"\n", 1)[-1]
-        if not last_row.startswith(b"%d," % last_q):
-            raise StoreError(f"checkpoint {ck_path} names last_q {last_q}, but the last "
-                             f"row of its {nbytes} bytes starts {last_row[:16]!r}")
-        f.truncate(nbytes)
-    return last_q, nbytes, digest
+    if not (isinstance(nbytes, int) and nbytes >= 0):
+        raise StoreError(f"checkpoint {ck_path} is unreadable: nbytes {nbytes!r}")
+    out.seek(0)
+    head = out.read(nbytes)
+    if len(head) < nbytes:
+        raise StoreError(f"{cfg.out_path} has {len(head)} bytes, fewer than the "
+                         f"{nbytes} its checkpoint {ck_path} names")
+    digest = hashlib.sha256(head)
+    if digest.hexdigest() != sha:
+        raise StoreError(f"checkpoint digest mismatch for {cfg.out_path}")
+    last_q = head[:-1].rsplit(b"\n", 1)[-1].partition(b",")[0]
+    if not (head.endswith(b"\n") and last_q.isdigit()):
+        raise StoreError(f"checkpoint {ck_path} is unreadable: its {nbytes} bytes "
+                         f"do not end in a row")
+    return int(last_q), nbytes, digest
 
 
-def _write_checkpoint(cfg: RunConfig, last_q: int, nbytes: int, digest) -> None:
+def _write_checkpoint(cfg: RunConfig, nbytes: int, digest) -> None:
     ck_path = _checkpoint_path(cfg.out_path)
     tmp = ck_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps({**_run_identity(cfg), "last_q": last_q, "nbytes": nbytes,
+    tmp.write_text(json.dumps({**_run_identity(cfg), "nbytes": nbytes,
                                "sha256": digest.hexdigest()}))
     tmp.replace(ck_path)
 
 
-def _records_for(pending: list[int], mode: str, threads: int):
+def _records_for(pending: list[int], mode: str, threads: int, out_fd: int):
     # compute_record is read from this module at call time, so a wrapper put on
     # store.compute_record sees every serial call
     modes = itertools.repeat(mode)
@@ -173,32 +189,48 @@ def _records_for(pending: list[int], mode: str, threads: int):
         return
     # about four chunks per worker, so that a few heavy primes still spread out
     chunksize = max(1, min(16, len(pending) // (4 * threads)))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a forked worker closes its copy of the locked output's descriptor: the
+    # lock then dies with the run, even if the run's workers outlive it
+    with ProcessPoolExecutor(max_workers=threads, initializer=os.close,
+                             initargs=(out_fd,)) as pool:
         yield from pool.map(compute_record, pending, modes, chunksize=chunksize)
 
 
 def run_range(cfg: RunConfig) -> int:
-    """Write one CSV row per odd prime in [q_min, q_max]; resumable; returns rows."""
-    last_q, nbytes, digest = _load_checkpoint(cfg) or (0, 0, hashlib.sha256())
-    pending = primes_in(max(cfg.q_min - 1, 2, last_q), cfg.q_max).tolist()
-    rows = 0
-    with open(cfg.out_path, "a" if nbytes else "w", encoding="ascii", newline="\n") as f:
+    """Write one CSV row per odd prime in [q_min, q_max]; resumable; returns rows.
+
+    Another run on the same CSV is refused while this one holds it."""
+    fresh = not os.path.exists(cfg.out_path)  # seen before the open creates it
+    with open(cfg.out_path, "a+b") as f:
+        try:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)  # held until f closes
+        except BlockingIOError:
+            raise StoreError(f"{cfg.out_path} is held by another run") from None
+        if fresh:  # a checkpoint without its CSV is stale
+            _checkpoint_path(cfg.out_path).unlink(missing_ok=True)
+        last_q, nbytes, digest = _load_checkpoint(cfg, f) or (0, 0, hashlib.sha256())
+        f.truncate(nbytes)
+        pending = primes_in(max(cfg.q_min - 1, 2, last_q), cfg.q_max).tolist()
+        rows = 0
+
         def emit(line: str) -> None:
             nonlocal nbytes
-            f.write(line)
-            digest.update(line.encode("ascii"))
-            nbytes += len(line)
+            data = line.encode("ascii")
+            f.write(data)
+            digest.update(data)
+            nbytes += len(data)
 
         if not nbytes:
             emit(CSV_HEADER + "\n")
-        for rec in _records_for(pending, cfg.precision, cfg.threads):
+        for rec in _records_for(pending, cfg.precision, cfg.threads, f.fileno()):
             emit(format_record(rec) + "\n")
             rows += 1
             if rows % cfg.checkpoint_every == 0:
                 f.flush()
                 os.fsync(f.fileno())  # the rows reach the disk before the checkpoint names them
-                _write_checkpoint(cfg, rec.q, nbytes, digest.copy())
-    _checkpoint_path(cfg.out_path).unlink(missing_ok=True)
+                _write_checkpoint(cfg, nbytes, digest.copy())
+        f.flush()  # every row is written before the checkpoint goes, under the lock
+        _checkpoint_path(cfg.out_path).unlink(missing_ok=True)
     return rows
 
 

@@ -2,9 +2,8 @@
 
 For each (precision, q) below the file holds float.hex of kappa, r,
 gamma_plus and gamma as compute_record returns them.  The binary64 rows
-from q = 10007 on sum their folds through the array levels of
-compensated_sum, and q = 1000003 takes its zeta'' kernel in more than one
-block.  Of the dd rows, q = 103 has q - 1 = 2 (mod 4), so its roots of unity
+sum their folds through the array levels of compensated_sum, and
+q = 1000003 takes its zeta'' kernel in more than one block.  Of the dd rows, q = 103 has q - 1 = 2 (mod 4), so its roots of unity
 have no exact quarter turn, and q = 8209 takes its kernels in two blocks.  A change that moves these bits on purpose regenerates the file with
 
     PYTHONPATH=src python3 tests/make_record_bits.py > tests/data/record_bits.json

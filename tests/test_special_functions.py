@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ekcyclo.dd import dd_gamma_zeta_kernels
 from ekcyclo.primes import primitive_root
-from ekcyclo.special_functions import (_FSUM_MAX, CONSTANTS, F_TAYLOR_STR, LG_TAYLOR_STR,
+from ekcyclo.special_functions import (CONSTANTS, F_TAYLOR_STR, LG_TAYLOR_STR,
                                        compensated_sum, hurwitz_z2_at_rationals, ln_gamma)
 from make_hurwitz_taylor import TERMS, f_coefficient, lg_coefficient, tables
 
@@ -255,9 +255,8 @@ def _moderate_tail(rng, n):
 def float_lists(draw, elements, tail, max_head=60):
     """A drawn head of up to max_head values, then n generated ones.
 
-    n runs to 3000, on both sides of the short-input cut-off _FSUM_MAX, past
-    which the array levels take the sum; hypothesis could not draw that many
-    floats one by one."""
+    n runs to 3000, so the extraction level M (n + 2 <= 2^M) takes several
+    values; hypothesis could not draw that many floats one by one."""
     head = draw(st.lists(elements, max_size=max_head))
     n = draw(st.integers(0, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -301,7 +300,7 @@ def test_compensated_sum_near_cancelling_pairs(pairs, rnd):
     _assert_fsum_bits(values)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 254, 255, 256, 257, _FSUM_MAX, _FSUM_MAX + 1,
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 254, 255, 256, 257, 512, 513,
                                4094, 4095, 4096, 4097])
 def test_compensated_sum_length_around_powers_of_two(n):
     # n + 2 <= 2^M sets the extraction level; it changes at n = 2^k - 1
@@ -310,8 +309,19 @@ def test_compensated_sum_length_around_powers_of_two(n):
     assert compensated_sum(values) == exact_sum(values)
 
 
+def test_compensated_sum_subnormal_input():
+    # subnormals, exact multiples of 2^-1074, set the rounding of a total
+    # near 2^-960 whose ulp is 2^-1012
+    rng = np.random.default_rng(1074)
+    values = np.concatenate([rng.integers(-2 ** 52, 2 ** 52, 150) * 5e-324,
+                             np.ldexp(rng.uniform(-1.0, 1.0, 150), -960)])
+    rng.shuffle(values)
+    assert np.count_nonzero(np.abs(values) < 2.0 ** -1022) == 150
+    _assert_fsum_bits(values.tolist())
+
+
 @pytest.mark.parametrize("fine_bits", [0, 24, -24])
-@pytest.mark.parametrize("n", [_FSUM_MAX + 1, 3000, 70_000])
+@pytest.mark.parametrize("n", [513, 3000, 70_000])
 def test_compensated_sum_stops_when_nothing_is_left(n, fine_bits):
     # integers below 2^40 plus multiples of 2^-|fine_bits| below 2^(20 - |fine_bits|),
     # subtracted for a negative fine_bits: no remainder past the integers is > 0.
@@ -327,14 +337,14 @@ def test_compensated_sum_stops_when_nothing_is_left(n, fine_bits):
 def test_compensated_sum_keeps_the_remainder_after_three_levels():
     # the levels extract 2^100 - 2^100, then 1, then 2^-53, a tie at half an
     # ulp of 1; only 2^-700, left over after them, rounds it up
-    values = [2.0 ** 100, -2.0 ** 100, 1.0, 2.0 ** -53, 2.0 ** -700] + [0.0] * _FSUM_MAX
+    values = [2.0 ** 100, -2.0 ** 100, 1.0, 2.0 ** -53, 2.0 ** -700] + [0.0] * 512
     assert compensated_sum(values) == 1.0 + 2.0 ** -52
     _assert_fsum_bits(values)
 
 
 def test_compensated_sum_nonfinite_matches_fsum():
     nan, inf = math.nan, math.inf
-    for pad in ([], [0.0] * _FSUM_MAX):  # short inputs go to fsum at once
+    for pad in ([], [0.0] * 512):
         assert math.isnan(compensated_sum([1.0, nan, 2.0] + pad))
         assert math.isnan(compensated_sum(np.array([nan] + pad)))
         assert compensated_sum([1.0, inf] + pad) == inf == math.fsum([1.0, inf])

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -17,6 +18,12 @@ from ekcyclo.cli import main as cli_main
 from ekcyclo.ek_core import compute_record
 from ekcyclo.store import (CSV_HEADER, RunConfig, StoreError, format_record,
                            parse_record, read_records, run_range, verify_reference)
+
+
+def _checkpointed_q(out: Path) -> int:
+    """The q of the last row of the bytes that the checkpoint of out vouches for."""
+    nbytes = json.loads(Path(str(out) + ".checkpoint").read_text())["nbytes"]
+    return int(out.read_bytes()[:nbytes].decode().splitlines()[-1].split(",")[0])
 
 
 def test_format_round_trip():
@@ -56,6 +63,18 @@ def test_output_independent_of_thread_count(tmp_path):
     assert digests[0] == digests[1] == digests[2]
 
 
+@pytest.mark.parametrize("q_max, precision, sha256", [
+    (1000, "dd", "73c311732e178cf81cecfaf3cba59aa1c7f1aa459cae8577a13e588b342a6502"),
+    (20000, "double", "f7f20c97af40dbb45dc2c81893ffa64ac70f7ca28d63b30e2308bb760bdc8d47"),
+], ids=["dd-1000", "double-20000"])
+def test_reference_csv_bytes(tmp_path, q_max, precision, sha256):
+    # the reference CSVs of compute --min 3 --max q_max; a change that moves
+    # their bits on purpose says why and updates the digest here
+    out = tmp_path / "ref.csv"
+    run_range(RunConfig(3, q_max, str(out), precision=precision))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_checkpoint_resume_identical(tmp_path, monkeypatch):
     """A run broken at --threads 1 resumes, at 1 or 2 workers, to the bytes of
     an uninterrupted run."""
@@ -77,7 +96,7 @@ def test_checkpoint_resume_identical(tmp_path, monkeypatch):
             run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
         monkeypatch.setattr(store, "compute_record", real)
         ck = Path(str(out) + ".checkpoint")
-        assert json.loads(ck.read_text())["last_q"] == 233  # row 50
+        assert _checkpointed_q(out) == 233  # row 50
         run_range(RunConfig(3, 700, str(out), threads=resume_threads, checkpoint_every=10))
         assert out.read_bytes() == ref.read_bytes()
         assert not ck.exists()
@@ -89,7 +108,7 @@ def test_pool_chunks_spread_few_primes(tmp_path, monkeypatch):
     chunksizes = []
 
     class SerialPool:  # maps in this process and keeps each chunksize
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             pass
 
         def __enter__(self):
@@ -111,7 +130,7 @@ def test_pool_chunks_spread_few_primes(tmp_path, monkeypatch):
     (chunk,) = chunksizes
     assert math.ceil(8 / chunk) >= 2
     desk = store.primes_in(2, 10 ** 5).tolist()
-    next(store._records_for(desk, "double", 4))  # the pool is mapped on the first record
+    next(store._records_for(desk, "double", 4, -1))  # the pool is mapped on the first record
     assert chunksizes[-1] == 16
 
 
@@ -148,34 +167,87 @@ def test_python_dash_m_package_runs_the_cli(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["sigint", "sigkill"])
-def test_interrupted_cli_run_resumes_to_same_bytes(tmp_path, sig):
+def _wait_for(path: Path, child: subprocess.Popen, what: str) -> None:
+    deadline = time.monotonic() + 120
+    while not path.exists():
+        assert child.poll() is None, f"the run ended before {what}"
+        assert time.monotonic() < deadline, f"no {what} within 120 s"
+        time.sleep(0.005)
+
+
+@pytest.mark.parametrize("sig, threads", [(signal.SIGINT, 1), (signal.SIGKILL, 1),
+                                          (signal.SIGKILL, 2)],
+                         ids=["sigint", "sigkill", "sigkill-2-workers"])
+def test_interrupted_cli_run_resumes_to_same_bytes(tmp_path, sig, threads):
     """A compute process stopped by a signal after a checkpoint resumes to the
-    bytes of an uninterrupted run."""
+    bytes of an uninterrupted run.  The lock on the CSV dies with a killed
+    run, also while the pool workers it forked live on."""
     ref = tmp_path / "ref.csv"
     run_range(RunConfig(3, 6000, str(ref), checkpoint_every=20))
     out = tmp_path / "run.csv"
     ck = tmp_path / "run.csv.checkpoint"
     cmd = [sys.executable, "-m", "ekcyclo.cli", "compute", "--min", "3", "--max", "6000",
-           "--out", str(out), "--checkpoint-every", "20"]
+           "--out", str(out), "--checkpoint-every", "20", "--threads", str(threads)]
     env = _child_env()
-    child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    # a session of its own, so that the workers it leaves behind can be stopped
+    child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        deadline = time.monotonic() + 120
-        while not ck.exists():
-            assert child.poll() is None, "the run ended before its first checkpoint"
-            assert time.monotonic() < deadline, "no checkpoint within 120 s"
-            time.sleep(0.005)
+        _wait_for(ck, child, "its first checkpoint")
         child.send_signal(sig)
         assert child.wait(timeout=60) != 0
+        assert ck.exists()  # the run was cut short, so the rerun resumes
+        assert out.read_bytes() != ref.read_bytes()
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
     finally:
-        if child.poll() is None:
-            child.kill()
-            child.wait()
-    assert ck.exists()  # the run was cut short, so the rerun resumes
-    assert out.read_bytes() != ref.read_bytes()
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait()
+    assert out.read_bytes() == ref.read_bytes()
+    assert not ck.exists()
+
+
+def test_second_run_on_held_output_exits_2(tmp_path, capsys):
+    """While a compute run holds its CSV, a second run on it exits 2, names the
+    path and changes no byte of the CSV or its checkpoint; the first run then
+    ends with the bytes of an undisturbed run."""
+    ref = tmp_path / "ref.csv"
+    run_range(RunConfig(3, 1000, str(ref)))
+    out, ck = tmp_path / "run.csv", tmp_path / "run.csv.checkpoint"
+    waiting, go = tmp_path / "waiting", tmp_path / "go"
+    patch = f"""
+import os, time
+import ekcyclo.store as store
+real = store.compute_record
+def held(q, mode="double"):
+    if q == 211:  # row 46, after the checkpoints at rows 20 and 40
+        open({str(waiting)!r}, "w").close()
+        while not os.path.exists({str(go)!r}):
+            time.sleep(0.005)
+    return real(q, mode=mode)
+store.compute_record = held
+"""
+    argv = ["compute", "--min", "3", "--max", "1000", "--out", str(out),
+            "--checkpoint-every", "20"]
+    code = f"import sys\nfrom ekcyclo.cli import main\n{patch}\nsys.exit(main({argv!r}))"
+    first = subprocess.Popen([sys.executable, "-c", code], env=_child_env(),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        _wait_for(waiting, first, "q = 211")
+        before, ck_before = out.read_bytes(), ck.read_bytes()
+        assert cli_main(argv) == 2
+        assert f"error: {out} is held by another run" in capsys.readouterr().err
+        assert out.read_bytes() == before and ck.read_bytes() == ck_before
+        go.touch()
+        assert first.wait(timeout=120) == 0, first.stderr.read()
+    finally:
+        if first.poll() is None:
+            first.kill()
+            first.wait()
+        first.stderr.close()
     assert out.read_bytes() == ref.read_bytes()
     assert not ck.exists()
 
@@ -237,72 +309,109 @@ def test_resume_refuses_checkpoint_without_binding(tmp_path, monkeypatch):
     out = _interrupted_run(tmp_path, monkeypatch)
     ck = Path(str(out) + ".checkpoint")
     state = json.loads(ck.read_text())
-    del state["version"]
+    del state["code"]
     ck.write_text(json.dumps(state))
     before = out.read_bytes()
-    with pytest.raises(StoreError, match="version is 'missing'"):
+    with pytest.raises(StoreError, match="code is 'missing'"):
         run_range(RunConfig(3, 200, str(out), checkpoint_every=10))
     assert out.read_bytes() == before
 
 
-@pytest.mark.parametrize("damage", ["short", "foreign", "last_q"])
+def test_resume_refuses_checkpoint_of_other_code(tmp_path, monkeypatch, capsys):
+    # rows written by one version of the code are not continued by another
+    out = _interrupted_run(tmp_path, monkeypatch)
+    ck = Path(str(out) + ".checkpoint")
+    assert json.loads(ck.read_text())["code"] == store._code_digest()
+    before, ck_before = out.read_bytes(), ck.read_bytes()
+    monkeypatch.setattr(store, "_code_digest", lambda: hashlib.sha256(b"other").hexdigest())
+    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
+                     "--checkpoint-every", "10"]) == 2
+    assert f"checkpoint {ck} belongs to another run: code is " in capsys.readouterr().err
+    assert out.read_bytes() == before and ck.read_bytes() == ck_before
+
+
+def test_code_digest_covers_sources_and_libraries(tmp_path, monkeypatch):
+    # the digest of a copy of the package is the package's own until one
+    # source file or the numpy version differs
+    import numpy
+    real = store._code_digest()
+    pkg = tmp_path / "ekcyclo"
+    shutil.copytree(Path(store.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(store, "__file__", str(pkg / "store.py"))
+    digests = []
+    try:
+        for change in (None, "source", "numpy"):
+            if change == "source":
+                (pkg / "dd.py").write_text((pkg / "dd.py").read_text() + "\n")
+            elif change == "numpy":
+                monkeypatch.setattr(numpy, "__version__", numpy.__version__ + ".post1")
+            store._code_digest.cache_clear()
+            digests.append(store._code_digest())
+    finally:
+        store._code_digest.cache_clear()
+    assert digests[0] == real
+    assert len(set(digests)) == 3
+
+
+@pytest.mark.parametrize("damage", ["short", "foreign", "partial", "header"])
 def test_refused_resume_leaves_csv_intact(tmp_path, monkeypatch, capsys, damage):
     """A CSV shorter than the checkpoint's byte count, or one with other
-    content, or a checkpoint whose last_q is not the q of its last row, is
+    content, or a checkpoint whose bytes end inside a row or hold no row, is
     refused before the CSV is truncated or padded."""
     out = _interrupted_run(tmp_path, monkeypatch)
     ck = Path(str(out) + ".checkpoint")
     state = json.loads(ck.read_text())
     if damage == "short":
         out.write_bytes(out.read_bytes()[:100])
+        message = "fewer than"
     elif damage == "foreign":
         out.write_bytes(b"x" * (state["nbytes"] + 200))
-    else:  # byte count and digest still match; a resume would skip 37..151
-        assert state["last_q"] == 31
-        ck.write_text(json.dumps({**state, "last_q": 151}))
+        message = "digest mismatch"
+    else:  # byte count and digest match a head that is not whole rows
+        nbytes = state["nbytes"] - 1 if damage == "partial" else len(CSV_HEADER) + 1
+        sha = hashlib.sha256(out.read_bytes()[:nbytes]).hexdigest()
+        ck.write_text(json.dumps({**state, "nbytes": nbytes, "sha256": sha}))
+        message = f"checkpoint {ck} is unreadable: its {nbytes} bytes do not end in a row"
     before = out.read_bytes()
     assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
                      "--checkpoint-every", "10"]) == 2
-    message = {"short": "fewer than", "foreign": "digest mismatch",
-               "last_q": "names last_q 151, but the last row"}[damage]
     assert message in capsys.readouterr().err
     assert out.read_bytes() == before
 
 
 def test_checkpoint_without_csv_starts_fresh(tmp_path, monkeypatch):
-    # a checkpoint whose CSV is gone is stale: it is deleted, and the run
-    # writes the whole range as a run that never had one would
-    out = _interrupted_run(tmp_path, monkeypatch)
-    ck = Path(str(out) + ".checkpoint")
-    assert ck.exists()
-    out.unlink()
-    cfg = RunConfig(3, 200, str(out), checkpoint_every=10)
-    assert store._load_checkpoint(cfg) is None
-    assert not ck.exists()
-    ck.write_text(json.dumps({"last_q": 31}))  # stale again, and unreadable too
-    assert run_range(cfg) == 45  # the odd primes up to 200
+    # a checkpoint whose CSV is gone is stale, even an unreadable one: it is
+    # deleted, and the run writes the whole range as a run that never had one
     fresh = tmp_path / "fresh.csv"
     run_range(RunConfig(3, 200, str(fresh)))
-    assert out.read_bytes() == fresh.read_bytes()
+    out = _interrupted_run(tmp_path, monkeypatch)
+    ck = Path(str(out) + ".checkpoint")
+    cfg = RunConfig(3, 200, str(out), checkpoint_every=10)
+    for stale in (ck.read_text(), json.dumps({"nbytes": 31})):
+        ck.write_text(stale)
+        out.unlink()
+        assert run_range(cfg) == 45  # the odd primes up to 200
+        assert not ck.exists()
+        assert out.read_bytes() == fresh.read_bytes()
 
 
-@pytest.mark.parametrize("field, value", [("last_q", "31"), ("last_q", 31.0),
-                                          ("nbytes", -1), ("nbytes", None)])
+@pytest.mark.parametrize("field, value", [("nbytes", -1), ("nbytes", None)])
 def test_ill_typed_checkpoint_fields_refused(tmp_path, monkeypatch, capsys, field, value):
-    # the run identity matches, so only the type and sign checks of last_q
-    # and nbytes stand between these values and the CSV
+    # the run identity matches, so only the type and sign checks of nbytes
+    # stand between these values and the CSV
     out = _interrupted_run(tmp_path, monkeypatch)
     ck = Path(str(out) + ".checkpoint")
     ck.write_text(json.dumps({**json.loads(ck.read_text()), field: value}))
     before = out.read_bytes()
     assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
                      "--checkpoint-every", "10"]) == 2
-    assert f"checkpoint {ck} is unreadable: last_q " in capsys.readouterr().err
+    assert f"checkpoint {ck} is unreadable: nbytes {value!r}" in capsys.readouterr().err
     assert out.read_bytes() == before
 
 
 @pytest.mark.parametrize("text", ["{not json", '["a list"]',
-                                  "drop nbytes", "drop sha256", "drop last_q"])
+                                  "drop nbytes", "drop sha256"])
 def test_corrupt_checkpoint_refused(tmp_path, monkeypatch, capsys, text):
     out = _interrupted_run(tmp_path, monkeypatch)
     ck = Path(str(out) + ".checkpoint")
@@ -340,8 +449,7 @@ def test_failed_record_exits_2_and_keeps_checkpoint(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "q=101, kernel linear+lngamma (odd), stage double spectrum check" in err
-    state = json.loads(Path(str(out) + ".checkpoint").read_text())
-    assert state["last_q"] == 73  # row 20; q = 101 is row 25
+    assert _checkpointed_q(out) == 73  # row 20; q = 101 is row 25
     monkeypatch.setattr(ek_core, "transform_kernel", real)
     assert cli_main(args) == 0
     assert out.read_bytes() == ref.read_bytes()
@@ -361,7 +469,7 @@ def test_dd_transform_rounding_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: FFT convolution off an integer by ") and "Traceback" not in err
     assert ("(q=521, kernel lngamma+zeta2 (even) and linear+lngamma (odd), "
             "stage dd transform)") in err
-    assert json.loads(Path(str(out) + ".checkpoint").read_text())["last_q"] == 509
+    assert _checkpointed_q(out) == 509
 
 
 def test_read_records_rejects_malformed(tmp_path):
@@ -519,6 +627,23 @@ def test_cli_analyze_rejects_nan_kappa(tmp_path, capsys):
     out.write_text("\n".join(lines) + "\n")
     assert cli_main(["analyze", "--in", str(out), "--out-prefix", str(tmp_path / "p_")]) == 2
     assert "value 1 is NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((3, 5, 7, 7, 11), "line 5: q 7 is not above the previous row's q 7"),
+    ((3, 5, 7, 5, 3), "line 5: q 5 is not above the previous row's q 7"),
+], ids=["repeat", "descent"])
+def test_cli_analyze_refuses_disordered_rows(tmp_path, capsys, rows, message):
+    # rows out of order or repeated are a mixed CSV: analyze exits 2 before
+    # it writes any output file
+    src = tmp_path / "r.csv"
+    run_range(RunConfig(3, 11, str(src)))
+    by_q = {line.split(",")[0]: line for line in src.read_text().splitlines()[1:]}
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(line + "\n" for line in [CSV_HEADER, *(by_q[str(q)] for q in rows)]))
+    assert cli_main(["analyze", "--in", str(bad), "--out-prefix", str(tmp_path / "p_")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert list(tmp_path.glob("p_*")) == []
 
 
 def test_cli_analyze_names_bad_line(tmp_path, capsys):
