@@ -1,7 +1,7 @@
 """The batch pipeline: checkpointed CSV runs and re-analysis from disk.
 
 A range run writes one row per odd prime, ordered by q, with a sidecar
-checkpoint updated every few records; interrupting and rerunning produces a
+checkpoint updated every ten seconds; interrupting and rerunning produces a
 byte-identical file.  Analysis never recomputes anything, it just reads the
 rows back.
 """
@@ -13,8 +13,7 @@ from ekcyclo import RunConfig, delta_stats, histogram, read_records, run_range
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "ek_3_to_5000.csv"
-    cfg = RunConfig(q_min=3, q_max=5000, out_path=str(out),
-                    threads=2, precision="double", checkpoint_every=50)
+    cfg = RunConfig(q_min=3, q_max=5000, out_path=str(out), threads=2, precision="double")
     rows = run_range(cfg)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     print(f"wrote {rows} rows, sha256 {digest[:16]}...")

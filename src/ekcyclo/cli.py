@@ -6,14 +6,14 @@ record error (one ``error:`` line on stderr, printed by ``main``).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import analysis
-from .admissible import C1_CUTOFF, constants_table, harmonic_threshold
+from .admissible import constants_table, harmonic_threshold
 from .dd import RoundingError
 from .ek_core import PRECISIONS, ComputationError
-from .store import RunConfig, StoreError, read_records, run_range, verify_reference
+from .store import (VERIFY_TOL, RunConfig, StoreError, read_records, run_range,
+                    verify_reference)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,10 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=RunConfig.threads)
     p.add_argument("--precision", choices=PRECISIONS, default=RunConfig.precision)
-    p.add_argument("--checkpoint-every", type=int, default=RunConfig.checkpoint_every)
 
     p = sub.add_parser("verify-table2", help="recompute the tabulated kappa values")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--precision", choices=PRECISIONS, default=PRECISIONS[0])
 
     p = sub.add_parser("analyze", help="histogram / spike / delta / envelope outputs")
@@ -45,26 +43,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-cap", type=float, default=0.08)
     p.add_argument("--out-prefix", default="ek_")
 
-    p = sub.add_parser("constants", help="print the named constants and thresholds")
-    p.add_argument("--c1-cutoff", type=int, default=C1_CUTOFF)
+    sub.add_parser("constants", help="print the named constants and thresholds")
     return parser
 
 
 def _cmd_compute(args) -> int:
     cfg = RunConfig(q_min=args.q_min, q_max=args.q_max, out_path=args.out,
-                    threads=args.threads, precision=args.precision,
-                    checkpoint_every=args.checkpoint_every)
+                    threads=args.threads, precision=args.precision)
     rows = run_range(cfg)
     print(f"wrote {rows} rows to {cfg.out_path}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if not 0.0 < args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
-    result = verify_reference(args.tol, mode=args.precision)
+    result = verify_reference(args.precision)
     print(f"max |kappa - reference| = {result.max_deviation:.3e} at q={result.worst_q} "
-          f"(tolerance {args.tol:g}, {args.precision})")
+          f"(tolerance {VERIFY_TOL[args.precision]:g}, {args.precision})")
     if result.ok:
         print("verify-table2: PASS")
         return 0
@@ -124,7 +118,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    for const in constants_table(args.c1_cutoff).values():
+    for const in constants_table().values():
         print(f"{const.name:12s} = {const.value:.10f}   [{const.expression}]")
     for c in (4, 6):
         n, total = harmonic_threshold(float(c))

@@ -8,9 +8,9 @@ Reals carry 17 significant digits (lossless binary64 round-trip), booleans
 are 0/1, and q ascends.  A run holds an exclusive lock on its CSV and writes
 a sidecar checkpoint (the run's range and precision, a digest of the code,
 and the byte count and digest of the rows emitted, the last of which names
-the last completed q) so an interrupted range resumes to a byte-identical
-file, and a checkpoint of another run or other code is refused; output
-bytes do not depend on the worker count.
+the last completed q) at most every _CHECKPOINT_S seconds, so an interrupted
+range resumes to a byte-identical file, and a checkpoint of another run or
+other code is refused; output bytes do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -21,9 +21,12 @@ import itertools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
+from time import monotonic, sleep
 
 import numpy as np
 import scipy
@@ -35,6 +38,9 @@ from .reference import kappa_reference
 CSV_HEADER = "q,kappa,r,delta,gamma_plus,gamma,sg2p,sg2m,sg4p,sg4m"
 
 _REAL_FIELDS = ("kappa", "r", "delta", "gamma_plus", "gamma")
+
+_CHECKPOINT_S = 10.0  # seconds between checkpoints: a crash loses that and one row at most
+VERIFY_TOL = {"double": 1e-8, "dd": 1e-14}  # the largest |kappa - reference| per precision
 
 
 class StoreError(RuntimeError):
@@ -104,7 +110,6 @@ class RunConfig:
     out_path: str
     threads: int = 1
     precision: str = PRECISIONS[0]
-    checkpoint_every: int = 1000
 
     def __post_init__(self):
         if not 3 <= self.q_min <= self.q_max:
@@ -113,8 +118,6 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if self.precision not in PRECISIONS:
             raise ValueError("precision must be " + " or ".join(map(repr, PRECISIONS)))
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
 
 
 def _checkpoint_path(out_path: str) -> Path:
@@ -180,18 +183,32 @@ def _write_checkpoint(cfg: RunConfig, nbytes: int, digest) -> None:
     tmp.replace(ck_path)
 
 
+def _init_worker(out_fd: int) -> None:
+    # a forked worker closes its copy of the locked output's descriptor, so the
+    # lock dies with the run; and it exits once the run is gone, killed or not
+    os.close(out_fd)
+    parent = os.getppid()
+
+    def exit_when_orphaned():
+        while os.getppid() == parent:
+            sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=exit_when_orphaned, daemon=True).start()
+
+
 def _records_for(pending: list[int], mode: str, threads: int, out_fd: int):
     # compute_record is read from this module at call time, so a wrapper put on
     # store.compute_record sees every serial call
     modes = itertools.repeat(mode)
-    if threads == 1:
+    if threads == 1 or not pending:
         yield from map(compute_record, pending, modes)
         return
-    # about four chunks per worker, so that a few heavy primes still spread out
+    # about four chunks per worker, so that a few heavy primes still spread out;
+    # a forking pool starts all its workers at once, so no more than chunks
     chunksize = max(1, min(16, len(pending) // (4 * threads)))
-    # a forked worker closes its copy of the locked output's descriptor: the
-    # lock then dies with the run, even if the run's workers outlive it
-    with ProcessPoolExecutor(max_workers=threads, initializer=os.close,
+    workers = min(threads, math.ceil(len(pending) / chunksize))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(out_fd,)) as pool:
         yield from pool.map(compute_record, pending, modes, chunksize=chunksize)
 
@@ -222,13 +239,19 @@ def run_range(cfg: RunConfig) -> int:
 
         if not nbytes:
             emit(CSV_HEADER + "\n")
-        for rec in _records_for(pending, cfg.precision, cfg.threads, f.fileno()):
-            emit(format_record(rec) + "\n")
-            rows += 1
-            if rows % cfg.checkpoint_every == 0:
-                f.flush()
-                os.fsync(f.fileno())  # the rows reach the disk before the checkpoint names them
-                _write_checkpoint(cfg, nbytes, digest.copy())
+        last_checkpoint = monotonic()
+        try:
+            for rec in _records_for(pending, cfg.precision, cfg.threads, f.fileno()):
+                emit(format_record(rec) + "\n")
+                rows += 1
+                if monotonic() - last_checkpoint >= _CHECKPOINT_S:
+                    f.flush()
+                    os.fsync(f.fileno())  # the rows reach the disk before the checkpoint names them
+                    _write_checkpoint(cfg, nbytes, digest.copy())
+                    last_checkpoint = monotonic()
+        except BrokenProcessPool:
+            raise StoreError(f"{cfg.out_path}: a worker died before q = {pending[rows]} "
+                             f"was written; rerun to resume") from None
         f.flush()  # every row is written before the checkpoint goes, under the lock
         _checkpoint_path(cfg.out_path).unlink(missing_ok=True)
     return rows
@@ -245,8 +268,9 @@ class VerificationResult:
         return not self.offenders
 
 
-def verify_reference(tol: float, mode: str = PRECISIONS[0]) -> VerificationResult:
+def verify_reference(mode: str = PRECISIONS[0]) -> VerificationResult:
     """Recompute kappa(q) for every tabulated q < 1000 against the reference."""
+    tol = VERIFY_TOL[mode]
     table = kappa_reference()
     worst = -1.0
     worst_q = 0

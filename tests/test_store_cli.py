@@ -54,11 +54,12 @@ def test_run_range_writes_expected_rows(tmp_path):
     assert "\r" not in text
 
 
-def test_output_independent_of_thread_count(tmp_path):
+def test_output_independent_of_thread_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(store, "_CHECKPOINT_S", 0.0)  # a checkpoint after every row
     digests = []
     for threads in (1, 2, 8):
         out = tmp_path / f"t{threads}.csv"
-        run_range(RunConfig(3, 2000, str(out), threads=threads, checkpoint_every=50))
+        run_range(RunConfig(3, 2000, str(out), threads=threads))
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1] == digests[2]
 
@@ -78,8 +79,9 @@ def test_reference_csv_bytes(tmp_path, q_max, precision, sha256):
 def test_checkpoint_resume_identical(tmp_path, monkeypatch):
     """A run broken at --threads 1 resumes, at 1 or 2 workers, to the bytes of
     an uninterrupted run."""
+    monkeypatch.setattr(store, "_CHECKPOINT_S", 0.0)
     ref = tmp_path / "ref.csv"
-    run_range(RunConfig(3, 700, str(ref), checkpoint_every=10))
+    run_range(RunConfig(3, 700, str(ref)))
     real = store.compute_record
     for resume_threads in (1, 2):
         out = tmp_path / f"resumed{resume_threads}.csv"
@@ -93,23 +95,66 @@ def test_checkpoint_resume_identical(tmp_path, monkeypatch):
 
         monkeypatch.setattr(store, "compute_record", flaky)
         with pytest.raises(KeyboardInterrupt):
-            run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
+            run_range(RunConfig(3, 700, str(out)))
         monkeypatch.setattr(store, "compute_record", real)
         ck = Path(str(out) + ".checkpoint")
-        assert _checkpointed_q(out) == 233  # row 50
-        run_range(RunConfig(3, 700, str(out), threads=resume_threads, checkpoint_every=10))
+        assert _checkpointed_q(out) == 263  # row 55
+        run_range(RunConfig(3, 700, str(out), threads=resume_threads))
         assert out.read_bytes() == ref.read_bytes()
         assert not ck.exists()
 
 
+def _checkpointed_rows(tmp_path, monkeypatch, q_max, clock=None):
+    """The row counts after which a run over [3, q_max] writes a checkpoint."""
+    out = tmp_path / "cadence.csv"
+    at = []
+
+    def counting(cfg, nbytes, digest):
+        at.append(out.read_bytes()[:nbytes].count(b"\n") - 1)
+
+    monkeypatch.setattr(store, "_write_checkpoint", counting)
+    if clock is not None:
+        monkeypatch.setattr(store, "monotonic", clock)
+    run_range(RunConfig(3, q_max, str(out)))
+    out.unlink()
+    return at
+
+
+@pytest.mark.parametrize("period, rows", [(0.0, list(range(1, 26))), (math.inf, [])],
+                         ids=["zero", "inf"])
+def test_checkpoint_period_is_read_at_call_time(tmp_path, monkeypatch, period, rows):
+    # 25 odd primes up to 101: a checkpoint after every row, or after none
+    monkeypatch.setattr(store, "_CHECKPOINT_S", period)
+    assert _checkpointed_rows(tmp_path, monkeypatch, 101) == rows
+
+
+def test_checkpoints_follow_elapsed_time(tmp_path, monkeypatch):
+    """On a clock where the k-th row costs k seconds, a 10 s period puts a
+    checkpoint after each row that ends 10 s or more after the last checkpoint."""
+    real = store.compute_record
+    now = {"t": 0.0, "k": 0}
+
+    def costly(q, mode="double"):
+        now["k"] += 1
+        now["t"] += now["k"]
+        return real(q, mode=mode)
+
+    monkeypatch.setattr(store, "compute_record", costly)
+    monkeypatch.setattr(store, "_CHECKPOINT_S", 10.0)
+    # rows end at t = 1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, ...
+    expected = [4, 6, 8, 10, 11, 12, 13, 14, 15]
+    assert _checkpointed_rows(tmp_path, monkeypatch, 53, clock=lambda: now["t"]) == expected
+
+
 def test_pool_chunks_spread_few_primes(tmp_path, monkeypatch):
     """Eight primes on two workers go out in at least two chunks; the desk
-    run's chunks stay at 16 primes."""
-    chunksizes = []
+    run's chunks stay at 16 primes.  The pool starts no more workers than
+    it has chunks."""
+    chunksizes, workers = [], []
 
     class SerialPool:  # maps in this process and keeps each chunksize
         def __init__(self, max_workers, initializer, initargs):
-            pass
+            workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -129,9 +174,42 @@ def test_pool_chunks_spread_few_primes(tmp_path, monkeypatch):
     assert out.read_bytes() == ref.read_bytes()
     (chunk,) = chunksizes
     assert math.ceil(8 / chunk) >= 2
+    assert workers == [2]
+    assert run_range(RunConfig(3, 7, str(tmp_path / "three.csv"), threads=8)) == 3
+    assert workers[-1] == 3  # three chunks of one prime
     desk = store.primes_in(2, 10 ** 5).tolist()
     next(store._records_for(desk, "double", 4, -1))  # the pool is mapped on the first record
-    assert chunksizes[-1] == 16
+    assert chunksizes[-1] == 16 and workers[-1] == 4
+
+
+def test_nothing_pending_at_two_workers(tmp_path, monkeypatch):
+    """A range without an odd prime, and a resume whose checkpoint already
+    names the last prime, finish at --threads 2 without starting a pool."""
+    empty = tmp_path / "empty.csv"
+    assert run_range(RunConfig(24, 28, str(empty), threads=2)) == 0
+    assert empty.read_text() == CSV_HEADER + "\n"
+
+    ref = tmp_path / "ref.csv"
+    run_range(RunConfig(3, 23, str(ref)))
+    monkeypatch.setattr(store, "_CHECKPOINT_S", 0.0)
+    real = store._write_checkpoint
+    calls = {"n": 0}
+
+    def killed_after_last(*args):  # the run dies between its last checkpoint and the unlink
+        real(*args)
+        calls["n"] += 1
+        if calls["n"] == 8:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(store, "_write_checkpoint", killed_after_last)
+    out = tmp_path / "out.csv"
+    with pytest.raises(KeyboardInterrupt):
+        run_range(RunConfig(3, 23, str(out)))
+    monkeypatch.setattr(store, "_write_checkpoint", real)
+    assert _checkpointed_q(out) == 23
+    assert run_range(RunConfig(3, 23, str(out), threads=2)) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert not Path(str(out) + ".checkpoint").exists()
 
 
 def _child_env() -> dict:
@@ -142,11 +220,21 @@ def _child_env() -> dict:
     return env
 
 
+def _cli_child_cmd(argv, patch="") -> list[str]:
+    """The command that runs ekcyclo.cli.main(argv) in a child Python after
+    the source patch."""
+    code = f"import sys\nfrom ekcyclo.cli import main\n{patch}\nsys.exit(main({argv!r}))"
+    return [sys.executable, "-c", code]
+
+
 def _cli_child(argv, patch=""):
     """Run ekcyclo.cli.main(argv) in a child process after the Python source patch."""
-    code = f"import sys\nfrom ekcyclo.cli import main\n{patch}\nsys.exit(main({argv!r}))"
-    return subprocess.run([sys.executable, "-c", code], env=_child_env(),
+    return subprocess.run(_cli_child_cmd(argv, patch), env=_child_env(),
                           capture_output=True, text=True, timeout=300)
+
+
+# a child whose runs write a checkpoint after every row
+EVERY_ROW = "import ekcyclo.store as store\nstore._CHECKPOINT_S = 0.0\n"
 
 
 def _one_error_line(stderr: str) -> str:
@@ -175,19 +263,35 @@ def _wait_for(path: Path, child: subprocess.Popen, what: str) -> None:
         time.sleep(0.005)
 
 
+def _running_in_session(sid: int) -> list[int]:
+    """The pids of the processes of session sid that have not exited; a
+    zombie has."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process is gone
+            continue
+        state, session = fields[0], int(fields[3])
+        if session == sid and state not in "ZX":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
 @pytest.mark.parametrize("sig, threads", [(signal.SIGINT, 1), (signal.SIGKILL, 1),
                                           (signal.SIGKILL, 2)],
                          ids=["sigint", "sigkill", "sigkill-2-workers"])
 def test_interrupted_cli_run_resumes_to_same_bytes(tmp_path, sig, threads):
     """A compute process stopped by a signal after a checkpoint resumes to the
     bytes of an uninterrupted run.  The lock on the CSV dies with a killed
-    run, also while the pool workers it forked live on."""
+    run, also while the pool workers it forked live on, and the workers
+    exit soon after."""
     ref = tmp_path / "ref.csv"
-    run_range(RunConfig(3, 6000, str(ref), checkpoint_every=20))
+    run_range(RunConfig(3, 6000, str(ref)))
     out = tmp_path / "run.csv"
     ck = tmp_path / "run.csv.checkpoint"
-    cmd = [sys.executable, "-m", "ekcyclo.cli", "compute", "--min", "3", "--max", "6000",
-           "--out", str(out), "--checkpoint-every", "20", "--threads", str(threads)]
+    cmd = _cli_child_cmd(["compute", "--min", "3", "--max", "6000", "--out", str(out),
+                          "--threads", str(threads)], EVERY_ROW)
     env = _child_env()
     # a session of its own, so that the workers it leaves behind can be stopped
     child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
@@ -200,6 +304,10 @@ def test_interrupted_cli_run_resumes_to_same_bytes(tmp_path, sig, threads):
         assert out.read_bytes() != ref.read_bytes()
         done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
+        deadline = time.monotonic() + 5
+        while _running_in_session(child.pid):
+            assert time.monotonic() < deadline, "a worker outlived its run by 5 s"
+            time.sleep(0.05)
     finally:
         try:
             os.killpg(child.pid, signal.SIGKILL)
@@ -218,22 +326,19 @@ def test_second_run_on_held_output_exits_2(tmp_path, capsys):
     run_range(RunConfig(3, 1000, str(ref)))
     out, ck = tmp_path / "run.csv", tmp_path / "run.csv.checkpoint"
     waiting, go = tmp_path / "waiting", tmp_path / "go"
-    patch = f"""
+    patch = EVERY_ROW + f"""
 import os, time
-import ekcyclo.store as store
 real = store.compute_record
 def held(q, mode="double"):
-    if q == 211:  # row 46, after the checkpoints at rows 20 and 40
+    if q == 211:  # row 46, after the checkpoint at row 45
         open({str(waiting)!r}, "w").close()
         while not os.path.exists({str(go)!r}):
             time.sleep(0.005)
     return real(q, mode=mode)
 store.compute_record = held
 """
-    argv = ["compute", "--min", "3", "--max", "1000", "--out", str(out),
-            "--checkpoint-every", "20"]
-    code = f"import sys\nfrom ekcyclo.cli import main\n{patch}\nsys.exit(main({argv!r}))"
-    first = subprocess.Popen([sys.executable, "-c", code], env=_child_env(),
+    argv = ["compute", "--min", "3", "--max", "1000", "--out", str(out)]
+    first = subprocess.Popen(_cli_child_cmd(argv, patch), env=_child_env(),
                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
         _wait_for(waiting, first, "q = 211")
@@ -253,6 +358,7 @@ store.compute_record = held
 
 
 def test_checkpoint_digest_mismatch_detected(tmp_path, monkeypatch):
+    monkeypatch.setattr(store, "_CHECKPOINT_S", 0.0)
     out = tmp_path / "corrupt.csv"
     calls = {"n": 0}
     real = store.compute_record
@@ -265,17 +371,18 @@ def test_checkpoint_digest_mismatch_detected(tmp_path, monkeypatch):
 
     monkeypatch.setattr(store, "compute_record", flaky)
     with pytest.raises(KeyboardInterrupt):
-        run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
+        run_range(RunConfig(3, 700, str(out)))
     monkeypatch.setattr(store, "compute_record", real)
     data = bytearray(out.read_bytes())
     data[len(CSV_HEADER) + 3] ^= 0x01
     out.write_bytes(bytes(data))
     with pytest.raises(StoreError, match="digest"):
-        run_range(RunConfig(3, 700, str(out), checkpoint_every=10))
+        run_range(RunConfig(3, 700, str(out)))
 
 
 def _interrupted_run(tmp_path, monkeypatch):
-    """A --max 200 --checkpoint-every 10 double run broken after its first checkpoint."""
+    """A --max 200 double run broken after 15 rows, each checkpointed."""
+    monkeypatch.setattr(store, "_CHECKPOINT_S", 0.0)
     out = tmp_path / "run.csv"
     real = store.compute_record
     calls = {"n": 0}
@@ -288,8 +395,7 @@ def _interrupted_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(store, "compute_record", flaky)
     with pytest.raises(KeyboardInterrupt):
-        cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
-                  "--checkpoint-every", "10"])
+        cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out)])
     monkeypatch.setattr(store, "compute_record", real)
     return out
 
@@ -300,7 +406,7 @@ def test_resume_refuses_other_run(tmp_path, monkeypatch, capsys, q_min, q_max, p
     out = _interrupted_run(tmp_path, monkeypatch)
     before = out.read_bytes()
     assert cli_main(["compute", "--min", q_min, "--max", q_max, "--precision", precision,
-                     "--out", str(out), "--checkpoint-every", "10"]) == 2
+                     "--out", str(out)]) == 2
     assert "another run" in capsys.readouterr().err
     assert out.read_bytes() == before
 
@@ -313,7 +419,7 @@ def test_resume_refuses_checkpoint_without_binding(tmp_path, monkeypatch):
     ck.write_text(json.dumps(state))
     before = out.read_bytes()
     with pytest.raises(StoreError, match="code is 'missing'"):
-        run_range(RunConfig(3, 200, str(out), checkpoint_every=10))
+        run_range(RunConfig(3, 200, str(out)))
     assert out.read_bytes() == before
 
 
@@ -324,8 +430,7 @@ def test_resume_refuses_checkpoint_of_other_code(tmp_path, monkeypatch, capsys):
     assert json.loads(ck.read_text())["code"] == store._code_digest()
     before, ck_before = out.read_bytes(), ck.read_bytes()
     monkeypatch.setattr(store, "_code_digest", lambda: hashlib.sha256(b"other").hexdigest())
-    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
-                     "--checkpoint-every", "10"]) == 2
+    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out)]) == 2
     assert f"checkpoint {ck} belongs to another run: code is " in capsys.readouterr().err
     assert out.read_bytes() == before and ck.read_bytes() == ck_before
 
@@ -374,8 +479,7 @@ def test_refused_resume_leaves_csv_intact(tmp_path, monkeypatch, capsys, damage)
         ck.write_text(json.dumps({**state, "nbytes": nbytes, "sha256": sha}))
         message = f"checkpoint {ck} is unreadable: its {nbytes} bytes do not end in a row"
     before = out.read_bytes()
-    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
-                     "--checkpoint-every", "10"]) == 2
+    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert out.read_bytes() == before
 
@@ -387,7 +491,7 @@ def test_checkpoint_without_csv_starts_fresh(tmp_path, monkeypatch):
     run_range(RunConfig(3, 200, str(fresh)))
     out = _interrupted_run(tmp_path, monkeypatch)
     ck = Path(str(out) + ".checkpoint")
-    cfg = RunConfig(3, 200, str(out), checkpoint_every=10)
+    cfg = RunConfig(3, 200, str(out))
     for stale in (ck.read_text(), json.dumps({"nbytes": 31})):
         ck.write_text(stale)
         out.unlink()
@@ -404,8 +508,7 @@ def test_ill_typed_checkpoint_fields_refused(tmp_path, monkeypatch, capsys, fiel
     ck = Path(str(out) + ".checkpoint")
     ck.write_text(json.dumps({**json.loads(ck.read_text()), field: value}))
     before = out.read_bytes()
-    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
-                     "--checkpoint-every", "10"]) == 2
+    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out)]) == 2
     assert f"checkpoint {ck} is unreadable: nbytes {value!r}" in capsys.readouterr().err
     assert out.read_bytes() == before
 
@@ -421,8 +524,7 @@ def test_corrupt_checkpoint_refused(tmp_path, monkeypatch, capsys, text):
         text = json.dumps(state)
     ck.write_text(text)
     before = out.read_bytes()
-    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out),
-                     "--checkpoint-every", "10"]) == 2
+    assert cli_main(["compute", "--min", "3", "--max", "200", "--out", str(out)]) == 2
     assert f"checkpoint {ck} is unreadable" in capsys.readouterr().err
     assert out.read_bytes() == before
 
@@ -431,8 +533,9 @@ def test_failed_record_exits_2_and_keeps_checkpoint(tmp_path, monkeypatch, capsy
     """A record whose spectrum check fails ends compute with exit 2 and a message
     naming q, kernel and stage; the run resumes from its last checkpoint."""
     import ekcyclo.ek_core as ek_core
+    monkeypatch.setattr(store, "_CHECKPOINT_S", 0.0)
     ref = tmp_path / "ref.csv"
-    run_range(RunConfig(3, 200, str(ref), checkpoint_every=5))
+    run_range(RunConfig(3, 200, str(ref)))
 
     out = tmp_path / "run.csv"
     real = ek_core.transform_kernel
@@ -444,15 +547,47 @@ def test_failed_record_exits_2_and_keeps_checkpoint(tmp_path, monkeypatch, capsy
         return spec
 
     monkeypatch.setattr(ek_core, "transform_kernel", broken_at_101)
-    args = ["compute", "--min", "3", "--max", "200", "--out", str(out), "--checkpoint-every", "5"]
+    args = ["compute", "--min", "3", "--max", "200", "--out", str(out)]
     assert cli_main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "q=101, kernel linear+lngamma (odd), stage double spectrum check" in err
-    assert _checkpointed_q(out) == 73  # row 20; q = 101 is row 25
+    assert _checkpointed_q(out) == 97  # row 24; q = 101 is row 25
     monkeypatch.setattr(ek_core, "transform_kernel", real)
     assert cli_main(args) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_dead_worker_exits_2_and_keeps_checkpoint(tmp_path):
+    """A pool worker that dies ends compute with exit 2 and one error line
+    naming the CSV and the first q not written; the rows of the chunks that
+    came back stay checkpointed, and a rerun resumes to the reference bytes."""
+    ref = tmp_path / "ref.csv"
+    run_range(RunConfig(3, 2000, str(ref)))
+    out, ck = tmp_path / "run.csv", tmp_path / "run.csv.checkpoint"
+    # q = 101 is in the second chunk of 16 primes; its worker dies once the
+    # run has checkpointed a row of the first
+    patch = EVERY_ROW + f"""
+import os, time
+real = store.compute_record
+def dies_at_101(q, mode="double"):
+    if q == 101:
+        while not os.path.exists({str(ck)!r}):
+            time.sleep(0.005)
+        os._exit(9)
+    return real(q, mode=mode)
+store.compute_record = dies_at_101
+"""
+    argv = ["compute", "--min", "3", "--max", "2000", "--out", str(out), "--threads", "2"]
+    done = _cli_child(argv, patch)
+    assert done.returncode == 2
+    line = _one_error_line(done.stderr)
+    assert line == f"error: {out}: a worker died before q = 61 was written; rerun to resume"
+    assert _checkpointed_q(out) == 59  # row 16, the last of the first chunk
+    done = _cli_child(argv)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == ref.read_bytes()
+    assert not ck.exists()
 
 
 def test_dd_transform_rounding_failure_exits_2(tmp_path, monkeypatch, capsys):
@@ -462,9 +597,10 @@ def test_dd_transform_rounding_failure_exits_2(tmp_path, monkeypatch, capsys):
     import ekcyclo.dd as dd
     real = dd.slice_plan
     monkeypatch.setattr(dd, "slice_plan", lambda m: (26, 5) if m == 1024 else real(m))
+    monkeypatch.setattr(store, "_CHECKPOINT_S", 0.0)
     out = tmp_path / "run.csv"
     assert cli_main(["compute", "--min", "500", "--max", "530", "--precision", "dd",
-                     "--out", str(out), "--checkpoint-every", "1"]) == 2
+                     "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: FFT convolution off an integer by ") and "Traceback" not in err
     assert ("(q=521, kernel lngamma+zeta2 (even) and linear+lngamma (odd), "
@@ -501,21 +637,17 @@ def test_run_config_validation(tmp_path):
         RunConfig(3, 5, str(tmp_path / "x.csv"), threads=0)
     with pytest.raises(ValueError, match="precision must be 'double' or 'dd'"):
         RunConfig(3, 5, str(tmp_path / "x.csv"), precision="quad")
-    with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
-        RunConfig(3, 5, str(tmp_path / "x.csv"), checkpoint_every=0)
 
 
 def test_verify_reference_pass_and_fail(monkeypatch):
-    res = verify_reference(1e-8)
-    assert res.ok and res.max_deviation < 1e-8
-    res = verify_reference(1e-30)
-    assert not res.ok  # double arithmetic cannot match truncated 30-digit data
+    res = verify_reference()
+    assert res.ok and store.VERIFY_TOL["double"] == 1e-8 and res.max_deviation < 1e-8
 
     import ekcyclo.reference as ref_mod
     table = dict(ref_mod.kappa_reference())
     table[3] += 1.0
     monkeypatch.setattr(store, "kappa_reference", lambda: table)
-    res = verify_reference(1e-8)
+    res = verify_reference()
     assert not res.ok and 3 in res.offenders and res.worst_q == 3
 
 
@@ -653,23 +785,29 @@ def test_cli_analyze_names_bad_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_cli_verify(capsys):
-    assert cli_main(["verify-table2", "--tol", "1e-8"]) == 0
+def test_cli_verify(monkeypatch, capsys):
+    assert cli_main(["verify-table2"]) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out
-    assert cli_main(["verify-table2", "--tol", "1e-30"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert "(tolerance 1e-08, double)" in out and "PASS" in out
+    import ekcyclo.reference as ref_mod
+    table = dict(ref_mod.kappa_reference())
+    table[997] -= 1e-6
+    monkeypatch.setattr(store, "kappa_reference", lambda: table)
+    assert cli_main(["verify-table2"]) == 1
+    assert "FAIL at q = 997" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_cli_verify_rejects_bad_tolerance(monkeypatch, capsys, tol):
-    def no_records(*args, **kwargs):
-        raise AssertionError("a record was computed")
-    monkeypatch.setattr(store, "compute_record", no_records)
-    assert cli_main(["verify-table2", "--tol", tol]) == 2
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and captured.out == ""
+def test_cli_verify_tolerance_follows_precision(monkeypatch, capsys):
+    # a golden value 1e-11 off passes the binary64 tolerance and fails dd's
+    import ekcyclo.reference as ref_mod
+    table = {q: v for q, v in ref_mod.kappa_reference().items() if q <= 13}
+    table[11] += 1e-11
+    monkeypatch.setattr(store, "kappa_reference", lambda: table)
+    assert cli_main(["verify-table2"]) == 0
+    assert "(tolerance 1e-08, double)" in capsys.readouterr().out
+    assert cli_main(["verify-table2", "--precision", "dd"]) == 1
+    out = capsys.readouterr().out
+    assert "at q=11 (tolerance 1e-14, dd)" in out and "FAIL at q = 11\n" in out
 
 
 def test_cli_verify_failed_record_exits_2():
@@ -685,7 +823,7 @@ def broken_at_101(packed):
     return spec
 ek_core.transform_kernel = broken_at_101
 """
-    done = _cli_child(["verify-table2", "--tol", "1e-8"], patch)
+    done = _cli_child(["verify-table2"], patch)
     assert done.returncode == 2 and done.stdout == ""
     line = _one_error_line(done.stderr)
     assert "q=101, kernel linear+lngamma (odd), stage double spectrum check" in line
@@ -699,18 +837,19 @@ def test_verify_reference_nan_kappa_is_an_offender(monkeypatch, capsys):
         rec = real(q, mode=mode)
         return dataclasses.replace(rec, kappa=math.nan) if q in (7, 13) else rec
     monkeypatch.setattr(store, "compute_record", nan_at_7_and_13)
-    res = verify_reference(1e-8)
+    res = verify_reference()
     assert not res.ok and res.offenders == (7, 13)
     assert math.isnan(res.max_deviation) and res.worst_q == 7
-    assert cli_main(["verify-table2", "--tol", "1e-8"]) == 1
+    assert cli_main(["verify-table2"]) == 1
     out = capsys.readouterr().out
     assert "max |kappa - reference| = nan at q=7" in out and "FAIL at q = 7, 13" in out
 
 
 def test_cli_constants(capsys):
-    assert cli_main(["constants", "--c1-cutoff", "100000"]) == 0
+    assert cli_main(["constants"]) == 0
     out = capsys.readouterr().out
-    for token in ("227", "4.0021833", "12367", "6.0000215", "55", "1.6433058"):
+    for token in ("227", "4.0021833", "12367", "6.0000215", "55", "1.6433058",
+                  "C1           = 3.279577", "prod_p<= 1e+08"):
         assert token in out
 
 
@@ -728,10 +867,3 @@ def test_cli_analyze_usage_error_writes_nothing(tmp_path, capsys, argv, message)
     assert cli_main(args) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.glob("p_*")) == []
-
-
-def test_cli_constants_rejects_small_cutoff(capsys):
-    assert cli_main(["constants", "--c1-cutoff", "0"]) == 2
-    captured = capsys.readouterr()
-    assert "error: cutoff must be >= 2" in captured.err
-    assert captured.out == ""
