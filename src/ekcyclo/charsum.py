@@ -182,9 +182,23 @@ def pack_parities(lg, z2, lin, packed):
     return packed
 
 
+# scipy.fft keeps the complex plans of its last 16 transform lengths (an
+# LRU in scipy 1.17).  Every q has its own h, so no plan is ever used twice.
+# A Bluestein plan at prime h holds about 96 h bytes, three times its (2, h)
+# input, so at h >= 2**18 sixteen of them hold 400 MB and more.  From
+# _FREE_PLANS_LENGTH on, transform_kernel first pushes them out with 16
+# tiny transforms.  Below it the plans stay: records at h just above 2**17
+# took 11% longer with them freed, faulting their memory in anew.
+_FREE_PLANS_LENGTH = 1 << 18
+_PLAN_CACHE_SIZE = 16
+
+
 def transform_kernel(packed: np.ndarray) -> np.ndarray:
     """The length-h DFTs of the packed rows, along the last axis:
     Y[j] = sum_k y[k] e^{+2 pi i j k / h}, the +i sign and no normalisation."""
+    if np.shape(packed)[-1] >= _FREE_PLANS_LENGTH:
+        for n in range(2, 2 + _PLAN_CACHE_SIZE):  # one plan of length 2..17 per slot
+            scipy.fft.ifft(np.zeros(n, dtype=np.complex128))
     return scipy.fft.ifft(packed, norm="forward")
 
 

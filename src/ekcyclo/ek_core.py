@@ -178,14 +178,21 @@ def _check_spectra(pt: PackedTransforms, mode: str) -> None:
                 f"(q={pt.q}, kernel {kernels}, stage {mode} spectrum check)")
 
 
-def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
-    """The two packed parity transforms of ctx.q in binary64 (see charsum)."""
+def _packed_rows(ctx: PrimeContext) -> np.ndarray:
+    """The twiddled (2, h) packed rows of ctx.q in binary64; the kernel rows
+    they come from die on return, before the transform."""
     lg = kernel_values(ctx, KernelId.LNGAMMA)
     z2 = kernel_values(ctx, KernelId.ZETA2)
     h = ctx.n // 2
     lin = (2 * ctx.powers()[:h] - ctx.q) / ctx.q
     packed = pack_parities(lg, z2, lin, np.empty((2, h), dtype=np.complex128))
     packed[ODD] *= _twiddles(ctx.n)
+    return packed
+
+
+def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
+    """The two packed parity transforms of ctx.q in binary64 (see charsum)."""
+    packed = _packed_rows(ctx)
     return PackedTransforms(q=ctx.q, packed=packed, spec=transform_kernel(packed))
 
 

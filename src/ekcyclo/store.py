@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from .ek_core import PRECISIONS, EkRecord, compute_record
-from .primes import NeighborFlags, primes_in
+from .primes import NeighborFlags, is_prime, primes_in
 from .reference import kappa_reference
 
 CSV_HEADER = "q,kappa,r,delta,gamma_plus,gamma,sg2p,sg2m,sg4p,sg4m"
@@ -79,10 +79,30 @@ def _ascii_line(line: str, lineno: int) -> str:
     return line
 
 
+# read_records looks every q up in one sieve of the rows' span while the
+# sieve costs at most this many integers per row: a CSV from compute holds
+# every prime of its range, about one per log q integers.  A sparser file
+# tests each row by itself, so far-apart rows never start a long sieve.
+_SIEVE_PER_ROW = 256
+
+
+def _first_not_odd_prime(qs: list[int]) -> int | None:
+    """The index of the first of the ascending qs that is not an odd prime, or None."""
+    lo, hi = qs[0], qs[-1]
+    if lo < 3:
+        return 0
+    if hi - lo + math.isqrt(hi) > _SIEVE_PER_ROW * len(qs):
+        return next((i for i, q in enumerate(qs) if not is_prime(q)), None)
+    primes = np.append(primes_in(lo - 1, hi), hi + 1)  # hi + 1 ends every search
+    at = np.array(qs, dtype=np.int64)
+    bad = np.flatnonzero(primes[np.searchsorted(primes, at)] != at)
+    return int(bad[0]) if bad.size else None
+
+
 def read_records(path: str | os.PathLike) -> list[EkRecord]:
-    """The rows of a CSV of this schema, in ascending q; every StoreError
-    starts with the path."""
-    out = []
+    """The rows of a CSV of this schema, in ascending odd prime q; every
+    StoreError starts with the path."""
+    out, linenos = [], []
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
             header = _ascii_line(f.readline(), 1)
@@ -96,8 +116,12 @@ def read_records(path: str | os.PathLike) -> list[EkRecord]:
                         raise StoreError(f"line {lineno}: q {rec.q} is not above the "
                                          f"previous row's q {out[-1].q}")
                     out.append(rec)
+                    linenos.append(lineno)
         if not out:
             raise StoreError("no data rows")
+        bad = _first_not_odd_prime([rec.q for rec in out])
+        if bad is not None:
+            raise StoreError(f"line {linenos[bad]}: q {out[bad].q} is not an odd prime")
     except StoreError as exc:
         raise StoreError(f"{path}: {exc}") from None
     return out

@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ekcyclo
 from ekcyclo.charsum import (KernelError, KernelId, _twiddles, character_sums_dd,
                              kernel_values, spectrum_checks, transform_kernel)
 from ekcyclo.dd import DDC
@@ -43,6 +51,59 @@ def test_dft_random_inputs_against_oracle():
         n = int(rng.integers(1, 64))
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.max(np.abs(transform_kernel(x) - dft_direct(x))) < 1e-11
+
+
+# A fresh process transforms (2, h) batches at 20 distinct prime lengths h
+# from the cutoff up, then the first one again.  It reports the growth of
+# its peak RSS after the first two lengths, and the first transform's own
+# footprint: the growth of the peak across it (its plan, work space and
+# output).
+_PLAN_CHILD = textwrap.dedent("""
+    import json
+    import numpy as np, scipy.fft
+    from ekcyclo.charsum import _FREE_PLANS_LENGTH, transform_kernel
+    from ekcyclo.primes import primes_in
+
+    z = np.random.default_rng(3).standard_normal((2, 4 * _FREE_PLANS_LENGTH))
+
+    def batch(h):
+        return z[:, :h] + 1j * z[:, -h:]
+
+    def peak():  # VmHWM: ru_maxrss keeps the pre-exec peak of the forking test process
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
+
+    hs = [int(h) for h in primes_in(_FREE_PLANS_LENGTH - 1, 2 * _FREE_PLANS_LENGTH)[:20]]
+    x = batch(hs[0])
+    before = peak()
+    cold = transform_kernel(x)
+    footprint = peak() - before
+    transform_kernel(batch(hs[1]))
+    after_two = peak()
+    for h in hs[2:]:
+        transform_kernel(batch(h))
+    after_all = peak()
+    evicted = transform_kernel(x)  # its plan was pushed out and is rebuilt
+    warm = scipy.fft.ifft(x, norm="forward")  # the plan just built
+    print(json.dumps({"growth": after_all - after_two, "footprint": footprint,
+                      "same": bool(np.array_equal(cold, evicted) and np.array_equal(cold, warm))}))
+""")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_transform_plans_do_not_accumulate_at_large_lengths():
+    """18 more distinct lengths above the cutoff raise the peak by less than
+    one transform takes: stale plans do not pile up.  A length gives the
+    same bits cold, with its plan rebuilt, and warm."""
+    env = dict(os.environ)
+    src = str(Path(ekcyclo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PLAN_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["growth"] < got["footprint"], got
+    assert got["same"]
 
 
 def test_character_sums_q3_linear():

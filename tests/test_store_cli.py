@@ -778,6 +778,26 @@ def test_cli_analyze_refuses_disordered_rows(tmp_path, capsys, rows, message):
     assert list(tmp_path.glob("p_*")) == []
 
 
+@pytest.mark.parametrize("rows, message", [
+    (((3, 3), (5, 5), (9, 7), (11, 11)), "line 4: q 9 is not an odd prime"),
+    (((2, 3), (3, 3), (5, 5)), "line 2: q 2 is not an odd prime"),
+    (((3, 3), (1000003, 5), (1000011, 7)), "line 4: q 1000011 is not an odd prime"),
+], ids=["nine", "two", "sparse"])
+def test_cli_analyze_refuses_q_not_odd_prime(tmp_path, capsys, rows, message):
+    # each row is (q written, q whose values it carries); the last case is
+    # too sparse for one sieve and tests each row by itself
+    src = tmp_path / "r.csv"
+    run_range(RunConfig(3, 11, str(src)))
+    by_q = {int(line.split(",")[0]): line.split(",", 1)[1]
+            for line in src.read_text().splitlines()[1:]}
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(f"{line}\n" for line in
+                           [CSV_HEADER, *(f"{q},{by_q[v]}" for q, v in rows)]))
+    assert cli_main(["analyze", "--in", str(bad), "--out-prefix", str(tmp_path / "p_")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert list(tmp_path.glob("p_*")) == []
+
+
 def test_cli_analyze_names_bad_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(CSV_HEADER + "\n3,0.1,oops\n")
