@@ -8,7 +8,7 @@ from .admissible import (AdmissibleSet, NamedConstant, c1_sum, c2_minimum, c2_su
                          singular_series_c1)
 from .analysis import (EnvelopeAnomaly, HistogramSummary, SpikeReport, delta_stats,
                        envelope_check, histogram, pi_star, spike_report)
-from .charsum import KernelId, KernelError, character_sums_dd, kernel_values
+from .charsum import KernelId, character_sums_dd, kernel_values
 from .ek_core import (ComputationError, EkRecord, KummerCheck, compute_record,
                       gamma_pair, kappa, kummer_check, kummer_r, log_deriv_ratios)
 from .prime_sums import OrderSums, TruncatedSums, bias, s12, truncated_sums

@@ -84,6 +84,8 @@ def c1_sum(q: int, k: int) -> float:
     """c1(q, k) = (1/4) sum_{j <= (k-1)/2} log(2 j q - 1)/(j log q), odd k."""
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be an odd integer >= 3")
+    if q < 2:  # log q would vanish or be undefined
+        raise ValueError(f"q must be >= 2, got {q}")
     lq = math.log(q)
     return 0.25 * math.fsum(
         math.log(2 * j * q - 1) / (j * lq) for j in range(1, (k - 1) // 2 + 1))

@@ -42,8 +42,15 @@ class KernelId(enum.Enum):
     ZETA2 = "zeta2"       # f(x) = zeta''(0, x)
 
 
-class KernelError(ValueError):
-    """A kernel produced a non-finite value."""
+class ComputationError(ArithmeticError):
+    """A record failed a check: a non-finite kernel, an inexact dd transform,
+    a spectrum invariant or a vanishing sum.  Built by record_error from its
+    message alone, so it pickles back from a pool worker."""
+
+
+def record_error(what: str, q: int, kernel: str, stage: str) -> ComputationError:
+    """The failure `what` of the record at q, naming the kernel and the stage."""
+    return ComputationError(f"{what} (q={q}, kernel {kernel}, stage {stage})")
 
 
 def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
@@ -55,9 +62,8 @@ def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
         vals = x if kernel is KernelId.LINEAR else ln_gamma(x)
     if not np.isfinite(vals).all():
         k = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise KernelError(
-            f"non-finite value at k={k}, a={int(ctx.powers()[k])} "
-            f"(q={ctx.q}, kernel {kernel.value}, stage kernel evaluation)")
+        raise record_error(f"non-finite value at k={k}, a={int(ctx.powers()[k])}",
+                           ctx.q, kernel.value, "kernel evaluation")
     return vals
 
 
@@ -206,16 +212,15 @@ def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
     """The packed parity transforms in double-double, batched in one DFT."""
     q, h = ctx.q, ctx.n // 2
     a = ctx.powers()[:h]
-    lg, z2 = dd_gamma_zeta_kernels(a, q)  # power order: a_{k+h} = q - a_k
-    lin = DD(2 * a - q) / DD(float(q))
-    packed = pack_parities(lg, z2, lin, DDC.zeros((2, h)))
+    # the kernel rows in power order (a_{k+h} = q - a_k) die in pack_parities
+    packed = pack_parities(*dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)),
+                           DDC.zeros((2, h)))
     u = roots_of_unity(ctx.n)  # w^k, and the chirp table of length h
     packed[ODD] *= u[:h]
     try:
         spec = dd_dft(packed, u)
     except RoundingError as exc:
-        raise RoundingError(f"{exc} (q={q}, kernel {' and '.join(PACKED_LABELS)}, "
-                            f"stage dd transform)") from exc
+        raise record_error(str(exc), q, " and ".join(PACKED_LABELS), "dd transform") from exc
     return PackedTransforms(q=q, packed=packed, spec=spec)
 
 

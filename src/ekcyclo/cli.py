@@ -10,7 +10,6 @@ import sys
 
 from . import analysis
 from .admissible import constants_table, harmonic_threshold
-from .dd import RoundingError
 from .ek_core import PRECISIONS, ComputationError
 from .store import (VERIFY_TOL, RunConfig, StoreError, read_records, run_range,
                     verify_reference)
@@ -136,7 +135,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, StoreError, ComputationError, RoundingError) as exc:
+    except (OSError, ValueError, StoreError, ComputationError) as exc:
         # input, I/O and record failures: a failed record names its q, kernel
         # and stage, and a compute run keeps its last checkpoint
         print(f"error: {exc}", file=sys.stderr)

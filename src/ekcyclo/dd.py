@@ -486,6 +486,7 @@ def dd_dft(x: DDC, u: DDC) -> DDC:
                      stack.view(np.float64)[:, :, :2 * n])[0]
     stack[:, rows, m - (n - 1):] = stack[:, rows, n - 1:0:-1]
     z = convolve_slices(stack, n)
+    del a, hi, lo, stack  # only z is read from here on: free the slice stack for the sums
     conv = _dd(z[count - 1], 0.0)
     for g in range(count - 2, -1, -1):
         conv = conv._add_double(z[g] * 2.0 ** (b * (count - 1 - g)))

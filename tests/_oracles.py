@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -338,3 +339,39 @@ def own_root_dd_spectra(ctx: PrimeContext):
     packed = pack_parities(lg, z2, DD(2 * a - q) / DD(float(q)), DDC.zeros((2, h)))
     packed[ODD] *= roots_of_unity(ctx.n)[:h]
     return packed, own_root_dd_dft(packed)
+
+
+def resultant(f: list, g: list) -> Fraction:
+    """Res(f, g) of two polynomials given as coefficient lists, lowest degree
+    first, with nonzero leading coefficients, by the Euclidean algorithm over
+    Fraction: Res(f, g) = (-1)^(mn) lc(g)^(m-k) Res(g, f mod g), k = deg(f mod g),
+    down to Res(f, c) = c^m for a constant c."""
+    res = Fraction(1)
+    while len(g) > 1:
+        m, n = len(f) - 1, len(g) - 1
+        r = [Fraction(c) for c in f]
+        for i in range(m, n - 1, -1):  # clear r[i] with r[i]/lc(g) x^(i-n) g
+            c = r[i] / g[-1]
+            for j in range(n + 1):
+                r[i - n + j] -= c * g[j]
+        r = r[:n]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return Fraction(0)
+        res *= (-1) ** (m * n) * Fraction(g[-1]) ** (m - len(r) + 1)
+        f, g = g, r
+    return res * Fraction(g[0]) ** (len(f) - 1)
+
+
+def exact_h1(q: int) -> Fraction:
+    """The relative class number h1(q) = 2q prod_{chi odd} (-B_{1,chi}/2) of an
+    odd prime q (Washington, Introduction to Cyclotomic Fields, Thm 4.17), exactly.
+
+    With h = (q-1)/2, a_k = g^k mod q and G(x) = sum_{k<h} (2 a_k - q) x^k,
+    G at the root chi(g) of x^h + 1 is q B_{1,chi}, so the product over the
+    odd characters is Res(x^h + 1, G) and h1 = 2q (-1)^h Res / (2q)^h.
+    """
+    h = (q - 1) // 2
+    g = [2 * int(a) - q for a in primitive_root(q).powers()[:h]]
+    return 2 * q * (-1) ** h * resultant([1] + [0] * (h - 1) + [1], g) / Fraction(2 * q) ** h

@@ -135,3 +135,10 @@ def test_c1_sum_direct():
     assert abs(c1_sum(q, k) - want) < 1e-15
     with pytest.raises(ValueError):
         c1_sum(5, 8)
+
+
+@pytest.mark.parametrize("q", [1, 0, -5])
+def test_c1_sum_refuses_q_below_2(q):
+    # log q vanishes at q = 1 and is undefined below it
+    with pytest.raises(ValueError, match=rf"q must be >= 2, got {q}$"):
+        c1_sum(q, 3)

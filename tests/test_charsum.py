@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ekcyclo
-from ekcyclo.charsum import (KernelError, KernelId, _twiddles, character_sums_dd,
+from ekcyclo.charsum import (ComputationError, KernelId, _twiddles, character_sums_dd,
                              kernel_values, spectrum_checks, transform_kernel)
 from ekcyclo.dd import DDC
 from ekcyclo.ek_core import _s0_dd_tolerance, parity_transforms
@@ -191,7 +191,7 @@ def test_kernel_failure_diagnostic(monkeypatch):
     ctx = primitive_root(7)
     import ekcyclo.charsum as mod
     monkeypatch.setattr(mod, "ln_gamma", lambda x: np.full_like(np.asarray(x), np.inf))
-    with pytest.raises(KernelError, match=r"k=0.*q=7"):
+    with pytest.raises(ComputationError, match=r"k=0.*q=7"):
         kernel_values(ctx, KernelId.LNGAMMA)
 
 
@@ -209,7 +209,7 @@ def test_kernel_failure_names_first_interior_k(monkeypatch, kernel, name):
 
     monkeypatch.setattr(mod, name, broken)
     a = int(ctx.powers()[37])
-    with pytest.raises(KernelError, match=rf"k=37, a={a} \(q=101, kernel {kernel.value},"):
+    with pytest.raises(ComputationError, match=rf"k=37, a={a} \(q=101, kernel {kernel.value},"):
         kernel_values(ctx, kernel)
 
 

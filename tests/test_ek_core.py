@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import pickle
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import ekcyclo.dd as ddm
 from ekcyclo.analysis import envelope_check
@@ -12,12 +15,12 @@ from ekcyclo.charsum import (KernelId, PackedTransforms, character_sums_dd, kern
 from ekcyclo.dd import DD, DDC, dd_log
 from ekcyclo.ek_core import (ComputationError, assemble_dd, compute_record, gamma_pair, kappa,
                              kummer_check, kummer_r, log_deriv_ratios, parity_transforms)
-from ekcyclo.primes import primitive_root
+from ekcyclo.primes import primes_in, primitive_root
 from ekcyclo.reference import kappa_reference
 from ekcyclo.special_functions import CONSTANTS
 
-from _oracles import (bits_equal, dft_direct, dirichlet_series_ratios, own_root_dd_spectra,
-                      separate_assemble_dd)
+from _oracles import (bits_equal, dft_direct, dirichlet_series_ratios, exact_h1,
+                      own_root_dd_spectra, separate_assemble_dd)
 
 REF = kappa_reference()
 
@@ -131,6 +134,29 @@ def test_kummer_known_class_numbers():
     assert kummer_check(37).nearest_int == 37
 
 
+SMALL_Q = primes_in(2, 100).tolist()  # the 24 odd primes below 100
+
+
+def test_exact_class_numbers():
+    # the resultant oracle gives integers, the known h1 (Washington, Tables,
+    # section 3) and the integers that kummer_check reads off R(q) G(q)
+    h1 = {q: exact_h1(q) for q in SMALL_Q}
+    assert all(v.denominator == 1 and v > 0 for v in h1.values())
+    assert (h1[3], h1[23], h1[37], h1[97]) == (1, 3, 37, 411322824001)
+    assert all(kummer_check(q).nearest_int == h1[q] for q in SMALL_Q)
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_dd_r_is_the_exact_r_rounded(q):
+    # r = log h1 - log 2q - ((q-1)/4) log(q / 4 pi^2) at 50 digits, rounded to
+    # the nearest double through Fraction (mpmath's float() truncates)
+    h1 = exact_h1(q)
+    with mp.workdps(50):
+        r = mp.log(h1.numerator) - mp.log(2 * q) - (q - 1) * mp.log(q / (4 * mp.pi ** 2)) / 4
+        want = float(Fraction(mp.nstr(r, 45)))
+    assert compute_record(q, "dd").r == want
+
+
 def test_kummer_check_refuses_large_q():
     with pytest.raises(ValueError):
         kummer_check(101)
@@ -218,6 +244,51 @@ def test_vanishing_spectrum_raises():
     broken = dataclasses.replace(sums, lg_even=np.zeros_like(sums.lg_even))
     with pytest.raises(ComputationError, match=r"q=5, kernel lngamma, stage assembly"):
         gamma_pair(ctx, 0.0, broken)
+
+
+def _nonfinite_kernel(monkeypatch):
+    import ekcyclo.charsum as charsum
+    monkeypatch.setattr(charsum, "ln_gamma", lambda x: np.full_like(x, np.inf))
+
+
+def _inexact_dd_transform(monkeypatch):
+    real = ddm.slice_plan  # 26-bit slices at m = 1024 (q = 521) are not exact
+    monkeypatch.setattr(ddm, "slice_plan", lambda m: (26, 5) if m == 1024 else real(m))
+
+
+def _failed_invariant(monkeypatch):
+    import ekcyclo.ek_core as ek_core
+    monkeypatch.setattr(ek_core, "spectrum_checks", lambda pt: {("s0", "linear (odd)"): 1.0})
+
+
+def _vanishing_sums(monkeypatch):
+    import ekcyclo.ek_core as ek_core
+    monkeypatch.setattr(ek_core, "transform_kernel", np.zeros_like)
+    monkeypatch.setattr(ek_core, "spectrum_checks", lambda pt: {})
+
+
+@pytest.mark.parametrize("q, mode, patch, message", [
+    (7, "double", _nonfinite_kernel,
+     r"^non-finite value at k=0, a=1 \(q=7, kernel lngamma, stage kernel evaluation\)$"),
+    (521, "dd", _inexact_dd_transform,
+     r"^FFT convolution off an integer by .* \(q=521, kernel lngamma\+zeta2 \(even\) and "
+     r"linear\+lngamma \(odd\), stage dd transform\)$"),
+    (23, "double", _failed_invariant,
+     r"^spectrum invariant 's0' failed: residual 1\.000e\+00 > 1e-12 "
+     r"\(q=23, kernel linear \(odd\), stage double spectrum check\)$"),
+    (13, "double", _vanishing_sums, r"^vanishing B1 sum \(q=13, kernel linear, stage assembly\)$"),
+], ids=["kernel", "dd-transform", "spectrum-check", "assembly"])
+def test_every_record_failure_is_one_computation_error(monkeypatch, q, mode, patch, message):
+    """Each stage of compute_record fails with a ComputationError and nothing
+    else, worded as (q, kernel, stage), that a pool worker can pickle back."""
+    patch(monkeypatch)
+    with pytest.raises(ComputationError, match=message) as info:
+        compute_record(q, mode)
+    assert type(info.value) is ComputationError
+    if mode == "dd":
+        assert isinstance(info.value.__cause__, ddm.RoundingError)
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert type(copy) is ComputationError and str(copy) == str(info.value)
 
 
 @pytest.mark.parametrize("field, message", [

@@ -590,6 +590,39 @@ store.compute_record = dies_at_101
     assert not ck.exists()
 
 
+SPECTRUM_BROKEN_AT_101 = """
+import ekcyclo.ek_core as ek_core
+real = ek_core.transform_kernel
+def broken_at_101(packed):
+    spec = real(packed)
+    if packed.shape[-1] == 50:  # q = 101
+        spec[1, 7] += 1.0
+    return spec
+ek_core.transform_kernel = broken_at_101
+"""
+DD_SLICES_TOO_WIDE = """
+import ekcyclo.dd as dd
+real = dd.slice_plan
+dd.slice_plan = lambda m: (26, 5) if m == 1024 else real(m)
+"""
+
+
+@pytest.mark.parametrize("patch, argv, where", [
+    (SPECTRUM_BROKEN_AT_101, ["--min", "3", "--max", "400"],
+     "(q=101, kernel linear+lngamma (odd), stage double spectrum check)"),
+    (DD_SLICES_TOO_WIDE, ["--min", "500", "--max", "530", "--precision", "dd"],
+     "(q=521, kernel lngamma+zeta2 (even) and linear+lngamma (odd), stage dd transform)"),
+], ids=["spectrum-check", "dd-transform"])
+def test_failed_record_in_a_worker_exits_2_naming_it(tmp_path, patch, argv, where):
+    """A record that fails inside a pool worker reaches the CLI as its own
+    error, pickled back from the worker, not as a dead worker."""
+    out = tmp_path / "run.csv"
+    done = _cli_child(["compute", *argv, "--out", str(out), "--threads", "2"], patch)
+    assert done.returncode == 2
+    line = _one_error_line(done.stderr)
+    assert line.endswith(where) and "a worker died" not in line
+
+
 def test_dd_transform_rounding_failure_exits_2(tmp_path, monkeypatch, capsys):
     """Slices too wide for exact FFT convolutions at m = 1024 (q = 521, the
     first q of the range that pads to 1024) trip the dd transform's residual
@@ -833,17 +866,7 @@ def test_cli_verify_tolerance_follows_precision(monkeypatch, capsys):
 def test_cli_verify_failed_record_exits_2():
     """A record that fails a check ends verify-table2 with exit 2 and one error
     line naming q, kernel and stage, before any result is printed."""
-    patch = """
-import ekcyclo.ek_core as ek_core
-real = ek_core.transform_kernel
-def broken_at_101(packed):
-    spec = real(packed)
-    if packed.shape[-1] == 50:  # q = 101
-        spec[1, 7] += 1.0
-    return spec
-ek_core.transform_kernel = broken_at_101
-"""
-    done = _cli_child(["verify-table2"], patch)
+    done = _cli_child(["verify-table2"], SPECTRUM_BROKEN_AT_101)
     assert done.returncode == 2 and done.stdout == ""
     line = _one_error_line(done.stderr)
     assert "q=101, kernel linear+lngamma (odd), stage double spectrum check" in line
