@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .dd import DD, DDC, RoundingError, dd_dft, dd_gamma_zeta_kernels, roots_of_unity
+from .dd import DD, DDC, RoundingError, _complex, dd_dft, dd_gamma_zeta_kernels, roots_of_unity
 from .primes import PrimeContext
 from .special_functions import hurwitz_z2_at_rationals, ln_gamma
 
@@ -115,13 +115,6 @@ def _unpack(y, start: int, size: int):
     scale = 0.5 / _REAL_SCALE
     return (((a.real + b.real) * scale, (a.imag - b.imag) * scale),
             ((a.imag + b.imag) * 0.5, (b.real - a.real) * 0.5))
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + i im, written straight into one complex128 array."""
-    out = np.empty(re.shape, np.complex128)
-    out.real, out.imag = re, im
-    return out
 
 
 @dataclass(frozen=True)
@@ -243,7 +236,7 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     """
     y, spec = pt.packed, pt.spec
     if isinstance(spec, DDC):
-        y, spec = y.real.hi + 1j * y.imag.hi, spec.to_complex()
+        y, spec = y.hi, spec.to_complex()
     energy = y.shape[-1] * _row_energy(y)
     total = _row_energy(spec)
     out = {("parseval", label): abs(float(total[row] - energy[row])) / max(1.0, float(energy[row]))
@@ -253,9 +246,9 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     for kernel, got, want in ((lg, s0.real, total0.real), (z2, s0.imag, total0.imag)):
         out["s0", kernel.value] = abs(float(got - want)) / max(1.0, abs(float(got)))
     if isinstance(pt.spec, DDC):
-        row = DD.stack([pt.packed.real[EVEN], pt.packed.imag[EVEN]])
-        diff = (DD.stack([pt.spec.real[EVEN, 0], pt.spec.imag[EVEN, 0]]) - row.sum()).to_float()
-        scale = float(np.sum(np.hypot(*row.hi)))
-        for kernel, d in zip((lg, z2), diff):
+        row = pt.packed[EVEN]
+        diff = (pt.spec[EVEN, 0] - row.sum()).to_complex()
+        scale = float(np.sum(np.hypot(row.hi.real, row.hi.imag)))
+        for kernel, d in zip((lg, z2), (diff.real, diff.imag)):
             out["s0 dd", kernel.value] = abs(float(d)) / scale
     return out

@@ -1,7 +1,7 @@
 """Command-line entry points: compute, verify-table2, analyze, constants.
 
-Exit codes: 0 success, 1 verification failure, 2 usage, input, I/O or
-record error (one ``error:`` line on stderr, printed by ``main``).
+Exit codes: 0 success, 1 verification failure, 2 usage, input, I/O,
+allocation or record error (one ``error:`` line on stderr, printed by ``main``).
 """
 from __future__ import annotations
 
@@ -135,10 +135,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, StoreError, ComputationError) as exc:
-        # input, I/O and record failures: a failed record names its q, kernel
-        # and stage, and a compute run keeps its last checkpoint
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError, StoreError, ComputationError) as exc:
+        # input, I/O, allocation and record failures: a failed record names
+        # its q, kernel and stage, and a compute run keeps its last checkpoint
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -5,20 +5,20 @@ All primitives are branch-free elementwise numpy expressions built from the
 classic error-free transforms (Knuth two-sum, Dekker split/product), so the
 whole layer vectorises over arrays of any shape.
 
-On top of the scalar layer sit complex pairs, exp/log, roots of unity and a
-Bluestein chirp-z DFT of any length n.  exp is table-driven: a Cody-Waite
-reduction by ln2/64, a 64-entry table of 2^(j/64) built from Python integers
-and ten Taylor terms; log is one Newton step on it.  The roots of unity of an
-even n are powers of one root up to a quarter turn and exact reflections of
-them.  The DFT's convolution is taken exactly: the double-double rows are
-cut into signed integer slices of b bits, the slices are convolved on
-binary64 FFTs (scipy.fft) with an error bound below 1/8, and rint recovers
-the integer convolutions, which are summed back in double-double.  No
-fused-multiply-add is assumed.  The DFT takes its chirp table from the
-caller: a record's twiddles exp(2 pi i k / (q-1)) are that table, so one
-root of unity serves both.  Last come the record's kernels log Gamma(a/q)
-and zeta''(0, a/q), from the Taylor series at 3/2 of special_functions
-(dd_gamma_zeta_kernels).
+On top of the scalar layer sit complex values (DDC, a DD with complex128
+words), exp/log, roots of unity and a Bluestein chirp-z DFT of any length
+n.  exp is table-driven: a Cody-Waite reduction by ln2/64, a 64-entry table
+of 2^(j/64) built from Python integers and ten Taylor terms; log is one
+Newton step on it.  The roots of unity of an even n are powers of one root
+up to a quarter turn and exact reflections of them.  The DFT's convolution
+is taken exactly: the double-double rows are cut into signed integer slices
+of b bits, the slices are convolved on binary64 FFTs (scipy.fft) with an
+error bound below 1/8, and rint recovers the integer convolutions, which
+are summed back in double-double.  No fused-multiply-add is assumed.  The
+DFT takes its chirp table from the caller: a record's twiddles
+exp(2 pi i k / (q-1)) are that table, so one root of unity serves both.
+Last come the record's kernels log Gamma(a/q) and zeta''(0, a/q), from the
+Taylor series at 3/2 of special_functions (dd_gamma_zeta_kernels).
 """
 from __future__ import annotations
 
@@ -174,7 +174,8 @@ class DD:
         return _dd(*_quick_two_sum(p1, p2))
 
     def scale_pow2(self, f) -> "DD":
-        """Multiply by an exact power of two (per-element allowed)."""
+        """Multiply by an exact power of two (per-element allowed); on complex
+        words, by f + 0i, which may flip the sign of a zero part."""
         return _dd(self.hi * f, self.lo * f)
 
     def square(self) -> "DD":
@@ -194,9 +195,12 @@ class DD:
         return acc[..., 0]
 
 
+_COMPLEX = np.dtype(np.complex128)
+
+
 def _dd(hi, lo) -> DD:
-    """DD(hi, lo) unchecked: the words of an arithmetic result (numpy scalars if 0-d)."""
-    out = object.__new__(DD)
+    """DD(hi, lo) unchecked, a DDC if complex: the words of an arithmetic result."""
+    out = object.__new__(DDC if hi.dtype is _COMPLEX else DD)
     out.hi, out.lo = hi, lo
     return out
 
@@ -264,42 +268,44 @@ def dd_log(a: DD) -> DD:
     return DD(y0) + r - DD(0.5 * r.hi * r.hi)
 
 
-class DDC:
-    """Array of double-double complex values; parts named as numpy's."""
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im, written straight into one complex128 array."""
+    out = np.empty(re.shape, np.complex128)
+    out.real, out.imag = re, im
+    return out
 
-    __slots__ = ("real", "imag")
+
+class DDC(DD):
+    """Array of double-double complex values: a DD with complex128 words.  A
+    complex sum is two IEEE sums, so DD's sums, scalings and containers act
+    exactly part by part; only the products below need the parts."""
+
+    __slots__ = ()
 
     def __init__(self, real: DD, imag: DD):
-        self.real = real
-        self.imag = imag
+        self.hi = _complex(real.hi, imag.hi)
+        self.lo = _complex(real.lo, imag.lo)
 
     @staticmethod
     def zeros(shape) -> "DDC":
-        return DDC(DD.zeros(shape), DD.zeros(shape))
+        return _dd(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
 
     @property
-    def shape(self):
-        return self.real.shape
+    def real(self) -> DD:
+        return _dd(self.hi.real, self.lo.real)
 
-    def __getitem__(self, idx) -> "DDC":
-        return DDC(self.real[idx], self.imag[idx])
-
-    def __setitem__(self, idx, value: "DDC"):
-        self.real[idx] = value.real
-        self.imag[idx] = value.imag
-
-    def reshape(self, *shape) -> "DDC":
-        return DDC(self.real.reshape(*shape), self.imag.reshape(*shape))
-
-    def copy(self) -> "DDC":
-        return DDC(self.real.copy(), self.imag.copy())
+    @property
+    def imag(self) -> DD:
+        return _dd(self.hi.imag, self.lo.imag)
 
     def __mul__(self, other: "DDC") -> "DDC":
-        return DDC(self.real * other.real - self.imag * other.imag,
-                   self.real * other.imag + self.imag * other.real)
+        ar, ai, br, bi = self.real, self.imag, other.real, other.imag
+        return DDC(ar * br - ai * bi, ar * bi + ai * br)
+
+    __rmul__ = __mul__
 
     def conj(self) -> "DDC":
-        return DDC(self.real, -self.imag)
+        return _dd(self.hi.conj(), self.lo.conj())
 
     def abs2(self) -> DD:
         return self.real.square() + self.imag.square()
@@ -309,11 +315,7 @@ class DDC:
         num = self * other.conj()
         return DDC(num.real / den, num.imag / den)
 
-    def scale_pow2(self, f) -> "DDC":
-        return DDC(self.real.scale_pow2(f), self.imag.scale_pow2(f))
-
-    def to_complex(self) -> np.ndarray:
-        return self.real.to_float() + 1j * self.imag.to_float()
+    to_complex = DD.to_float  # hi + lo
 
 
 # -- roots of unity and the DFT -------------------------------------------
@@ -344,13 +346,11 @@ def _powers(w: DDC, count: int) -> DDC:
     gives out[:take] w^s and the next w^s w^s.  Element k is filled at the same
     step for any count: a shorter table is a prefix."""
     out = DDC.zeros(count)
-    out[0] = DDC(DD(1.0), DD(0.0))
+    out.hi[0] = 1.0
     wp, size = w, 1
     while size < count:
         take = min(size, count - size)
-        left = DDC.zeros(take + 1)
-        left[:take], left[take] = out[:take], wp
-        step = left * wp
+        step = DD.stack([out[:take], wp.reshape(1)], join=np.concatenate) * wp
         out[size:size + take], wp = step[:take], step[take]
         size *= 2
     return out
@@ -367,9 +367,9 @@ def roots_of_unity(n: int) -> DDC:
     out = DDC.zeros(n)
     out[:count] = head
     if 4 * count == n:
-        out.imag.hi[count] = 1.0
-    out[half + 1 - count:half + 1] = DDC(-head.real[::-1], head.imag[::-1])
-    out[half:] = DDC(-out.real[:half], -out.imag[:half])
+        out.hi[count] = 1j
+    out[half + 1 - count:half + 1] = -head[::-1].conj()
+    out[half:] = -out[:half]
     return out
 
 
@@ -475,24 +475,21 @@ def dd_dft(x: DDC, u: DDC) -> DDC:
     m = 1 << (2 * n - 1).bit_length()
     rows = math.prod(x.shape[:-1])
     chirp = u[(np.arange(n, dtype=np.int64) ** 2) % (2 * n)]
-    a = x.reshape(rows, n) * chirp
-    hi, lo = np.empty((rows + 1, n, 2)), np.empty((rows + 1, n, 2))
-    for part, (data, filt) in enumerate(((a.real, chirp.real), (a.imag, -chirp.imag))):
-        hi[:rows, :, part], lo[:rows, :, part] = data.hi, data.lo
-        hi[rows, :, part], lo[rows, :, part] = filt.hi, filt.lo
+    # the data rows x c and, last, the filter conj c, parts interleaved in the words
+    a = DD.stack([x.reshape(rows, n) * chirp, chirp.conj().reshape(1, n)], join=np.concatenate)
     b, count = slice_plan(m)
     stack = np.zeros((count, rows + 1, m), dtype=np.complex128)
-    e = split_slices(hi.reshape(rows + 1, 2 * n), lo.reshape(rows + 1, 2 * n), b,
+    e = split_slices(a.hi.view(np.float64), a.lo.view(np.float64), b,
                      stack.view(np.float64)[:, :, :2 * n])[0]
     stack[:, rows, m - (n - 1):] = stack[:, rows, n - 1:0:-1]
     z = convolve_slices(stack, n)
-    del a, hi, lo, stack  # only z is read from here on: free the slice stack for the sums
+    del a, stack  # only z is read from here on: free the slice stack for the sums
     conv = _dd(z[count - 1], 0.0)
     for g in range(count - 2, -1, -1):
         conv = conv._add_double(z[g] * 2.0 ** (b * (count - 1 - g)))
     conv = conv.scale_pow2(np.ldexp(1.0, e[:rows] + e[rows] - b * (count + 1)))
-    conv = conv.reshape(rows, n, 2)
-    return (DDC(conv[..., 0], conv[..., 1]) * chirp).reshape(*x.shape)
+    conv = _dd(conv.hi.view(np.complex128), conv.lo.view(np.complex128))
+    return (conv * chirp).reshape(*x.shape)
 
 
 # -- double-double kernels at rational points a/q -----------------------

@@ -117,8 +117,7 @@ def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
     half = ctx.n / 2.0
     odd, even = sums.w_odd.size, sums.w_even.size
-    num, den = (DDC(DD.stack([x.real, y.real], join=np.concatenate),
-                    DD.stack([x.imag, y.imag], join=np.concatenate))
+    num, den = (DD.stack([x, y], join=np.concatenate)
                 for x, y in ((sums.lg_odd, sums.z2), (sums.b1, sums.lg_even.scale_pow2(2.0))))
     den2 = den.abs2()
     if np.any(den2.hi[:odd] == 0):

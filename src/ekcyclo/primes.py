@@ -136,8 +136,15 @@ class PrimeContext:
         return cached
 
 
+# _power_table multiplies two int64 residues below q, so (q - 1)^2 must fit in int64
+MAX_Q = math.isqrt(2**63 - 1) + 1
+
+
 def _power_table(g: int, q: int, n: int) -> np.ndarray:
     # baby-step/giant-step layout keeps the Python-level loop at O(sqrt n)
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} is above {MAX_Q}, past which the power table's "
+                         "int64 products overflow")
     B = math.isqrt(n) + 1
     row = np.empty(B, dtype=np.int64)
     acc = 1

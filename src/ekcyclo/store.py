@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from .ek_core import PRECISIONS, EkRecord, compute_record
-from .primes import NeighborFlags, is_prime, primes_in
+from .primes import MAX_Q, NeighborFlags, is_prime, primes_in
 from .reference import kappa_reference
 
 CSV_HEADER = "q,kappa,r,delta,gamma_plus,gamma,sg2p,sg2m,sg4p,sg4m"
@@ -138,6 +138,9 @@ class RunConfig:
     def __post_init__(self):
         if not 3 <= self.q_min <= self.q_max:
             raise ValueError("need 3 <= q_min <= q_max")
+        if self.q_max > MAX_Q:
+            raise ValueError(f"q_max must be <= {MAX_Q}, the largest q whose power table "
+                             "fits int64")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.precision not in PRECISIONS:

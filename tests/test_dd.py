@@ -43,6 +43,42 @@ def test_field_operations_against_mpmath():
             assert abs(as_mp(op, (i,)) - want) <= mp.mpf("1e-28") * (1 + abs(want))
 
 
+def test_ddc_is_a_dd_with_complex_words():
+    # sums, scalings and containers act on the complex words part by part,
+    # bit for bit; products take the four-product formula on the parts
+    rng = np.random.default_rng(37)
+
+    def part():
+        hi = rng.uniform(-3, 3, (2, 37))
+        return DD(hi, hi * rng.uniform(-1, 1, hi.shape) * 2.0 ** -54)
+
+    ar, ai, br, bi = (part() for _ in range(4))
+    a, b = DDC(ar, ai), DDC(br, bi)
+    assert isinstance(a, DD) and a.hi.dtype == a.lo.dtype == np.complex128
+    assert np.all(a.lo.real != 0) and np.all(a.lo.imag != 0)
+    copy = a.copy()
+    assert not np.shares_memory(copy.hi, a.hi) and not np.shares_memory(copy.lo, a.lo)
+    for got, re, im in ((a + b, ar + br, ai + bi),
+                        (a - b, ar - br, ai - bi),
+                        (-a, -ar, -ai),
+                        (a.scale_pow2(0.25), ar.scale_pow2(0.25), ai.scale_pow2(0.25)),
+                        (a[1, ::3], ar[1, ::3], ai[1, ::3]),
+                        (a[0, 5], ar[0, 5], ai[0, 5]),
+                        (a.reshape(-1), ar.reshape(-1), ai.reshape(-1)),
+                        (copy, ar, ai),
+                        (DD.stack([a, b], join=np.concatenate),
+                         DD.stack([ar, br], join=np.concatenate),
+                         DD.stack([ai, bi], join=np.concatenate)),
+                        (a.sum(), ar.sum(), ai.sum()),
+                        (a * b, ar * br - ai * bi, ar * bi + ai * br)):
+        assert isinstance(got, DDC)
+        assert bits_equal(got.real, re) and bits_equal(got.imag, im)
+    x = DDC.zeros((2, 37))
+    x.real[0] = ar[0]  # writes through to the words
+    assert bits_equal(DD(x.hi.real[0], x.lo.real[0]), ar[0])
+    assert not x.hi.imag.any() and not x.lo.imag.any() and not x.hi[1].any()
+
+
 def test_exp_log_against_mpmath():
     rng = np.random.default_rng(6)
     xs = rng.uniform(-25, 25, 40)

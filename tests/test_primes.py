@@ -151,6 +151,16 @@ def test_powers_bijection_exhaustive_to_1e4():
         assert pw[ctx.n // 2] == q - 1
 
 
+def test_power_table_refuses_q_past_int64_products():
+    # (q - 1)^2 fits int64 up to MAX_Q; past it the products wrapped, so at
+    # q = 4000000007 497 of the first 5000 powers were wrong
+    for q in (3000000019, primes.MAX_Q):
+        assert primes._power_table(2, q, 5000).tolist() == [pow(2, k, q) for k in range(5000)]
+    for q in (primes.MAX_Q + 1, 4000000007):
+        with pytest.raises(ValueError, match=f"q = {q} is above {primes.MAX_Q}"):
+            primes._power_table(2, q, 5000)
+
+
 def test_mult_order_examples():
     assert mult_order(2, 7) == 3
     assert mult_order(1, 13) == 1

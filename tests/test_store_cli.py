@@ -16,6 +16,7 @@ import pytest
 import ekcyclo.store as store
 from ekcyclo.cli import main as cli_main
 from ekcyclo.ek_core import compute_record
+from ekcyclo.primes import MAX_Q
 from ekcyclo.store import (CSV_HEADER, RunConfig, StoreError, format_record,
                            parse_record, read_records, run_range, verify_reference)
 
@@ -670,6 +671,9 @@ def test_run_config_validation(tmp_path):
         RunConfig(3, 5, str(tmp_path / "x.csv"), threads=0)
     with pytest.raises(ValueError, match="precision must be 'double' or 'dd'"):
         RunConfig(3, 5, str(tmp_path / "x.csv"), precision="quad")
+    RunConfig(3, MAX_Q, str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match=f"q_max must be <= {MAX_Q}"):
+        RunConfig(3, MAX_Q + 1, str(tmp_path / "x.csv"))
 
 
 def test_verify_reference_pass_and_fail(monkeypatch):
@@ -709,6 +713,33 @@ def test_cli_compute_and_analyze(tmp_path, capsys):
 def test_cli_compute_rejects_bad_range(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli_main(["compute", "--min", "10", "--max", "5", "--out", str(out)]) == 2
+
+
+def test_cli_compute_refuses_q_past_power_table_before_sieving(tmp_path, capsys, monkeypatch):
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(store, "primes_in", no_sieve)
+    out = tmp_path / "x.csv"
+    assert cli_main(["compute", "--min", "999999999989", "--max", "1000000000000",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: q_max must be <= {MAX_Q}, the largest q "
+                                       f"whose power table fits int64\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+     "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+    (MemoryError(), "error: MemoryError")])
+def test_cli_compute_allocation_failure_exits_2(tmp_path, capsys, monkeypatch, exc, line):
+    def no_memory(q, mode="double"):
+        raise exc
+
+    monkeypatch.setattr(store, "compute_record", no_memory)
+    assert cli_main(["compute", "--min", "3", "--max", "20", "--out",
+                     str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_run_range_dd_mode(tmp_path):
