@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma
 
-from .primes import prime_blocks, simple_sieve
+from .primes import prime_blocks, primes_in
 from .special_functions import CONSTANTS
 
 C1_CUTOFF = 10 ** 8  # the singular series C1 is a product over the primes up to this cutoff
@@ -53,7 +53,7 @@ def omega(p: int, a: AdmissibleSet) -> int:
 def is_admissible(a: AdmissibleSet) -> bool:
     """omega(p) < p for all primes p; finitely checkable at p <= s + 1."""
     s = len(a.elements)
-    return all(omega(int(p), a) < p for p in simple_sieve(s + 1))
+    return all(omega(int(p), a) < p for p in primes_in(0, s + 1))
 
 
 def harmonic_threshold(c: float) -> tuple[int, float]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import is_prime, mult_order, prime_blocks, simple_sieve
+from .primes import is_prime, mult_order, prime_blocks, primes_in
 from .special_functions import compensated_sum
 
 
@@ -43,19 +43,17 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"modulus q must be >= 3, got {q}")
 
 
-def _power_terms(x: float) -> list[tuple[int, int, int]]:
-    """(p, m, p^m) for m >= 2, p^m <= x, ascending in p^m."""
+def _power_terms(x: float) -> np.ndarray:
+    """Rows log p, m and p^m in float64 over the prime powers p^m <= x, m >= 2."""
     out = []
-    for p in simple_sieve(math.isqrt(int(x))):
-        p = int(p)
+    for p in primes_in(0, math.isqrt(int(x))).tolist():
         pm = p * p
         m = 2
         while pm <= x:
-            out.append((p, m, pm))
+            out.append((math.log(p), m, pm))
             pm *= p
             m += 1
-    out.sort(key=lambda t: t[2])
-    return out
+    return np.array(out, dtype=np.float64).reshape(-1, 3).T
 
 
 def truncated_sums(qs, x: float) -> dict[int, TruncatedSums]:
@@ -78,24 +76,15 @@ def truncated_sums(qs, x: float) -> dict[int, TruncatedSums]:
                     continue
                 inv[q].append(sign * compensated_sum(1.0 / p[sel]))
                 logp[q].append(sign * compensated_sum(logs[sel] / p[sel]))
-    powers = _power_terms(x)
+    log_p, m, pm = _power_terms(x)
     out = {}
     for q in qs:
-        f_pow, v_pow = [], []
-        for p, m, pm in powers:
-            rem = pm % q
-            if rem == 1:
-                sign = 1.0
-            elif rem == q - 1:
-                sign = -1.0
-            else:
-                continue
-            f_pow.append(sign / (m * pm))
-            v_pow.append(sign * math.log(p) / pm)
+        rem = pm % q  # exact: p^m < 2^53
+        sign = (rem == 1).astype(np.float64) - (rem == q - 1)  # off both classes: +0.0
         g = math.fsum(inv[q])
         w = math.fsum(logp[q]) / math.log(q)
-        f = g + math.fsum(f_pow)
-        v = math.fsum(v_pow) / math.log(q)
+        f = g + math.fsum(sign / (m * pm))
+        v = math.fsum(sign * log_p / pm) / math.log(q)
         out[q] = TruncatedSums(q=q, x=float(x), f=f, g=g, v=v, w=w)
     return out
 
@@ -123,8 +112,7 @@ def s12(q: int, cutoff: int) -> OrderSums:
         raise ValueError("cutoff must be >= 2")
     log_cut = math.log(cutoff)
     s1, s2 = [], []
-    for p in simple_sieve(math.isqrt(cutoff)):
-        p = int(p)
+    for p in primes_in(0, math.isqrt(cutoff)).tolist():
         if p == q:
             continue
         ord1 = mult_order(p, q)

@@ -42,18 +42,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as int64, by a dense Eratosthenes sieve."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def prime_blocks(lo: int, hi: int):
     """Yield the ascending int64 primes of (lo, hi], one non-empty array per
     sieve segment of _SEGMENT integers; a range with lo < 0 or hi < lo raises
@@ -62,7 +50,7 @@ def prime_blocks(lo: int, hi: int):
         raise ValueError(f"invalid range ({lo}, {hi}]")
     if hi <= max(lo, 1):
         return
-    base = simple_sieve(math.isqrt(hi))
+    base = primes_in(0, math.isqrt(hi))  # this sieve again, ended by the return above
     start = lo + 1
     while start <= hi:
         stop = min(start + _SEGMENT, hi + 1)  # exclusive

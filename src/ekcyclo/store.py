@@ -153,9 +153,16 @@ def _checkpoint_path(out_path: str) -> Path:
 
 @functools.cache
 def _code_digest() -> str:
-    """sha256 of this package's sources and the numpy and scipy versions: the
-    code whose rows a checkpoint vouches for."""
+    """sha256 of this package's sources, the numpy and scipy versions and the
+    loop numpy dispatches for each ufunc on this CPU (np.log's bits follow it):
+    the code whose rows a checkpoint vouches for."""
     h = hashlib.sha256(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0 has no public view of its dispatch: versions alone
+        pass
+    else:
+        h.update(json.dumps(opt_func_info(), sort_keys=True).encode())
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()

@@ -1,5 +1,5 @@
 """The benchmark's layer tracer finds every function it hooks, and each one
-is live.
+is live; the benchmark's own output checks pass.
 
 perfbench/layertrace.py wraps the module attributes the pipeline looks up
 at call time, and reports a name that no longer resolves as absent, with
@@ -10,6 +10,9 @@ import keeps it, since nothing looks it up.  These tests fail instead.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +53,16 @@ def test_every_tracer_hook_is_looked_up():
                 (other, module, attr) in attributes for other in trees if other != module):
             dead.append(f"{hooked}.{attr}")
     assert not dead, dead
+
+
+def test_benchmark_checks_pass():
+    """perfbench/test_checks.py calls library names that HOOKS does not pin:
+    ek_core.primitive_root, PrimeContext(q=, g=, n=), ctx.powers(),
+    charsum.kernel_values and KernelId, and the .hi/.lo pairs of
+    dd.dd_gamma_zeta_kernels.  A break there fails here, not first in a
+    benchmark run."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "perfbench/test_checks.py"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -8,7 +8,7 @@ from ekcyclo import primes
 from ekcyclo.admissible import singular_series_c1
 from ekcyclo.prime_sums import bias, truncated_sums
 from ekcyclo.primes import (count_primes_in, is_prime, mult_order, neighbor_flags,
-                            primes_in, primitive_root, simple_sieve)
+                            primes_in, primitive_root)
 
 from _oracles import naive_is_prime, naive_primes_upto
 
@@ -55,10 +55,11 @@ def test_primes_in_examples():
 
 def test_empty_range_sieves_nothing(monkeypatch):
     # an empty range returns before the base sieve up to sqrt(hi), which at
-    # hi = 1e18 would take a gigabyte
-    def no_sieve(limit):
-        raise AssertionError(f"sieved up to {limit}")
-    monkeypatch.setattr(primes, "simple_sieve", no_sieve)
+    # hi = 1e18 would take a gigabyte; the base sieve is the module's
+    # primes_in, while this test's primes_in is the real one, bound at import
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved ({lo}, {hi}]")
+    monkeypatch.setattr(primes, "primes_in", no_sieve)
     assert primes_in(5, 5).tolist() == []
     assert primes_in(0, 1).tolist() == []
     assert count_primes_in(10 ** 18, 10 ** 18) == 0
@@ -80,7 +81,7 @@ def test_segmentation_invariance(monkeypatch, segment):
     full, count = primes_in(0, x), count_primes_in(500, x)
     biases, sums, c1 = [bias(x, q) for q in qs], truncated_sums(qs, x), singular_series_c1(x)
     monkeypatch.setattr(primes, "_SEGMENT", segment)
-    assert np.array_equal(full, simple_sieve(x))
+    assert full.tolist() == naive_primes_upto(x)
     assert np.array_equal(primes_in(0, x), full)
     assert count_primes_in(500, x) == count == len(full) - 95
     assert [bias(x, q) for q in qs] == biases
@@ -99,11 +100,12 @@ def test_segmentation_invariance(monkeypatch, segment):
 
 
 def test_primes_in_segmentation_invariance(monkeypatch):
+    # at 5 the base primes come through short segments at every level too
     full = primes_in(0, 50_000)
-    monkeypatch.setattr(primes, "_SEGMENT", 997)
-    small = primes_in(0, 50_000)
-    assert np.array_equal(full, small)
-    assert count_primes_in(0, 50_000) == len(full)
+    for segment in (997, 5):
+        monkeypatch.setattr(primes, "_SEGMENT", segment)
+        assert np.array_equal(primes_in(0, 50_000), full)
+        assert count_primes_in(0, 50_000) == len(full)
 
 
 def test_primes_in_rejects_bad_range():

@@ -438,8 +438,14 @@ def test_resume_refuses_checkpoint_of_other_code(tmp_path, monkeypatch, capsys):
 
 def test_code_digest_covers_sources_and_libraries(tmp_path, monkeypatch):
     # the digest of a copy of the package is the package's own until one
-    # source file or the numpy version differs
+    # source file, the numpy version or numpy's dispatch differs
     import numpy
+    changes = [None, "source", "numpy"]
+    try:
+        from numpy.lib import introspect
+        changes.append("dispatch")
+    except ImportError:  # numpy < 2.0: the digest binds no dispatch
+        pass
     real = store._code_digest()
     pkg = tmp_path / "ekcyclo"
     shutil.copytree(Path(store.__file__).parent, pkg,
@@ -447,17 +453,45 @@ def test_code_digest_covers_sources_and_libraries(tmp_path, monkeypatch):
     monkeypatch.setattr(store, "__file__", str(pkg / "store.py"))
     digests = []
     try:
-        for change in (None, "source", "numpy"):
+        for change in changes:
             if change == "source":
                 (pkg / "dd.py").write_text((pkg / "dd.py").read_text() + "\n")
             elif change == "numpy":
                 monkeypatch.setattr(numpy, "__version__", numpy.__version__ + ".post1")
+            elif change == "dispatch":
+                other = {**introspect.opt_func_info(),
+                         "log": {"dd": {"current": "other", "available": "other"}}}
+                monkeypatch.setattr(introspect, "opt_func_info", lambda: other)
             store._code_digest.cache_clear()
             digests.append(store._code_digest())
     finally:
         store._code_digest.cache_clear()
     assert digests[0] == real
-    assert len(set(digests)) == 3
+    assert len(set(digests)) == len(changes)
+
+
+def test_resume_refuses_checkpoint_of_other_dispatch(tmp_path, monkeypatch):
+    # np.log's binary64 bits follow numpy's SIMD dispatch, so a process held
+    # below X86_V4 has another digest and does not continue this one's rows
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    log = introspect.opt_func_info(func_name="^log$", signature="float64").get("log", {})
+    if log.get("dd", {}).get("current") != "X86_V4":
+        pytest.skip("float64 log does not dispatch to X86_V4 here")
+    lower = {**_child_env(), "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+
+    def child(cmd, env):
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+
+    digest = [sys.executable, "-c", "import ekcyclo.store as s\nprint(s._code_digest())"]
+    assert child(digest, _child_env()).stdout.strip() == store._code_digest()
+    assert child(digest, lower).stdout.strip() != store._code_digest()
+    out = _interrupted_run(tmp_path, monkeypatch)
+    ck = Path(str(out) + ".checkpoint")
+    before, ck_before = out.read_bytes(), ck.read_bytes()
+    done = child(_cli_child_cmd(["compute", "--min", "3", "--max", "200", "--out", str(out)]),
+                 lower)
+    assert done.returncode == 2 and "belongs to another run: code is " in done.stderr
+    assert out.read_bytes() == before and ck.read_bytes() == ck_before
 
 
 @pytest.mark.parametrize("damage", ["short", "foreign", "partial", "header"])
