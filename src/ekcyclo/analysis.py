@@ -51,18 +51,19 @@ class HistogramSummary:
 def histogram(values: Sequence[float], bin_width: float = DEFAULT_BIN_WIDTH,
               lo: float = DEFAULT_RANGE[0], hi: float = DEFAULT_RANGE[1]) -> HistogramSummary:
     """Counts on [lo, hi) with explicit under/overflow cells; NaN is rejected,
-    and so is a grid of no cell or more than MAX_BINS, before anything is allocated."""
+    and so is a grid of no cell, of more than MAX_BINS or of a width that does
+    not divide the range (to a relative 1e-9), before anything is allocated."""
     if bin_width <= 0 or lo >= hi:
         raise ValueError("need bin_width > 0 and lo < hi")
     cells = (hi - lo) / bin_width
-    if not 0.5 < cells <= MAX_BINS:  # a NaN count fails too; above 0.5, round() gives >= 1
+    nbins = round(cells) if cells <= MAX_BINS else 0  # a NaN count gives 0 too
+    if not (nbins >= 1 and abs(cells - nbins) <= 1e-9 * cells):
         raise ValueError(f"bin width {bin_width:g} on [{lo:g}, {hi:g}) gives "
-                         f"{cells:.6g} cells, not 1 to {MAX_BINS}")
+                         f"{cells:.6g} cells, not 1 to {MAX_BINS} whole cells")
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     nan = np.flatnonzero(np.isnan(v))
     if nan.size:
         raise ValueError(f"histogram value {int(nan[0])} is NaN (no cell holds it)")
-    nbins = int(round(cells))
     n = v.size
     if n == 0:
         return HistogramSummary(bin_width, lo, hi, np.zeros(nbins, dtype=np.int64),

@@ -129,27 +129,24 @@ class DD:
 
     def __add__(self, other):
         # "sloppy" addition: error O(eps^2 max(|a|,|b|)) instead of the
-        # IEEE-style O(eps^2 |a+b|); ample for the ~1e-30 budget here
-        if not isinstance(other, DD):
-            other = DD(other)
-        s, e = _two_sum(self.hi, other.hi)
-        e = e + (self.lo + other.lo)
-        return _dd(*_quick_two_sum(s, e))
+        # IEEE-style O(eps^2 |a+b|); ample for the ~1e-30 budget here.  A
+        # double, or an array of them, adds no low word
+        b, lo = (other.hi, self.lo + other.lo) if isinstance(other, DD) else (other, self.lo)
+        s, e = _two_sum(self.hi, b)
+        return _dd(*_quick_two_sum(s, e + lo))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, DD):
-            other = DD(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, float) and math.frexp(other)[0] == 0.5:
-            return self.scale_pow2(other)  # a power of two scales exactly
-        if not isinstance(other, DD):
-            other = DD(other)
-        p1, p2 = _two_prod(self.hi, other.hi)
-        p2 = p2 + (self.hi * other.lo + self.lo * other.hi)
+        if isinstance(other, DD):
+            p1, p2 = _two_prod(self.hi, other.hi)
+            p2 = p2 + (self.hi * other.lo + self.lo * other.hi)
+        else:  # a double, or an array of them: two error-free transforms
+            p1, p2 = _two_prod(self.hi, other)
+            p2 = p2 + self.lo * other
         return _dd(*_quick_two_sum(p1, p2))
 
     __rmul__ = __mul__
@@ -158,20 +155,11 @@ class DD:
         if not isinstance(other, DD):
             other = DD(other)
         q1 = self.hi / other.hi
-        r = self - other._mul_double(q1)
+        r = self - other * q1
         q2 = r.hi / other.hi
-        r = r - other._mul_double(q2)
+        r = r - other * q2
         q3 = r.hi / other.hi
         return _dd(*_quick_two_sum(q1, q2)) + q3
-
-    def _add_double(self, d):
-        s, e = _two_sum(self.hi, d)
-        return _dd(*_quick_two_sum(s, e + self.lo))
-
-    def _mul_double(self, d):
-        p1, p2 = _two_prod(self.hi, d)
-        p2 = p2 + self.lo * d
-        return _dd(*_quick_two_sum(p1, p2))
 
     def scale_pow2(self, f) -> "DD":
         """Multiply by an exact power of two (per-element allowed); on complex
@@ -249,7 +237,7 @@ def dd_exp(a: DD) -> DD:
     and so, by Sterbenz, is its difference from a.hi.
     """
     n = np.rint(a.hi * _INV_LN2_64)
-    r = _dd(*_two_sum(a.hi - n * _EXP_C1, a.lo)) - _EXP_C2._mul_double(n)
+    r = _dd(*_two_sum(a.hi - n * _EXP_C1, a.lo)) - _EXP_C2 * n
     p = _INV_FACT[10] * r  # the bits of (0 + 1/10!) r
     for i in range(9, 0, -1):
         p = (p + _INV_FACT[i]) * r
@@ -265,7 +253,7 @@ def dd_log(a: DD) -> DD:
     y0 = np.log(a.hi)
     r = a * dd_exp(DD(-y0)) - 1.0
     # |r| ~ 1e-16, so r^2/2 only matters at double precision
-    return DD(y0) + r - DD(0.5 * r.hi * r.hi)
+    return r + y0 - 0.5 * r.hi * r.hi
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -486,7 +474,7 @@ def dd_dft(x: DDC, u: DDC) -> DDC:
     del a, stack  # only z is read from here on: free the slice stack for the sums
     conv = _dd(z[count - 1], 0.0)
     for g in range(count - 2, -1, -1):
-        conv = conv._add_double(z[g] * 2.0 ** (b * (count - 1 - g)))
+        conv = conv + z[g] * 2.0 ** (b * (count - 1 - g))
     conv = conv.scale_pow2(np.ldexp(1.0, e[:rows] + e[rows] - b * (count + 1)))
     conv = _dd(conv.hi.view(np.complex128), conv.lo.view(np.complex128))
     return (conv * chirp).reshape(*x.shape)

@@ -60,7 +60,7 @@ def truncated_sums(qs, x: float) -> dict[int, TruncatedSums]:
     """f/g/v/w for several moduli in a single pass over the primes <= x."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    qs = [int(q) for q in qs]
+    qs = list(dict.fromkeys(int(q) for q in qs))  # each modulus once, in order
     for q in qs:
         _check_modulus(q)
     inv = {q: [] for q in qs}  # signed class sums per segment, m = 1

@@ -11,16 +11,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Witness set proving primality for every n < 3.3e24, in particular all 64-bit
-# integers (Sorenson & Webster).
+# Witness set proving primality for every n < psi_12, in particular all 64-bit
+# integers: psi_12 = 399165290221 * 798330580441 is the least strong
+# pseudoprime to all twelve bases (Sorenson & Webster, Math. Comp. 86, 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
 _SEGMENT = 1 << 22  # integers per sieve segment of prime_blocks, read at each call
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit inputs."""
+    """Deterministic Miller-Rabin, proven for n < psi_12 (about 3.2e23, past
+    every 64-bit input); from psi_12 on it raises ValueError."""
     n = operator.index(n)
+    if n >= _PSI_12:
+        raise ValueError(f"is_prime is proven only below {_PSI_12}, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -100,7 +100,7 @@ def _first_not_odd_prime(qs: list[int]) -> int | None:
 
 
 def read_records(path: str | os.PathLike) -> list[EkRecord]:
-    """The rows of a CSV of this schema, in ascending odd prime q; every
+    """The rows of a CSV of this schema, in ascending odd prime q <= MAX_Q; every
     StoreError starts with the path."""
     out, linenos = [], []
     try:
@@ -115,6 +115,9 @@ def read_records(path: str | os.PathLike) -> list[EkRecord]:
                     if out and rec.q <= out[-1].q:
                         raise StoreError(f"line {lineno}: q {rec.q} is not above the "
                                          f"previous row's q {out[-1].q}")
+                    if rec.q > MAX_Q:
+                        raise StoreError(f"line {lineno}: q {rec.q} is above {MAX_Q}, "
+                                         "the largest q a run computes")
                     out.append(rec)
                     linenos.append(lineno)
         if not out:

@@ -146,9 +146,10 @@ def test_histogram_rejects_nan():
 
 
 def test_histogram_rejects_grid_size():
-    # 1e7 cells, refused before any count array is allocated; 0.24 and 0.498 cells round to none
-    for width in (1.2e-7, 5.0, 2.41):
-        with pytest.raises(ValueError, match="cells, not 1 to 1000000"):
+    # 1e7 cells, refused before any count array is allocated; 0.24 and 0.498
+    # cells round to none; 0.502 and 171.43 cells are no whole number, whose
+    # last cell would be 1.5 and 1.43 widths wide
+    for width in (1.2e-7, 5.0, 2.41, 2.39, 0.007):
+        with pytest.raises(ValueError, match="cells, not 1 to 1000000 whole cells"):
             histogram([0.1], width)
     assert histogram([0.5], 1.0, 0.0, 1e6).counts.size == 10 ** 6
-    assert histogram([0.1], 2.39).counts.size == 1

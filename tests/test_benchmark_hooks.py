@@ -1,5 +1,6 @@
 """The benchmark's layer tracer finds every function it hooks, and each one
-is live; the benchmark's own output checks pass.
+is live and called in a real benchmark round; the benchmark's own output
+checks pass.
 
 perfbench/layertrace.py wraps the module attributes the pipeline looks up
 at call time, and reports a name that no longer resolves as absent, with
@@ -10,9 +11,11 @@ import keeps it, since nothing looks it up.  These tests fail instead.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,12 +23,16 @@ LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 PACKAGE = ROOT / "src" / "ekcyclo"
 
 
-def _hooks():
+def _table():
     spec = importlib.util.spec_from_file_location("_layertrace_under_test", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)  # loads the table; installs nothing
     assert layertrace.HOOKS
-    return [(module, attr) for module, attr, *_ in layertrace.HOOKS]
+    return layertrace.HOOKS
+
+
+def _hooks():
+    return [(module, attr) for module, attr, *_ in _table()]
 
 
 def test_every_tracer_hook_resolves():
@@ -66,3 +73,28 @@ def test_benchmark_checks_pass():
                            "perfbench/test_checks.py"], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_rounds_call_every_hook(tmp_path):
+    """One traced round per precision, through perfbench/worker.py and its own
+    patching of store.compute_record and cli.main: together they call every
+    timed layer.  The untimed store.checkpoints stays out: a run this short
+    ends before its first checkpoint."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    called = set()
+    for precision in ("double", "dd"):
+        run = tmp_path / precision
+        run.mkdir()
+        result = run / "result.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "worker.py"), str(ROOT / "src"),
+             repr(time.monotonic()), str(result), "--out", str(run / "r.csv"),
+             "--analyze", str(run / "a_"), "--trace", str(run / "spans.json"),
+             "--host-parts", "python", "--compute", "--min", "3", "--max", "200",
+             "--threads", "1", "--precision", precision],
+            cwd=run, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        out = json.loads(result.read_text())
+        assert out["absent"] == [], precision
+        called |= {key.removesuffix("_calls") for key in out["layers"] if key.endswith("_calls")}
+    assert called == {layer for _, _, layer, _, timed in _table() if timed}

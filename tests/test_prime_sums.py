@@ -63,6 +63,12 @@ def test_segment_size_determinism(monkeypatch):
     assert abs(a.f - c.f) < 1e-14 and abs(a.w - c.w) < 1e-14
 
 
+def test_repeated_modulus_counts_once():
+    # a repeat used to append its m = 1 class sums once per occurrence
+    got, want = truncated_sums([5, 5, 7], 10 ** 5), truncated_sums([5, 7], 10 ** 5)
+    assert list(got) == [5, 7] and repr(got) == repr(want)
+
+
 def test_antisymmetry_under_class_swap():
     for q, x in ((3, 500.0), (7, 300.0), (13, 1000.0)):
         got = truncated_sums([q], x)[q]

@@ -32,6 +32,19 @@ def test_is_prime_large_and_carmichael():
         assert not is_prime(carmichael)
 
 
+def test_is_prime_refuses_past_its_witness_proof(monkeypatch):
+    # psi_12 is a strong pseudoprime to all twelve witnesses (Sorenson and
+    # Webster), so from it on a True would prove nothing
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    for n in (psi_12, psi_12 + 2, 2 ** 128):
+        with pytest.raises(ValueError, match=f"proven only below {psi_12}, got {n}"):
+            is_prime(n)
+    assert is_prime(2 ** 64 - 59)  # the largest prime below 2^64
+    monkeypatch.setattr(primes, "_PSI_12", psi_12 + 1)
+    assert is_prime(psi_12)  # what the witnesses alone would answer
+
+
 def _types(x):
     return [type(v) for v in dataclasses.astuple(x)] if dataclasses.is_dataclass(x) else type(x)
 

@@ -880,10 +880,13 @@ def test_cli_analyze_refuses_disordered_rows(tmp_path, capsys, rows, message):
     (((3, 3), (5, 5), (9, 7), (11, 11)), "line 4: q 9 is not an odd prime"),
     (((2, 3), (3, 3), (5, 5)), "line 2: q 2 is not an odd prime"),
     (((3, 3), (1000003, 5), (1000011, 7)), "line 4: q 1000011 is not an odd prime"),
-], ids=["nine", "two", "sparse"])
+    (((3, 3), (318665857834031151167461, 5)),
+     f"line 3: q 318665857834031151167461 is above {MAX_Q}, the largest q a run computes"),
+], ids=["nine", "two", "sparse", "psi12"])
 def test_cli_analyze_refuses_q_not_odd_prime(tmp_path, capsys, rows, message):
-    # each row is (q written, q whose values it carries); the last case is
-    # too sparse for one sieve and tests each row by itself
+    # each row is (q written, q whose values it carries); the "sparse" case is
+    # too sparse for one sieve and tests each row by itself; "psi12", a strong
+    # pseudoprime to every witness of is_prime, is refused before any test
     src = tmp_path / "r.csv"
     run_range(RunConfig(3, 11, str(src)))
     by_q = {int(line.split(",")[0]): line.split(",", 1)[1]
@@ -966,8 +969,9 @@ def test_cli_constants(capsys):
     (["--delta-cap", "nan"], "cap must be positive, got nan"),
     (["--bins", "1.2e-7"], "1e+07 cells, not 1 to 1000000"),
     (["--bins", "5"], "0.24 cells, not 1 to 1000000"),
+    (["--bins", "0.007"], "171.429 cells, not 1 to 1000000 whole cells"),
     (["--spike", "3:+1"], "m must be a positive even integer"),
-], ids=["delta-cap", "delta-cap-nan", "bins-fine", "bins-wide", "spike"])
+], ids=["delta-cap", "delta-cap-nan", "bins-fine", "bins-wide", "bins-uneven", "spike"])
 def test_cli_analyze_usage_error_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "r.csv"
     run_range(RunConfig(3, 20, str(out)))
