@@ -90,7 +90,8 @@ class ParitySums:
     b1[m] and lg_odd[m] are s[2m+1] of LINEAR and LNGAMMA for 2m+1 <= h,
     lg_even[m] and z2[m] are s[2m+2] of LNGAMMA and ZETA2 for 2m+2 <= h
     (none for q = 3).  w_odd and w_even count the characters each stands
-    for: 2, or 1 at the self-conjugate j = h.
+    for: 2, or 1 at the self-conjugate j = h.  Neither B1 nor L'(0) (the
+    even LNGAMMA sums) vanishes (Washington, ch. 4): an exact zero is a fault.
     """
 
     q: int
@@ -100,6 +101,12 @@ class ParitySums:
     z2: np.ndarray | DDC
     w_odd: np.ndarray
     w_even: np.ndarray
+
+    def __post_init__(self):
+        for sums, what, kernel in ((self.b1, "B1", KernelId.LINEAR),
+                                   (self.lg_even, "L'(0)", KernelId.LNGAMMA)):
+            if np.any(getattr(sums, "hi", sums) == 0):  # a normalized dd with hi 0 is 0
+                raise record_error(f"vanishing {what} sum", self.q, kernel.value, "assembly")
 
 
 def _unpack(y, start: int, size: int):

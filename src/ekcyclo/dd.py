@@ -141,6 +141,8 @@ class DD:
         return self + (-other)
 
     def __mul__(self, other):
+        if isinstance(other, float) and math.frexp(other)[0] == 0.5:
+            return self.scale_pow2(other)  # a power of two scales exactly
         if isinstance(other, DD):
             p1, p2 = _two_prod(self.hi, other.hi)
             p2 = p2 + (self.hi * other.lo + self.lo * other.hi)

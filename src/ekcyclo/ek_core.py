@@ -63,8 +63,6 @@ class KummerCheck:
 
 def kappa(ctx: PrimeContext, sums: ParitySums) -> float:
     """kappa(q) = (gamma_q+ - gamma_q)/log q from the odd LINEAR and LNGAMMA sums."""
-    if np.any(sums.b1 == 0):
-        raise record_error("vanishing B1 sum", ctx.q, KernelId.LINEAR.value, "assembly")
     ratios = sums.lg_odd / sums.b1
     total = compensated_sum(sums.w_odd * ratios.real)
     return -(0.5 * ctx.n * _C + total) / math.log(ctx.q)
@@ -72,18 +70,13 @@ def kappa(ctx: PrimeContext, sums: ParitySums) -> float:
 
 def kummer_r(ctx: PrimeContext, sums: ParitySums) -> float:
     """r(q) = log R(q), the log of the product of |L(1, chi)| over odd chi."""
-    mags = np.abs(sums.b1)
-    if np.any(mags == 0.0):
-        raise record_error("vanishing B1 sum", ctx.q, KernelId.LINEAR.value, "assembly")
     base = 0.5 * ctx.n * (math.log(math.pi) - 0.5 * math.log(ctx.q))
-    return base + compensated_sum(sums.w_odd * np.log(mags))
+    return base + compensated_sum(sums.w_odd * np.log(np.abs(sums.b1)))
 
 
 def gamma_pair(ctx: PrimeContext, kap: float, sums: ParitySums) -> tuple[float, float]:
     """(gamma_q+, gamma_q) given kappa(q) and the even LNGAMMA and ZETA2 sums;
     the even sums are empty for q = 3 (gamma_q+ = gamma)."""
-    if np.any(sums.lg_even == 0):
-        raise record_error("vanishing L'(0) sum", ctx.q, KernelId.LNGAMMA.value, "assembly")
     u = (sums.z2 / (2.0 * sums.lg_even)).real
     gplus = CONSTANTS.euler_gamma + compensated_sum(sums.w_even * (_C - u))
     return gplus, gplus - kap * math.log(ctx.q)
@@ -120,10 +113,6 @@ def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
     num, den = (DD.stack([x, y], join=np.concatenate)
                 for x, y in ((sums.lg_odd, sums.z2), (sums.b1, sums.lg_even.scale_pow2(2.0))))
     den2 = den.abs2()
-    if np.any(den2.hi[:odd] == 0):
-        raise record_error("vanishing B1 sum", ctx.q, KernelId.LINEAR.value, "assembly")
-    if np.any(den2.hi[odd:] == 0):
-        raise record_error("vanishing L'(0) sum", ctx.q, KernelId.LNGAMMA.value, "assembly")
     ratios = (num.real * den.real - num.imag * -den.imag) / den2  # Re(num conj(den)) / |den|^2
 
     terms, weights = DD.zeros((3, odd)), np.zeros((3, odd))

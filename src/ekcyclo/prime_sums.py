@@ -18,6 +18,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,11 @@ class TruncatedSums:
     w: float
 
 
-def _check_modulus(q: int) -> None:
+def _check_modulus(q: int) -> int:
+    q = operator.index(q)  # a float raises TypeError, as in is_prime
     if q < 3:  # below 3 the classes +1 and -1 mod q are not distinct
         raise ValueError(f"modulus q must be >= 3, got {q}")
+    return q
 
 
 def _power_terms(x: float) -> np.ndarray:
@@ -60,9 +63,7 @@ def truncated_sums(qs, x: float) -> dict[int, TruncatedSums]:
     """f/g/v/w for several moduli in a single pass over the primes <= x."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    qs = list(dict.fromkeys(int(q) for q in qs))  # each modulus once, in order
-    for q in qs:
-        _check_modulus(q)
+    qs = list(dict.fromkeys(_check_modulus(q) for q in qs))  # each modulus once, in order
     inv = {q: [] for q in qs}  # signed class sums per segment, m = 1
     logp = {q: [] for q in qs}
     for block in prime_blocks(0, int(x)):
@@ -104,7 +105,7 @@ def s12(q: int, cutoff: int) -> OrderSums:
     Terms are kept while p^ord <= cutoff; the reported tail radius bounds
     the discarded mass by sum_{n > cutoff} log n/(n(n-1)).
     """
-    _check_modulus(q)
+    q = _check_modulus(q)
     # mult_order rejects a composite q too, but only once a prime p <= sqrt(cutoff) reaches it
     if not is_prime(q):
         raise ValueError(f"s12 requires a prime modulus, got {q}")
@@ -129,7 +130,7 @@ def s12(q: int, cutoff: int) -> OrderSums:
 
 def bias(t: float, q: int) -> int:
     """pi(t; q, 1) - pi(t; q, -1) via the segmented sieve."""
-    _check_modulus(q)
+    q = _check_modulus(q)
     if t < 2:
         raise ValueError("t must be >= 2")
     plus = minus = 0

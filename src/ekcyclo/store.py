@@ -58,15 +58,18 @@ def parse_record(line: str, lineno: int) -> EkRecord:
     parts = line.split(",")
     if len(parts) != 10:
         raise StoreError(f"line {lineno}: expected 10 fields, got {len(parts)}")
-    try:
+    try:  # int() and float() also take "_", spaces and "+": format_record writes none
+        if not (parts[0].isascii() and parts[0].isdigit()):
+            raise ValueError(f"q field {parts[0]!r} is not decimal digits")
         q = int(parts[0])
+        if any("_" in v or v != v.strip() for v in parts[1:6]):
+            raise ValueError("real fields must not hold '_' or whitespace")
         kappa, r, delta, gamma_plus, gamma = (float(v) for v in parts[1:6])
-        bits = [int(v) for v in parts[6:10]]
-        if any(b not in (0, 1) for b in bits):
+        if any(v not in ("0", "1") for v in parts[6:10]):
             raise ValueError("flag fields must be 0/1")
     except ValueError as exc:
         raise StoreError(f"line {lineno}: {exc}") from exc
-    flags = NeighborFlags(*(bool(b) for b in bits))
+    flags = NeighborFlags(*(v == "1" for v in parts[6:10]))
     return EkRecord(q=q, kappa=kappa, r=r, gamma_plus=gamma_plus, gamma=gamma,
                     delta=delta, flags=flags)
 
@@ -104,7 +107,8 @@ def read_records(path: str | os.PathLike) -> list[EkRecord]:
     StoreError starts with the path."""
     out, linenos = [], []
     try:
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
+        # newline="\n": a CR stays in its line, which the schema refuses
+        with open(path, "r", encoding="ascii", errors="surrogateescape", newline="\n") as f:
             header = _ascii_line(f.readline(), 1)
             if header != CSV_HEADER:
                 raise StoreError(f"line 1: unexpected header {header!r}")
@@ -307,6 +311,8 @@ class VerificationResult:
 
 def verify_reference(mode: str = PRECISIONS[0]) -> VerificationResult:
     """Recompute kappa(q) for every tabulated q < 1000 against the reference."""
+    if mode not in PRECISIONS:  # compute_record's error, before any record
+        raise ValueError(f"unknown precision mode {mode!r}")
     tol = VERIFY_TOL[mode]
     table = kappa_reference()
     worst = -1.0

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 import ekcyclo
-from ekcyclo.charsum import (ComputationError, KernelId, _twiddles, character_sums_dd,
-                             kernel_values, spectrum_checks, transform_kernel)
-from ekcyclo.dd import DDC
+import ekcyclo.dd as ddm
+from ekcyclo.charsum import (EVEN, ComputationError, KernelId, PackedTransforms, _twiddles,
+                             character_sums_dd, kernel_values, pack_parities, spectrum_checks,
+                             transform_kernel)
+from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels
 from ekcyclo.ek_core import _s0_dd_tolerance, parity_transforms
 from ekcyclo.primes import primitive_root
 
-from _oracles import character_table, dft_direct, direct_parity_sums
+from _oracles import bits_equal, character_table, dft_direct, direct_parity_sums
 
 LNGAMMA_THIRD_DIFF = 0.6822703717802435005113112
 
@@ -185,6 +187,25 @@ def test_dd_spectra_match_double():
         for field in ("b1", "lg_odd", "lg_even", "z2"):
             got = getattr(sums, field).to_complex()
             assert np.max(np.abs(got - getattr(ref, field))) < 1e-9
+
+
+def test_dd_packing_and_unpacking_scale_exactly(monkeypatch):
+    # the packing and unpacking scalings by 4, 0.5 and 0.125 are powers of
+    # two: a dd record takes no two-product for them
+    ctx = primitive_root(97)
+    q, h = ctx.q, ctx.n // 2
+    pt = character_sums_dd(ctx)
+    want = pt.sums()
+    a = ctx.powers()[:h]
+    rows = (*dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)))
+    real, calls = ddm._two_prod, []
+    monkeypatch.setattr(ddm, "_two_prod", lambda x, y: calls.append(1) or real(x, y))
+    packed = pack_parities(*rows, DDC.zeros((2, h)))
+    got = PackedTransforms(q=q, packed=pt.packed, spec=pt.spec).sums()
+    assert not calls
+    assert bits_equal(packed[EVEN], pt.packed[EVEN])
+    for field in ("b1", "lg_odd", "lg_even", "z2"):
+        assert bits_equal(getattr(got, field), getattr(want, field))
 
 
 def test_kernel_failure_diagnostic(monkeypatch):

@@ -79,6 +79,16 @@ def test_ddc_is_a_dd_with_complex_words():
     assert not x.hi.imag.any() and not x.lo.imag.any() and not x.hi[1].any()
 
 
+def test_power_of_two_product_is_a_scaling():
+    # a double 2^k multiplies by scale_pow2's exact path, negative k too
+    rng = np.random.default_rng(41)
+    hi = rng.uniform(-3, 3, 64)
+    x = DD(hi, hi * rng.uniform(-1, 1, 64) * 2.0 ** -54)
+    for k in (-60, -3, -1, 0, 1, 2, 40):
+        assert bits_equal(x * 2.0 ** k, x.scale_pow2(2.0 ** k))
+        assert bits_equal(2.0 ** k * x, x.scale_pow2(2.0 ** k))
+
+
 def test_exp_log_against_mpmath():
     rng = np.random.default_rng(6)
     xs = rng.uniform(-25, 25, 40)

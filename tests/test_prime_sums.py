@@ -53,6 +53,18 @@ def test_domain_guards():
                 call(q)
 
 
+def test_modulus_must_be_an_integer():
+    # int(3.5) is 3: a float must not answer for another modulus
+    for q in (3.5, 4.0):
+        for call in (lambda: truncated_sums([q], 1000), lambda: s12(q, 1000),
+                     lambda: bias(1000, q)):
+            with pytest.raises(TypeError):
+                call()
+    q = np.int64(7)
+    assert list(truncated_sums([q], 1000)) == [7]
+    assert bias(1000, q) == bias(1000, 7) and s12(q, 1000) == s12(7, 1000)
+
+
 def test_segment_size_determinism(monkeypatch):
     c = truncated_sums([7], 10 ** 4)[7]
     monkeypatch.setattr(primes, "_SEGMENT", 509)

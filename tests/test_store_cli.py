@@ -687,6 +687,21 @@ def test_read_records_rejects_malformed(tmp_path):
     bad.write_text(CSV_HEADER + "\n3,0.1,0.2,-0.1,0.3,0.4,0,1,2,0\n")
     with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2: flag fields must be 0/1")):
         read_records(bad)
+    # int() and float() would take "_", spaces and a "+" sign, and text mode a CR
+    for row, message in (("1_009,0.1,0.2,-0.1,0.5,0.4, 1,+0,0,1", "q field '1_009'"),
+                         ("+3,0.1,0.2,-0.1,0.5,0.4,1,0,0,1", "q field '+3'"),
+                         (" 3,0.1,0.2,-0.1,0.5,0.4,1,0,0,1", "q field ' 3'"),
+                         ("3,0_1,0.2,-0.1,0.5,0.4,1,0,0,1", "real fields"),
+                         ("3,0.1,0.2,-0.1,0.5, 0.4,1,0,0,1", "real fields"),
+                         ("3,0.1,0.2,-0.1,0.5,0.4, 1,0,0,1", "flag fields must be 0/1"),
+                         ("3,0.1,0.2,-0.1,0.5,0.4,1,+0,0,1", "flag fields must be 0/1"),
+                         ("3,0.1,0.2,-0.1,0.5,0.4,1,0,0,1\r", "flag fields must be 0/1")):
+        bad.write_bytes(f"{CSV_HEADER}\n{row}\n".encode())
+        with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2: {message}")):
+            read_records(bad)
+    bad.write_bytes(f"{CSV_HEADER}\r\n3,0.1,0.2,-0.1,0.5,0.4,1,0,0,1\r\n".encode())
+    with pytest.raises(StoreError, match=re.escape(f"{bad}: line 1: unexpected header")):
+        read_records(bad)
     bad.write_bytes(CSV_HEADER.encode() + b"\n3,0.1\xff\n")
     with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2: non-ASCII byte 0xff")):
         read_records(bad)
@@ -720,6 +735,15 @@ def test_verify_reference_pass_and_fail(monkeypatch):
     monkeypatch.setattr(store, "kappa_reference", lambda: table)
     res = verify_reference()
     assert not res.ok and 3 in res.offenders and res.worst_q == 3
+
+
+def test_verify_reference_rejects_unknown_precision(monkeypatch):
+    # the error of compute_record, raised before any record is computed
+    monkeypatch.setattr(store, "compute_record", lambda q, mode: pytest.fail("computed a record"))
+    with pytest.raises(ValueError, match=r"^unknown precision mode 'quad'$"):
+        verify_reference("quad")
+    with pytest.raises(ValueError, match=r"^unknown precision mode 'quad'$"):
+        compute_record(3, "quad")
 
 
 # -- CLI surface ---------------------------------------------------------
