@@ -62,7 +62,8 @@ def harmonic_threshold(c: float) -> tuple[int, float]:
     The measure is mu({1, 2, 4, ..., 2N}) = 1 + H_N/2, H_N = sum_{n<=N} 1/n,
     the cheapest growth available when every multiplier beyond the unit must
     be even.  H_N = psi(N + 1) + gamma, and H_N - log N - gamma lies in (0,
-    1/(2N)], so N = exp(2(c - 1) - gamma) is within a step or two of the answer.
+    1/(2N)], so the start n0 = floor(exp(2(c - 1) - gamma)) has measure(n0 -
+    1) <= c - 1/(4 n0): the search only steps up from it.
     """
     if not 0 < c < math.inf:  # a NaN would stop at once, an inf never
         raise ValueError(f"c must be finite and positive, got {c!r}")
@@ -73,8 +74,6 @@ def harmonic_threshold(c: float) -> tuple[int, float]:
         return 1.0 + 0.5 * (float(digamma(n + 1.0)) + CONSTANTS.euler_gamma)
 
     n = int(math.exp(2.0 * (c - 1.0) - CONSTANTS.euler_gamma))
-    while n and measure(n - 1) > c:
-        n -= 1
     while measure(n) <= c:
         n += 1
     return n, measure(n)

@@ -56,15 +56,9 @@ def record_error(what: str, q: int, kernel: str, stage: str) -> ComputationError
 def kernel_values(ctx: PrimeContext, kernel: KernelId) -> np.ndarray:
     """f((g^k mod q)/q) for k = 0..q-2, in power order."""
     if kernel is KernelId.ZETA2:  # the pairs (a_k, a_{k+h} = q - a_k), k < h
-        vals = hurwitz_z2_at_rationals(ctx.powers()[:ctx.n // 2], ctx.q)
-    else:
-        x = ctx.powers() / ctx.q  # float64: every power is exact in it
-        vals = x if kernel is KernelId.LINEAR else ln_gamma(x)
-    if not np.isfinite(vals).all():
-        k = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise record_error(f"non-finite value at k={k}, a={int(ctx.powers()[k])}",
-                           ctx.q, kernel.value, "kernel evaluation")
-    return vals
+        return hurwitz_z2_at_rationals(ctx.powers()[:ctx.n // 2], ctx.q)
+    x = ctx.powers() / ctx.q  # float64: every power is exact in it
+    return x if kernel is KernelId.LINEAR else ln_gamma(x)
 
 
 # -- parity split ----------------------------------------------------------
@@ -173,13 +167,19 @@ def _twiddles(n: int) -> np.ndarray:
     return out
 
 
-def pack_parities(lg, z2, lin, packed):
+def pack_parities(ctx: PrimeContext, lg, z2, lin, packed):
     """Fill the (2, h) packed rows, before twiddles, from kernel rows in power order.
 
-    lg and z2 are the LNGAMMA and ZETA2 values (length 2h), lin = (2 a_k -
-    q)/q for k < h the odd part of LINEAR.  The same code fills a complex128
-    array from float rows and a DDC from DD rows.
+    lg and z2 are the LNGAMMA and ZETA2 values (length 2h) of ctx.q, lin =
+    (2 a_k - q)/q for k < h the odd part of LINEAR.  The same code fills a
+    complex128 array from float rows and a DDC from DD rows, and refuses a
+    non-finite LNGAMMA, then ZETA2, value (the hi word of a DD).
     """
+    for kernel, vals in ((KernelId.LNGAMMA, lg), (KernelId.ZETA2, z2)):
+        bad = np.flatnonzero(~np.isfinite(getattr(vals, "hi", vals)))
+        if bad.size:
+            raise record_error(f"non-finite value at k={bad[0]}, a={ctx.powers()[bad[0]]}",
+                               ctx.q, kernel.value, "kernel evaluation")
     h = packed.shape[-1]
     packed.real[EVEN] = (lg[:h] + lg[h:]) * _REAL_SCALE
     packed.imag[EVEN] = z2[:h] + z2[h:]
@@ -213,7 +213,7 @@ def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
     q, h = ctx.q, ctx.n // 2
     a = ctx.powers()[:h]
     # the kernel rows in power order (a_{k+h} = q - a_k) die in pack_parities
-    packed = pack_parities(*dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)),
+    packed = pack_parities(ctx, *dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)),
                            DDC.zeros((2, h)))
     u = roots_of_unity(ctx.n)  # w^k, and the chirp table of length h
     packed[ODD] *= u[:h]

@@ -140,7 +140,3 @@ def main(argv=None) -> int:
         # its q, kernel and stage, and a compute run keeps its last checkpoint
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -61,25 +61,25 @@ class KummerCheck:
     gap: float
 
 
-def kappa(ctx: PrimeContext, sums: ParitySums) -> float:
+def kappa(sums: ParitySums) -> float:
     """kappa(q) = (gamma_q+ - gamma_q)/log q from the odd LINEAR and LNGAMMA sums."""
     ratios = sums.lg_odd / sums.b1
     total = compensated_sum(sums.w_odd * ratios.real)
-    return -(0.5 * ctx.n * _C + total) / math.log(ctx.q)
+    return -(0.5 * (sums.q - 1) * _C + total) / math.log(sums.q)
 
 
-def kummer_r(ctx: PrimeContext, sums: ParitySums) -> float:
+def kummer_r(sums: ParitySums) -> float:
     """r(q) = log R(q), the log of the product of |L(1, chi)| over odd chi."""
-    base = 0.5 * ctx.n * (math.log(math.pi) - 0.5 * math.log(ctx.q))
+    base = 0.5 * (sums.q - 1) * (math.log(math.pi) - 0.5 * math.log(sums.q))
     return base + compensated_sum(sums.w_odd * np.log(np.abs(sums.b1)))
 
 
-def gamma_pair(ctx: PrimeContext, kap: float, sums: ParitySums) -> tuple[float, float]:
+def gamma_pair(sums: ParitySums, kap: float) -> tuple[float, float]:
     """(gamma_q+, gamma_q) given kappa(q) and the even LNGAMMA and ZETA2 sums;
     the even sums are empty for q = 3 (gamma_q+ = gamma)."""
     u = (sums.z2 / (2.0 * sums.lg_even)).real
     gplus = CONSTANTS.euler_gamma + compensated_sum(sums.w_even * (_C - u))
-    return gplus, gplus - kap * math.log(ctx.q)
+    return gplus, gplus - kap * math.log(sums.q)
 
 
 def log_deriv_ratios(sums: ParitySums) -> np.ndarray:
@@ -103,12 +103,12 @@ def log_deriv_ratios(sums: ParitySums) -> np.ndarray:
 # -- double-double route -------------------------------------------------
 
 
-def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
+def assemble_dd(sums: ParitySums) -> dict[str, DD]:
     """kappa/r/gamma_plus/gamma in double-double from the parity spectra: the
     real parts of G/B1 (odd) and Z/(2G) (even) by one division of the joined
     sums, the three fold sums by one tree over a zero-padded (3, L) DD."""
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
-    half = ctx.n / 2.0
+    half = (sums.q - 1) / 2.0
     odd, even = sums.w_odd.size, sums.w_even.size
     num, den = (DD.stack([x, y], join=np.concatenate)
                 for x, y in ((sums.lg_odd, sums.z2), (sums.b1, sums.lg_even.scale_pow2(2.0))))
@@ -117,7 +117,7 @@ def assemble_dd(ctx: PrimeContext, sums: ParitySums) -> dict[str, DD]:
 
     terms, weights = DD.zeros((3, odd)), np.zeros((3, odd))
     # log |B1|^2 and, last, log q in one dd_log
-    logs = dd_log(DD.stack([den2[:odd], DD([float(ctx.q)])], join=np.concatenate))
+    logs = dd_log(DD.stack([den2[:odd], DD([float(sums.q)])], join=np.concatenate))
     log_q = logs[-1]
     terms[0], terms[1] = ratios[:odd], logs[:odd].scale_pow2(0.5)  # log |B1|
     terms[2, :even] = c_dd - ratios[odd:]
@@ -150,26 +150,35 @@ def _s0_dd_tolerance(h: int) -> float:
     return (65 * h + 6 * count + 3 * (h - 1).bit_length() + 24) * 2.0 ** -106
 
 
-def _check_spectra(pt: PackedTransforms, mode: str) -> None:
-    for (name, kernels), residual in spectrum_checks(pt).items():
-        tol = _s0_dd_tolerance(pt.packed.shape[-1]) if name == "s0 dd" else _SPECTRUM_TOL[name]
-        if not residual <= tol:
-            raise record_error(f"spectrum invariant '{name}' failed: residual {residual:.3e} "
-                               f"> {tol:g}", pt.q, kernels, f"{mode} spectrum check")
-
-
 def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
     """The two packed parity transforms of ctx.q in binary64 (see charsum)."""
     lg, z2 = kernel_values(ctx, KernelId.LNGAMMA), kernel_values(ctx, KernelId.ZETA2)
     h = ctx.n // 2
     lin = (2 * ctx.powers()[:h] - ctx.q) / ctx.q
-    packed = pack_parities(lg, z2, lin, np.empty((2, h), dtype=np.complex128))
+    packed = pack_parities(ctx, lg, z2, lin, np.empty((2, h), dtype=np.complex128))
     packed[ODD] *= _twiddles(ctx.n)
     # the kernel rows die after the twiddles, before the transform.  Freed
     # before the twiddles, they left the transform 10% more page faults at
     # q ~ 1e6, and large-q 4% fewer records/s
     del lg, z2, lin
     return PackedTransforms(q=ctx.q, packed=packed, spec=transform_kernel(packed))
+
+
+def check_precision(mode: str) -> None:
+    """Refuse a precision mode that is not one of PRECISIONS."""
+    if mode not in PRECISIONS:
+        raise ValueError(f"unknown precision mode {mode!r}")
+
+
+def _parity_sums(ctx: PrimeContext, mode: str) -> ParitySums:
+    """The parity sums of ctx.q in the precision mode, from transforms that pass their checks."""
+    pt = parity_transforms(ctx) if mode == "double" else character_sums_dd(ctx)
+    for (name, kernels), residual in spectrum_checks(pt).items():
+        tol = _s0_dd_tolerance(pt.packed.shape[-1]) if name == "s0 dd" else _SPECTRUM_TOL[name]
+        if not residual <= tol:
+            raise record_error(f"spectrum invariant '{name}' failed: residual {residual:.3e} "
+                               f"> {tol:g}", pt.q, kernels, f"{mode} spectrum check")
+    return pt.sums()
 
 
 def compute_record(q: int, mode: str = PRECISIONS[0]) -> EkRecord:
@@ -180,23 +189,17 @@ def compute_record(q: int, mode: str = PRECISIONS[0]) -> EkRecord:
     mode "double" runs in binary64; mode "dd" recomputes kernels, twiddle
     factors and the assembly in double-double arithmetic.
     """
-    if mode not in PRECISIONS:
-        raise ValueError(f"unknown precision mode {mode!r}")
+    check_precision(mode)
     ctx = primitive_root(q)
     flags = neighbor_flags(ctx.q)
-    pt = parity_transforms(ctx) if mode == "double" else character_sums_dd(ctx)
-    _check_spectra(pt, mode)
-    sums = pt.sums()
+    sums = _parity_sums(ctx, mode)
     if mode == "double":
-        kap = kappa(ctx, sums)
-        r = kummer_r(ctx, sums)
-        gplus, g = gamma_pair(ctx, kap, sums)
+        kap = kappa(sums)
+        r = kummer_r(sums)
+        gplus, g = gamma_pair(sums, kap)
     else:
-        parts = assemble_dd(ctx, sums)
-        kap = float(parts["kappa"].hi)
-        r = float(parts["r"].hi)
-        gplus = float(parts["gamma_plus"].hi)
-        g = float(parts["gamma"].hi)
+        parts = assemble_dd(sums)
+        kap, r, gplus, g = (float(parts[k].hi) for k in ("kappa", "r", "gamma_plus", "gamma"))
     return EkRecord(q=ctx.q, kappa=kap, r=r, gamma_plus=gplus, gamma=g,
                     delta=kap - r, flags=flags)
 
@@ -211,10 +214,7 @@ def kummer_check(q: int) -> KummerCheck:
     q = operator.index(q)
     if q > 100:
         raise ValueError("kummer_check is limited to q <= 100")
-    ctx = primitive_root(q)
-    pt = character_sums_dd(ctx)
-    _check_spectra(pt, "dd")
-    r_dd = assemble_dd(ctx, pt.sums())["r"]
+    r_dd = assemble_dd(_parity_sums(primitive_root(q), "dd"))["r"]
     log_g = dd_log(DD(2.0 * q)) + (dd_log(DD(float(q))) - ddm.LOG_2PI_DD.scale_pow2(2.0)) * ((q - 1) / 4.0)
     h1 = dd_exp(r_dd + log_g)
     nearest = int(round(float(h1.hi)))

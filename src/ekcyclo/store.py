@@ -31,7 +31,7 @@ from time import monotonic, sleep
 import numpy as np
 import scipy
 
-from .ek_core import PRECISIONS, EkRecord, compute_record
+from .ek_core import PRECISIONS, EkRecord, check_precision, compute_record
 from .primes import MAX_Q, NeighborFlags, is_prime, primes_in
 from .reference import kappa_reference
 
@@ -113,17 +113,15 @@ def read_records(path: str | os.PathLike) -> list[EkRecord]:
             if header != CSV_HEADER:
                 raise StoreError(f"line 1: unexpected header {header!r}")
             for lineno, line in enumerate(f, start=2):
-                line = _ascii_line(line, lineno)
-                if line:
-                    rec = parse_record(line, lineno)
-                    if out and rec.q <= out[-1].q:
-                        raise StoreError(f"line {lineno}: q {rec.q} is not above the "
-                                         f"previous row's q {out[-1].q}")
-                    if rec.q > MAX_Q:
-                        raise StoreError(f"line {lineno}: q {rec.q} is above {MAX_Q}, "
-                                         "the largest q a run computes")
-                    out.append(rec)
-                    linenos.append(lineno)
+                rec = parse_record(_ascii_line(line, lineno), lineno)
+                if out and rec.q <= out[-1].q:
+                    raise StoreError(f"line {lineno}: q {rec.q} is not above the "
+                                     f"previous row's q {out[-1].q}")
+                if rec.q > MAX_Q:
+                    raise StoreError(f"line {lineno}: q {rec.q} is above {MAX_Q}, "
+                                     "the largest q a run computes")
+                out.append(rec)
+                linenos.append(lineno)
         if not out:
             raise StoreError("no data rows")
         bad = _first_not_odd_prime([rec.q for rec in out])
@@ -150,8 +148,7 @@ class RunConfig:
                              "fits int64")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.precision not in PRECISIONS:
-            raise ValueError("precision must be " + " or ".join(map(repr, PRECISIONS)))
+        check_precision(self.precision)
 
 
 def _checkpoint_path(out_path: str) -> Path:
@@ -311,8 +308,7 @@ class VerificationResult:
 
 def verify_reference(mode: str = PRECISIONS[0]) -> VerificationResult:
     """Recompute kappa(q) for every tabulated q < 1000 against the reference."""
-    if mode not in PRECISIONS:  # compute_record's error, before any record
-        raise ValueError(f"unknown precision mode {mode!r}")
+    check_precision(mode)  # before any record
     tol = VERIFY_TOL[mode]
     table = kappa_reference()
     worst = -1.0

@@ -203,7 +203,7 @@ def two_product_powers(w, count: int):
     return out
 
 
-def separate_assemble_dd(ctx: PrimeContext, sums):
+def separate_assemble_dd(sums):
     """ek_core.assemble_dd with one DDC division per parity, the imaginary
     parts formed too, and one fold tree per quantity (the form before merging)."""
     import ekcyclo.dd as ddm
@@ -212,9 +212,9 @@ def separate_assemble_dd(ctx: PrimeContext, sums):
     def fold(values, weights):
         return DD(0.0) if values.shape[-1] == 0 else values.scale_pow2(weights).sum()
 
-    log_q = dd_log(DD(float(ctx.q)))
+    log_q = dd_log(DD(float(sums.q)))
     c_dd = ddm.LOG_2PI_DD + ddm.EULER_GAMMA_DD
-    half = ctx.n / 2.0
+    half = (sums.q - 1) / 2.0
     kap = -(c_dd * half + fold((sums.lg_odd / sums.b1).real, sums.w_odd)) / log_q
     log_mags = dd_log(sums.b1.abs2()).scale_pow2(0.5)
     r = (ddm.LOG_PI_DD - log_q.scale_pow2(0.5)) * half + fold(log_mags, sums.w_odd)
@@ -336,7 +336,7 @@ def own_root_dd_spectra(ctx: PrimeContext):
     q, h = ctx.q, ctx.n // 2
     a = ctx.powers()[:h]
     lg, z2 = dd_gamma_zeta_kernels(a, q)
-    packed = pack_parities(lg, z2, DD(2 * a - q) / DD(float(q)), DDC.zeros((2, h)))
+    packed = pack_parities(ctx, lg, z2, DD(2 * a - q) / DD(float(q)), DDC.zeros((2, h)))
     packed[ODD] *= roots_of_unity(ctx.n)[:h]
     return packed, own_root_dd_dft(packed)
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from ekcyclo.admissible import (AdmissibleSet, c1_sum, c2_minimum, c2_sum,
                                 constants_table, harmonic_threshold, is_admissible,
                                 omega, singular_series_c1)
+from ekcyclo.special_functions import CONSTANTS
 
 from _oracles import harmonic_threshold_loop, naive_primes_upto, omega_mirrored
 
@@ -15,6 +17,8 @@ def test_omega_examples():
     assert omega(3, AdmissibleSet.of([2])) == 2
     for p in (2, 3, 5, 7, 11):
         assert omega(p, AdmissibleSet.of([])) == 1
+    with pytest.raises(ValueError, match=r"omega is restricted to p <= 1e6"):
+        omega(1000003, AdmissibleSet.of([1]))
 
 
 def test_omega_bounded_by_size():
@@ -97,6 +101,19 @@ def test_harmonic_threshold_large_c():
         harmonic_threshold(16.5)
 
 
+def test_harmonic_threshold_steps_at_each_measure():
+    # the start never lies above the answer: one ulp below measure(n) gives
+    # n, measure(n) itself gives n + 1; the last n is the last whose measure
+    # is at most 16
+    def measure(n):
+        return 1.0 + 0.5 * (float(digamma(n + 1.0)) + CONSTANTS.euler_gamma)
+
+    for n in (1, 2, 227, 12367, 10 ** 6, 10 ** 9, harmonic_threshold(16.0)[0] - 1):
+        c = measure(n)
+        assert harmonic_threshold(math.nextafter(c, 0.0)) == (n, c), n
+        assert harmonic_threshold(c)[0] == n + 1, n
+
+
 def test_harmonic_threshold_monotone():
     prev = -1
     for c in (0.5, 1.2, 2.0, 3.0, 4.0, 4.5, 5.0):
@@ -127,6 +144,8 @@ def test_c2_minimiser():
     assert k == 55
     assert val < -0.413812
     assert c2_sum(53) > val and c2_sum(57) > val
+    with pytest.raises(ValueError, match="k must be an odd integer >= 3"):
+        c2_sum(4)
 
 
 def test_c1_sum_direct():

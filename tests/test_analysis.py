@@ -26,6 +26,8 @@ def test_pi_star_examples():
     assert pi_star(10) == 1   # pi(10) - pi(5) = 4 - 3
     assert pi_star(4) == 1    # pi(4) - pi(2) = 2 - 1
     assert pi_star(2) == 1
+    with pytest.raises(ValueError, match="Q must be >= 2"):
+        pi_star(1.5)
 
 
 def test_pi_star_matches_primes_in():
@@ -152,4 +154,8 @@ def test_histogram_rejects_grid_size():
     for width in (1.2e-7, 5.0, 2.41, 2.39, 0.007):
         with pytest.raises(ValueError, match="cells, not 1 to 1000000 whole cells"):
             histogram([0.1], width)
+    # no width and an empty range are refused before any cell count
+    for args in ((0.0,), (0.1, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="need bin_width > 0 and lo < hi"):
+            histogram([0.1], *args)
     assert histogram([0.5], 1.0, 0.0, 1e6).counts.size == 10 ** 6

@@ -200,7 +200,7 @@ def test_dd_packing_and_unpacking_scale_exactly(monkeypatch):
     rows = (*dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)))
     real, calls = ddm._two_prod, []
     monkeypatch.setattr(ddm, "_two_prod", lambda x, y: calls.append(1) or real(x, y))
-    packed = pack_parities(*rows, DDC.zeros((2, h)))
+    packed = pack_parities(ctx, *rows, DDC.zeros((2, h)))
     got = PackedTransforms(q=q, packed=pt.packed, spec=pt.spec).sums()
     assert not calls
     assert bits_equal(packed[EVEN], pt.packed[EVEN])
@@ -213,7 +213,7 @@ def test_kernel_failure_diagnostic(monkeypatch):
     import ekcyclo.charsum as mod
     monkeypatch.setattr(mod, "ln_gamma", lambda x: np.full_like(np.asarray(x), np.inf))
     with pytest.raises(ComputationError, match=r"k=0.*q=7"):
-        kernel_values(ctx, KernelId.LNGAMMA)
+        parity_transforms(ctx)
 
 
 @pytest.mark.parametrize("kernel, name", [(KernelId.LNGAMMA, "ln_gamma"),
@@ -231,6 +231,6 @@ def test_kernel_failure_names_first_interior_k(monkeypatch, kernel, name):
     monkeypatch.setattr(mod, name, broken)
     a = int(ctx.powers()[37])
     with pytest.raises(ComputationError, match=rf"k=37, a={a} \(q=101, kernel {kernel.value},"):
-        kernel_values(ctx, kernel)
+        parity_transforms(ctx)
 
 

@@ -311,6 +311,11 @@ def test_slice_plan_meets_error_bound():
             assert bound(b, count) <= mp.mpf(1) / 8
             assert bound(-(-106 // (count - 1)), count - 1) > mp.mpf(1) / 8
             assert count * m * 4 ** b < 2 ** 53
+    # 2^31 still slices; past it no slice count meets the bound
+    b, count = slice_plan(2 ** 31)
+    assert b * count >= 106
+    with pytest.raises(ValueError, match="no exact slicing for length 4294967296"):
+        slice_plan(2 ** 32)
 
 
 def test_wide_slices_trip_residual_check(monkeypatch):

@@ -43,8 +43,8 @@ def test_dd_record_matches_own_root_reference(q):
     pt = character_sums_dd(ctx)
     packed, spec = own_root_dd_spectra(ctx)
     assert bits_equal(pt.packed, packed) and bits_equal(pt.spec, spec)
-    got = assemble_dd(ctx, pt.sums())
-    want = assemble_dd(ctx, PackedTransforms(q=q, packed=packed, spec=spec).sums())
+    got = assemble_dd(pt.sums())
+    want = assemble_dd(PackedTransforms(q=q, packed=packed, spec=spec).sums())
     assert got.keys() == want.keys()
     for name in got:
         assert bits_equal(got[name], want[name]), name
@@ -54,9 +54,8 @@ def test_dd_record_matches_own_root_reference(q):
 def test_assemble_dd_matches_separate_folds(q):
     # one joined division and one (3, L) tree keep every bit of the form with
     # one division per parity and one tree per quantity
-    ctx = primitive_root(q)
-    sums = character_sums_dd(ctx).sums()
-    got, want = assemble_dd(ctx, sums), separate_assemble_dd(ctx, sums)
+    sums = character_sums_dd(primitive_root(q)).sums()
+    got, want = assemble_dd(sums), separate_assemble_dd(sums)
     assert got.keys() == want.keys()
     for name in got:
         assert bits_equal(got[name], want[name]), name
@@ -115,8 +114,7 @@ def test_gamma_plus_degenerate_q3():
 
 def test_kummer_r_value_q3():
     # single odd character, B1 = -1/3; consistent with h1(3) = 1
-    ctx = primitive_root(3)
-    r = kummer_r(ctx, parity_transforms(ctx).sums())
+    r = kummer_r(parity_transforms(primitive_root(3)).sums())
     assert abs(r - math.log(math.pi * 3.0 ** -1.5)) < 1e-14
 
 
@@ -203,12 +201,11 @@ def test_log_deriv_ratios_against_series_oracle():
 
 def test_operations_match_compute_record():
     q = 61
-    ctx = primitive_root(q)
-    sums = parity_transforms(ctx).sums()
+    sums = parity_transforms(primitive_root(q)).sums()
     rec = compute_record(q)
-    assert kappa(ctx, sums) == rec.kappa
-    assert kummer_r(ctx, sums) == rec.r
-    gp, g = gamma_pair(ctx, kappa(ctx, sums), sums)
+    assert kappa(sums) == rec.kappa
+    assert kummer_r(sums) == rec.r
+    gp, g = gamma_pair(sums, kappa(sums))
     assert (gp, g) == (rec.gamma_plus, rec.gamma)
 
 
@@ -252,6 +249,17 @@ def _nonfinite_kernel(monkeypatch):
     monkeypatch.setattr(charsum, "ln_gamma", lambda x: np.full_like(x, np.inf))
 
 
+def _nonfinite_dd_kernel(monkeypatch):
+    import ekcyclo.charsum as charsum
+    real = charsum.dd_gamma_zeta_kernels
+
+    def broken(b, q):
+        lg, z2 = real(b, q)
+        lg.hi[0] = np.inf
+        return lg, z2
+    monkeypatch.setattr(charsum, "dd_gamma_zeta_kernels", broken)
+
+
 def _inexact_dd_transform(monkeypatch):
     real = ddm.slice_plan  # 26-bit slices at m = 1024 (q = 521) are not exact
     monkeypatch.setattr(ddm, "slice_plan", lambda m: (26, 5) if m == 1024 else real(m))
@@ -271,6 +279,8 @@ def _vanishing_sums(monkeypatch):
 @pytest.mark.parametrize("q, mode, patch, message", [
     (7, "double", _nonfinite_kernel,
      r"^non-finite value at k=0, a=1 \(q=7, kernel lngamma, stage kernel evaluation\)$"),
+    (101, "dd", _nonfinite_dd_kernel,
+     r"^non-finite value at k=0, a=1 \(q=101, kernel lngamma, stage kernel evaluation\)$"),
     (521, "dd", _inexact_dd_transform,
      r"^FFT convolution off an integer by .* \(q=521, kernel lngamma\+zeta2 \(even\) and "
      r"linear\+lngamma \(odd\), stage dd transform\)$"),
@@ -278,7 +288,7 @@ def _vanishing_sums(monkeypatch):
      r"^spectrum invariant 's0' failed: residual 1\.000e\+00 > 1e-12 "
      r"\(q=23, kernel linear \(odd\), stage double spectrum check\)$"),
     (13, "double", _vanishing_sums, r"^vanishing B1 sum \(q=13, kernel linear, stage assembly\)$"),
-], ids=["kernel", "dd-transform", "spectrum-check", "assembly"])
+], ids=["kernel", "dd-kernel", "dd-transform", "spectrum-check", "assembly"])
 def test_every_record_failure_is_one_computation_error(monkeypatch, q, mode, patch, message):
     """Each stage of compute_record fails with a ComputationError and nothing
     else, worded as (q, kernel, stage), that a pool worker can pickle back."""
@@ -286,7 +296,7 @@ def test_every_record_failure_is_one_computation_error(monkeypatch, q, mode, pat
     with pytest.raises(ComputationError, match=message) as info:
         compute_record(q, mode)
     assert type(info.value) is ComputationError
-    if mode == "dd":
+    if patch is _inexact_dd_transform:
         assert isinstance(info.value.__cause__, ddm.RoundingError)
     copy = pickle.loads(pickle.dumps(info.value))
     assert type(copy) is ComputationError and str(copy) == str(info.value)

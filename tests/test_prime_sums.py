@@ -51,6 +51,10 @@ def test_domain_guards():
         for q in (1, 2):
             with pytest.raises(ValueError, match=f"modulus q must be >= 3, got {q}"):
                 call(q)
+    with pytest.raises(ValueError, match="cutoff must be >= 2"):
+        s12(7, 1)
+    with pytest.raises(ValueError, match="t must be >= 2"):
+        bias(1.5, 7)
 
 
 def test_modulus_must_be_an_integer():

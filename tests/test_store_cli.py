@@ -702,6 +702,14 @@ def test_read_records_rejects_malformed(tmp_path):
     bad.write_bytes(f"{CSV_HEADER}\r\n3,0.1,0.2,-0.1,0.5,0.4,1,0,0,1\r\n".encode())
     with pytest.raises(StoreError, match=re.escape(f"{bad}: line 1: unexpected header")):
         read_records(bad)
+    # format_record writes no blank line, mid-file or at the end
+    row3, row5 = "3,0.1,0.2,-0.1,0.5,0.4,1,0,0,1", "5,0.1,0.2,-0.1,0.5,0.4,1,0,0,1"
+    for text, lineno in ((f"{row3}\n\n{row5}\n", 3), (f"{row3}\n{row5}\n\n", 4),
+                         (f"\n\n\n\n{row3}\n{row5}\n", 2)):
+        bad.write_text(f"{CSV_HEADER}\n{text}")
+        with pytest.raises(StoreError,
+                           match=re.escape(f"{bad}: line {lineno}: expected 10 fields, got 1")):
+            read_records(bad)
     bad.write_bytes(CSV_HEADER.encode() + b"\n3,0.1\xff\n")
     with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2: non-ASCII byte 0xff")):
         read_records(bad)
@@ -718,7 +726,7 @@ def test_run_config_validation(tmp_path):
         RunConfig(11, 5, str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
         RunConfig(3, 5, str(tmp_path / "x.csv"), threads=0)
-    with pytest.raises(ValueError, match="precision must be 'double' or 'dd'"):
+    with pytest.raises(ValueError, match=r"^unknown precision mode 'quad'$"):
         RunConfig(3, 5, str(tmp_path / "x.csv"), precision="quad")
     RunConfig(3, MAX_Q, str(tmp_path / "x.csv"))
     with pytest.raises(ValueError, match=f"q_max must be <= {MAX_Q}"):
