@@ -19,9 +19,11 @@ exp(2 pi i / n):
 Two real rows go into one complex transform: the even row packs LNGAMMA +
 i ZETA2, the odd row LINEAR + i LNGAMMA (the odd part of LINEAR is exactly
 2 a_k / q - 1).  Both precisions run one pipeline on one (2, h) batch per
-q: pack_parities fills the rows, the caller applies the twiddles w^k, and
-PackedTransforms.sums separates the rows by conjugate symmetry into one
-sum per conjugate pair of characters, with its fold weight.
+q: pack_parities fills the rows, the caller applies the twiddles w^k and
+takes the row_terms that the checks read before the transform overwrites
+the rows, and PackedTransforms.sums separates the spectra by conjugate
+symmetry into one sum per conjugate pair of characters, with its fold
+weight.
 """
 from __future__ import annotations
 
@@ -118,17 +120,40 @@ def _unpack(y, start: int, size: int):
             ((a.imag + b.imag) * 0.5, (b.real - a.real) * 0.5))
 
 
+def _row_energy(z: np.ndarray) -> np.ndarray:
+    """sum |z|^2 along the last axis of a (rows, length) complex array."""
+    v = np.ascontiguousarray(z).view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def row_terms(packed: np.ndarray | DDC) -> dict:
+    """The fields of PackedTransforms that the checks read of the (2, h)
+    packed rows, complex128 or DDC, taken before the transform."""
+    y = getattr(packed, "hi", packed)
+    terms = {"energy": y.shape[-1] * _row_energy(y), "s0": np.sum(y[EVEN])}
+    if isinstance(packed, DDC):
+        row = packed[EVEN]
+        terms.update(s0_dd=row.sum(), abs_sum=float(np.sum(np.hypot(row.hi.real, row.hi.imag))))
+    return terms
+
+
 @dataclass(frozen=True)
 class PackedTransforms:
-    """The packed rows (EVEN, ODD) of one q and their length-h DFTs.
+    """The length-h DFTs of the packed rows y (EVEN, ODD) of one q, and what
+    spectrum_checks reads of y: energy = h sum |y|^2 per row and s0 = sum y
+    of the even row, over the hi words of dd rows; in dd also s0_dd, the
+    tree sum of the even row, and abs_sum, its sum |y| over the hi words.
 
-    Binary64 rows are complex128 arrays of shape (2, h); double-double rows
-    are one DDC of that shape.
+    Binary64 spectra are complex128 arrays of shape (2, h), which overwrite
+    their rows; double-double spectra are one DDC of that shape.
     """
 
     q: int
-    packed: np.ndarray | DDC
     spec: np.ndarray | DDC
+    energy: np.ndarray
+    s0: complex
+    s0_dd: DDC | None = None
+    abs_sum: float | None = None
 
     def sums(self) -> ParitySums:
         """Split the packed spectra into one sum per conjugate pair and parity."""
@@ -194,18 +219,32 @@ def pack_parities(ctx: PrimeContext, lg, z2, lin, packed):
 # input, so at h >= 2**18 sixteen of them hold 400 MB and more.  From
 # _FREE_PLANS_LENGTH on, transform_kernel first pushes them out with 16
 # tiny transforms.  Below it the plans stay: records at h just above 2**17
-# took 11% longer with them freed, faulting their memory in anew.
+# took 11% longer with them freed, faulting their memory in anew.  From the
+# same length on, the rows go one at a time: pocketfft's work space for a
+# batch of rows is about twice that of one row (at h = 500001, Bluestein,
+# 107 MB against 61 MB).
 _FREE_PLANS_LENGTH = 1 << 18
 _PLAN_CACHE_SIZE = 16
 
 
-def transform_kernel(packed: np.ndarray) -> np.ndarray:
-    """The length-h DFTs of the packed rows, along the last axis:
-    Y[j] = sum_k y[k] e^{+2 pi i j k / h}, the +i sign and no normalisation."""
-    if np.shape(packed)[-1] >= _FREE_PLANS_LENGTH:
+def transform_kernel(packed) -> np.ndarray:
+    """The length-h DFTs of the rows, along the last axis, in place:
+    Y[j] = sum_k y[k] e^{+2 pi i j k / h}, the +i sign and no normalisation.
+
+    A complex128 array is overwritten with its spectra and returned; any
+    other input is converted to a new one first.
+    """
+    y = np.asarray(packed, dtype=np.complex128)
+    rows = [y]
+    if y.shape[-1] >= _FREE_PLANS_LENGTH:
         for n in range(2, 2 + _PLAN_CACHE_SIZE):  # one plan of length 2..17 per slot
             scipy.fft.ifft(np.zeros(n, dtype=np.complex128))
-    return scipy.fft.ifft(packed, norm="forward")
+        rows = [y[row] for row in np.ndindex(y.shape[:-1])]
+    for x in rows:
+        spec = scipy.fft.ifft(x, norm="forward", overwrite_x=True)
+        if not np.shares_memory(spec, x):  # overwrite_x permits, it does not promise
+            x[...] = spec
+    return y
 
 
 def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
@@ -217,17 +256,12 @@ def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
                            DDC.zeros((2, h)))
     u = roots_of_unity(ctx.n)  # w^k, and the chirp table of length h
     packed[ODD] *= u[:h]
+    terms = row_terms(packed)
     try:
         spec = dd_dft(packed, u)
     except RoundingError as exc:
         raise record_error(str(exc), q, " and ".join(PACKED_LABELS), "dd transform") from exc
-    return PackedTransforms(q=q, packed=packed, spec=spec)
-
-
-def _row_energy(z: np.ndarray) -> np.ndarray:
-    """sum |z|^2 along the last axis of a (rows, length) complex array."""
-    v = np.ascontiguousarray(z).view(np.float64)
-    return np.einsum("ij,ij->i", v, v)
+    return PackedTransforms(q=q, spec=spec, **terms)
 
 
 def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
@@ -236,26 +270,21 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     Keys are (invariant, kernels): Parseval sum |Y|^2 = h sum |y|^2 on both
     rows, and on the even row the principal sums Y_0 = sum y, whose real
     and imaginary parts are the principal LNGAMMA (times _REAL_SCALE) and
-    ZETA2 sums.
+    ZETA2 sums; the terms of y are read from pt.
     Double-double transforms are checked in binary64 against the high
     words of their inputs, and their principal sums once more in dd ("s0
     dd"), against one tree sum, relative to sum |y|.
     """
-    y, spec = pt.packed, pt.spec
-    if isinstance(spec, DDC):
-        y, spec = y.hi, spec.to_complex()
-    energy = y.shape[-1] * _row_energy(y)
-    total = _row_energy(spec)
+    spec = pt.spec.to_complex() if isinstance(pt.spec, DDC) else pt.spec
+    energy, total = pt.energy, _row_energy(spec)
     out = {("parseval", label): abs(float(total[row] - energy[row])) / max(1.0, float(energy[row]))
            for row, label in enumerate(PACKED_LABELS)}
-    s0, total0 = spec[EVEN, 0], np.sum(y[EVEN])
+    s0, total0 = spec[EVEN, 0], pt.s0
     lg, z2 = PACKED_KERNELS[EVEN]
     for kernel, got, want in ((lg, s0.real, total0.real), (z2, s0.imag, total0.imag)):
         out["s0", kernel.value] = abs(float(got - want)) / max(1.0, abs(float(got)))
-    if isinstance(pt.spec, DDC):
-        row = pt.packed[EVEN]
-        diff = (pt.spec[EVEN, 0] - row.sum()).to_complex()
-        scale = float(np.sum(np.hypot(row.hi.real, row.hi.imag)))
+    if pt.s0_dd is not None:
+        diff = (pt.spec[EVEN, 0] - pt.s0_dd).to_complex()
         for kernel, d in zip((lg, z2), (diff.real, diff.imag)):
-            out["s0 dd", kernel.value] = abs(float(d)) / scale
+            out["s0 dd", kernel.value] = abs(float(d)) / pt.abs_sum
     return out

@@ -62,10 +62,12 @@ def _split(a):
     return hi, a - hi
 
 
-def _two_prod(a, b):
+def _two_prod(a, b, sa=None, sb=None):
+    """(p, e), p + e = a b exactly; sa and sb are _split(a) and _split(b)
+    where the caller has them already."""
     p = a * b
-    ah, al = _split(a)
-    bh, bl = (ah, al) if b is a else _split(b)
+    ah, al = sa or _split(a)
+    bh, bl = sb or ((ah, al) if b is a else _split(b))
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, err
 
@@ -144,12 +146,15 @@ class DD:
         if isinstance(other, float) and math.frexp(other)[0] == 0.5:
             return self.scale_pow2(other)  # a power of two scales exactly
         if isinstance(other, DD):
-            p1, p2 = _two_prod(self.hi, other.hi)
-            p2 = p2 + (self.hi * other.lo + self.lo * other.hi)
-        else:  # a double, or an array of them: two error-free transforms
-            p1, p2 = _two_prod(self.hi, other)
-            p2 = p2 + self.lo * other
-        return _dd(*_quick_two_sum(p1, p2))
+            return self._mul_dd(other)
+        # a double, or an array of them: two error-free transforms
+        p1, p2 = _two_prod(self.hi, other)
+        return _dd(*_quick_two_sum(p1, p2 + self.lo * other))
+
+    def _mul_dd(self, other: "DD", *splits) -> "DD":
+        """self * other for a DD other; splits, if given, are _split of both hi words."""
+        p1, p2 = _two_prod(self.hi, other.hi, *splits)
+        return _dd(*_quick_two_sum(p1, p2 + (self.hi * other.lo + self.lo * other.hi)))
 
     __rmul__ = __mul__
 
@@ -290,7 +295,9 @@ class DDC(DD):
 
     def __mul__(self, other: "DDC") -> "DDC":
         ar, ai, br, bi = self.real, self.imag, other.real, other.imag
-        return DDC(ar * br - ai * bi, ar * bi + ai * br)
+        sar, sai, sbr, sbi = (_split(x.hi) for x in (ar, ai, br, bi))  # each enters two products
+        return DDC(ar._mul_dd(br, sar, sbr) - ai._mul_dd(bi, sai, sbi),
+                   ar._mul_dd(bi, sar, sbi) + ai._mul_dd(br, sai, sbr))
 
     __rmul__ = __mul__
 

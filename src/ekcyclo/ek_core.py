@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dd as ddm
 from .charsum import (ODD, ComputationError, KernelId, PackedTransforms, ParitySums, _twiddles,
-                      character_sums_dd, kernel_values, pack_parities, record_error,
+                      character_sums_dd, kernel_values, pack_parities, record_error, row_terms,
                       spectrum_checks, transform_kernel)
 from .dd import DD, DDC, dd_exp, dd_log
 from .primes import NeighborFlags, PrimeContext, neighbor_flags, primitive_root
@@ -161,7 +161,8 @@ def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
     # before the twiddles, they left the transform 10% more page faults at
     # q ~ 1e6, and large-q 4% fewer records/s
     del lg, z2, lin
-    return PackedTransforms(q=ctx.q, packed=packed, spec=transform_kernel(packed))
+    terms = row_terms(packed)  # the transform overwrites the rows
+    return PackedTransforms(q=ctx.q, spec=transform_kernel(packed), **terms)
 
 
 def check_precision(mode: str) -> None:
@@ -174,7 +175,7 @@ def _parity_sums(ctx: PrimeContext, mode: str) -> ParitySums:
     """The parity sums of ctx.q in the precision mode, from transforms that pass their checks."""
     pt = parity_transforms(ctx) if mode == "double" else character_sums_dd(ctx)
     for (name, kernels), residual in spectrum_checks(pt).items():
-        tol = _s0_dd_tolerance(pt.packed.shape[-1]) if name == "s0 dd" else _SPECTRUM_TOL[name]
+        tol = _s0_dd_tolerance(pt.spec.shape[-1]) if name == "s0 dd" else _SPECTRUM_TOL[name]
         if not residual <= tol:
             raise record_error(f"spectrum invariant '{name}' failed: residual {residual:.3e} "
                                f"> {tol:g}", pt.q, kernels, f"{mode} spectrum check")

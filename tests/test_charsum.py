@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import ekcyclo
 import ekcyclo.dd as ddm
-from ekcyclo.charsum import (EVEN, ComputationError, KernelId, PackedTransforms, _twiddles,
+from ekcyclo.charsum import (_FREE_PLANS_LENGTH, EVEN, ComputationError, KernelId, _twiddles,
                              character_sums_dd, kernel_values, pack_parities, spectrum_checks,
                              transform_kernel)
 from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels
@@ -39,11 +40,28 @@ def test_dft_sign_convention():
     assert abs(x[1] - 1j) < 1e-15
 
 
+@pytest.mark.parametrize("h", [1, 2, 97, 262144, 262147])
+def test_transform_overwrites_its_rows(h):
+    """A complex128 (2, h) batch comes back as itself, holding the bytes of
+    scipy's out-of-place transform: batched below the cutoff, a row at a
+    time from it on (262147 is a prime, a Bluestein length)."""
+    rng = np.random.default_rng(h)
+    x = rng.standard_normal((2, h)) + 1j * rng.standard_normal((2, h))
+    want = scipy.fft.ifft(x.copy(), norm="forward")
+    got = transform_kernel(x)
+    assert np.shares_memory(got, x) and got.tobytes() == want.tobytes()
+    if h >= _FREE_PLANS_LENGTH:  # one row alone, above the cutoff
+        row = x[0].copy()
+        want = scipy.fft.ifft(row.copy(), norm="forward")
+        got = transform_kernel(row)
+        assert np.shares_memory(got, row) and got.tobytes() == want.tobytes()
+
+
 def test_dft_matches_quadratic_oracle():
     rng = np.random.default_rng(2)
     for n in list(range(1, 65)) + [97, 120, 163]:
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        err = np.max(np.abs(transform_kernel(x) - dft_direct(x)))
+        err = np.max(np.abs(transform_kernel(x.copy()) - dft_direct(x)))
         assert err < 1e-12 * max(1.0, np.max(np.abs(x)) * n)
 
 
@@ -52,14 +70,14 @@ def test_dft_random_inputs_against_oracle():
     for _ in range(100):
         n = int(rng.integers(1, 64))
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.max(np.abs(transform_kernel(x) - dft_direct(x))) < 1e-11
+        assert np.max(np.abs(transform_kernel(x.copy()) - dft_direct(x))) < 1e-11
 
 
 # A fresh process transforms (2, h) batches at 20 distinct prime lengths h
 # from the cutoff up, then the first one again.  It reports the growth of
 # its peak RSS after the first two lengths, and the first transform's own
-# footprint: the growth of the peak across it (its plan, work space and
-# output).
+# footprint: the growth of the peak across it (its plan and work space; the
+# spectra overwrite the rows).
 _PLAN_CHILD = textwrap.dedent("""
     import json
     import numpy as np, scipy.fft
@@ -85,9 +103,9 @@ _PLAN_CHILD = textwrap.dedent("""
     for h in hs[2:]:
         transform_kernel(batch(h))
     after_all = peak()
-    evicted = transform_kernel(x)  # its plan was pushed out and is rebuilt
-    warm = scipy.fft.ifft(x, norm="forward")  # the plan just built
-    print(json.dumps({"growth": after_all - after_two, "footprint": footprint,
+    evicted = transform_kernel(batch(hs[0]))  # its plan was pushed out and is rebuilt
+    warm = scipy.fft.ifft(batch(hs[0]), norm="forward")  # the plan just built
+    print(json.dumps({"growth": after_all - after_two, "footprint": footprint, "h": hs[0],
                       "same": bool(np.array_equal(cold, evicted) and np.array_equal(cold, warm))}))
 """)
 
@@ -95,7 +113,9 @@ _PLAN_CHILD = textwrap.dedent("""
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_transform_plans_do_not_accumulate_at_large_lengths():
     """18 more distinct lengths above the cutoff raise the peak by less than
-    one transform takes: stale plans do not pile up.  A length gives the
+    one transform takes: stale plans do not pile up.  That transform, at a
+    prime (Bluestein) h, takes less than 160 h bytes: its rows go one at a
+    time, in place (a batch of two took about 224 h).  A length gives the
     same bits cold, with its plan rebuilt, and warm."""
     env = dict(os.environ)
     src = str(Path(ekcyclo.__file__).resolve().parents[1])
@@ -104,7 +124,7 @@ def test_transform_plans_do_not_accumulate_at_large_lengths():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
-    assert got["growth"] < got["footprint"], got
+    assert got["growth"] < got["footprint"] < 160 * got["h"], got
     assert got["same"]
 
 
@@ -192,8 +212,11 @@ def test_dd_spectra_match_double():
 def test_dd_packing_and_unpacking_scale_exactly(monkeypatch):
     # the packing and unpacking scalings by 4, 0.5 and 0.125 are powers of
     # two: a dd record takes no two-product for them
+    import ekcyclo.charsum as mod
     ctx = primitive_root(97)
     q, h = ctx.q, ctx.n // 2
+    real_dft, seen = mod.dd_dft, []
+    monkeypatch.setattr(mod, "dd_dft", lambda x, u: seen.append(x.copy()) or real_dft(x, u))
     pt = character_sums_dd(ctx)
     want = pt.sums()
     a = ctx.powers()[:h]
@@ -201,9 +224,9 @@ def test_dd_packing_and_unpacking_scale_exactly(monkeypatch):
     real, calls = ddm._two_prod, []
     monkeypatch.setattr(ddm, "_two_prod", lambda x, y: calls.append(1) or real(x, y))
     packed = pack_parities(ctx, *rows, DDC.zeros((2, h)))
-    got = PackedTransforms(q=q, packed=pt.packed, spec=pt.spec).sums()
+    got = pt.sums()
     assert not calls
-    assert bits_equal(packed[EVEN], pt.packed[EVEN])
+    assert bits_equal(packed[EVEN], seen[0][EVEN])
     for field in ("b1", "lg_odd", "lg_even", "z2"):
         assert bits_equal(getattr(got, field), getattr(want, field))
 

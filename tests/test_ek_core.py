@@ -11,7 +11,7 @@ from mpmath import mp
 import ekcyclo.dd as ddm
 from ekcyclo.analysis import envelope_check
 from ekcyclo.charsum import (KernelId, PackedTransforms, character_sums_dd, kernel_values,
-                             spectrum_checks)
+                             row_terms, spectrum_checks)
 from ekcyclo.dd import DD, DDC, dd_log
 from ekcyclo.ek_core import (ComputationError, assemble_dd, compute_record, gamma_pair, kappa,
                              kummer_check, kummer_r, log_deriv_ratios, parity_transforms)
@@ -36,15 +36,19 @@ def test_dd_mode_matches_reference_tightly(q):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 97, 499, 997, 8209])
-def test_dd_record_matches_own_root_reference(q):
+def test_dd_record_matches_own_root_reference(monkeypatch, q):
     # one root per record and both packed rows in one transform keep every
-    # hi and lo word of the spectra and of the assembly
+    # hi and lo word of the rows that dd_dft receives, of the spectra and of
+    # the assembly
+    import ekcyclo.charsum as charsum
+    real_dft, seen = charsum.dd_dft, []
+    monkeypatch.setattr(charsum, "dd_dft", lambda x, u: seen.append(x.copy()) or real_dft(x, u))
     ctx = primitive_root(q)
     pt = character_sums_dd(ctx)
     packed, spec = own_root_dd_spectra(ctx)
-    assert bits_equal(pt.packed, packed) and bits_equal(pt.spec, spec)
+    assert len(seen) == 1 and bits_equal(seen[0], packed) and bits_equal(pt.spec, spec)
     got = assemble_dd(pt.sums())
-    want = assemble_dd(PackedTransforms(q=q, packed=packed, spec=spec).sums())
+    want = assemble_dd(PackedTransforms(q=q, spec=spec, **row_terms(packed)).sums())
     assert got.keys() == want.keys()
     for name in got:
         assert bits_equal(got[name], want[name]), name
@@ -67,7 +71,8 @@ def test_dd_record_operation_count(monkeypatch):
     # and 117 and 131 with the Taylor kernels; a table-driven dd_exp and the
     # roots of unity from a quarter turn by symmetry take 93 and 109.  Since the
     # operators also take a double, only operations of two DDs are counted:
-    # 81 and 99
+    # 81 and 99.  A DDC product, which splits each part once, calls no DD
+    # product: 49 and 99
     compute_record(101, mode="dd")
     counts = Counter()
     for name in ("__mul__", "__add__"):  # the __rmul__ and __radd__ aliases are not counted
@@ -76,7 +81,7 @@ def test_dd_record_operation_count(monkeypatch):
             return real(self, other)
         monkeypatch.setattr(DD, name, counted)
     compute_record(101, mode="dd")
-    assert 0 < counts["__mul__"] <= 84 and 0 < counts["__add__"] <= 102, counts
+    assert 0 < counts["__mul__"] <= 52 and 0 < counts["__add__"] <= 102, counts
 
 
 @pytest.mark.parametrize("mode", ["double", "dd"])
@@ -329,8 +334,7 @@ def test_dd_principal_sum_gate(monkeypatch):
 
     def shifted(ctx):
         pt = real_dd(ctx)
-        even = pt.packed[0]
-        pt.spec.real.lo[0, 0] += 1e-20 * np.sum(np.hypot(even.real.hi, even.imag.hi))
+        pt.spec.real.lo[0, 0] += 1e-20 * pt.abs_sum
         return pt
 
     residuals = spectrum_checks(shifted(primitive_root(61)))
