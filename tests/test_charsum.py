@@ -41,20 +41,31 @@ def test_dft_sign_convention():
 
 
 @pytest.mark.parametrize("h", [1, 2, 97, 262144, 262147])
-def test_transform_overwrites_its_rows(h):
+def test_transform_overwrites_its_rows(monkeypatch, h):
     """A complex128 (2, h) batch comes back as itself, holding the bytes of
     scipy's out-of-place transform: batched below the cutoff, a row at a
-    time from it on (262147 is a prime, a Bluestein length)."""
+    time from it on (262147 is a prime, a Bluestein length).  Every length-h
+    ifft writes its spectra into the array it is given, so no spectrum is
+    copied back."""
     rng = np.random.default_rng(h)
     x = rng.standard_normal((2, h)) + 1j * rng.standard_normal((2, h))
-    want = scipy.fft.ifft(x.copy(), norm="forward")
-    got = transform_kernel(x)
-    assert np.shares_memory(got, x) and got.tobytes() == want.tobytes()
+    want = scipy.fft.ifft(x, norm="forward")
+    real_ifft, in_place = scipy.fft.ifft, []
+
+    def ifft(a, *args, **kwargs):
+        out = real_ifft(a, *args, **kwargs)
+        if a.shape[-1] == h:  # not one of the short transforms that push plans out
+            in_place.append(np.shares_memory(out, a))
+        return out
+
+    monkeypatch.setattr(scipy.fft, "ifft", ifft)
+    got = x.copy()
+    assert np.shares_memory(transform_kernel(got), got) and got.tobytes() == want.tobytes()
+    assert in_place == [True] * (1 if h < _FREE_PLANS_LENGTH else 2)
     if h >= _FREE_PLANS_LENGTH:  # one row alone, above the cutoff
         row = x[0].copy()
-        want = scipy.fft.ifft(row.copy(), norm="forward")
-        got = transform_kernel(row)
-        assert np.shares_memory(got, row) and got.tobytes() == want.tobytes()
+        assert np.shares_memory(transform_kernel(row), row) and row.tobytes() == want[0].tobytes()
+        assert in_place == [True] * 3
 
 
 def test_dft_matches_quadratic_oracle():

@@ -71,17 +71,23 @@ def test_dd_record_operation_count(monkeypatch):
     # and 117 and 131 with the Taylor kernels; a table-driven dd_exp and the
     # roots of unity from a quarter turn by symmetry take 93 and 109.  Since the
     # operators also take a double, only operations of two DDs are counted:
-    # 81 and 99.  A DDC product, which splits each part once, calls no DD
-    # product: 49 and 99
+    # 81 and 99.  Every product of two DDs, the four part products of a DDC
+    # product among them, runs DD._mul_dd
     compute_record(101, mode="dd")
     counts = Counter()
-    for name in ("__mul__", "__add__"):  # the __rmul__ and __radd__ aliases are not counted
-        def counted(self, other, real=getattr(DD, name), name=name):
-            counts[name] += isinstance(other, DD)
-            return real(self, other)
-        monkeypatch.setattr(DD, name, counted)
+
+    def counted_mul(self, other, *splits, real=DD._mul_dd):
+        counts["mul"] += 1
+        return real(self, other, *splits)
+
+    def counted_add(self, other, real=DD.__add__):  # the __radd__ alias is not counted
+        counts["add"] += isinstance(other, DD)
+        return real(self, other)
+
+    monkeypatch.setattr(DD, "_mul_dd", counted_mul)
+    monkeypatch.setattr(DD, "__add__", counted_add)
     compute_record(101, mode="dd")
-    assert 0 < counts["__mul__"] <= 52 and 0 < counts["__add__"] <= 102, counts
+    assert 0 < counts["mul"] <= 84 and 0 < counts["add"] <= 102, counts
 
 
 @pytest.mark.parametrize("mode", ["double", "dd"])
