@@ -50,9 +50,10 @@ class HistogramSummary:
 
 def histogram(values: Sequence[float], bin_width: float = DEFAULT_BIN_WIDTH,
               lo: float = DEFAULT_RANGE[0], hi: float = DEFAULT_RANGE[1]) -> HistogramSummary:
-    """Counts on [lo, hi) with explicit under/overflow cells; NaN is rejected,
-    and so is a grid of no cell, of more than MAX_BINS or of a width that does
-    not divide the range (to a relative 1e-9), before anything is allocated."""
+    """Counts on [lo, hi) with explicit under/overflow cells; a non-finite
+    value is rejected, and so is a grid of no cell, of more than MAX_BINS or
+    of a width that does not divide the range (to a relative 1e-9), before
+    anything is allocated."""
     if bin_width <= 0 or lo >= hi:
         raise ValueError("need bin_width > 0 and lo < hi")
     cells = (hi - lo) / bin_width
@@ -61,9 +62,9 @@ def histogram(values: Sequence[float], bin_width: float = DEFAULT_BIN_WIDTH,
         raise ValueError(f"bin width {bin_width:g} on [{lo:g}, {hi:g}) gives "
                          f"{cells:.6g} cells, not 1 to {MAX_BINS} whole cells")
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    nan = np.flatnonzero(np.isnan(v))
-    if nan.size:
-        raise ValueError(f"histogram value {int(nan[0])} is NaN (no cell holds it)")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"histogram value {int(bad[0])} is {v[bad[0]]}, not finite")
     n = v.size
     if n == 0:
         return HistogramSummary(bin_width, lo, hi, np.zeros(nbins, dtype=np.int64),

@@ -128,21 +128,17 @@ def _row_energy(z: np.ndarray) -> np.ndarray:
 
 def row_terms(packed: np.ndarray | DDC) -> dict:
     """The fields of PackedTransforms that the checks read of the (2, h)
-    packed rows, complex128 or DDC, taken before the transform."""
+    packed rows, complex128 or DDC (its hi words), taken before the transform."""
     y = getattr(packed, "hi", packed)
-    terms = {"energy": y.shape[-1] * _row_energy(y), "s0": np.sum(y[EVEN])}
-    if isinstance(packed, DDC):
-        row = packed[EVEN]
-        terms.update(s0_dd=row.sum(), abs_sum=float(np.sum(np.hypot(row.hi.real, row.hi.imag))))
-    return terms
+    return {"energy": y.shape[-1] * _row_energy(y), "s0": np.sum(y[EVEN])}
 
 
 @dataclass(frozen=True)
 class PackedTransforms:
     """The length-h DFTs of the packed rows y (EVEN, ODD) of one q, and what
-    spectrum_checks reads of y: energy = h sum |y|^2 per row and s0 = sum y
-    of the even row, over the hi words of dd rows; in dd also s0_dd, the
-    tree sum of the even row, and abs_sum, its sum |y| over the hi words.
+    spectrum_checks reads of y, the same terms in both precisions: energy =
+    h sum |y|^2 per row and s0 = sum y of the even row, over the hi words of
+    dd rows.
 
     Binary64 spectra are complex128 arrays of shape (2, h), which overwrite
     their rows; double-double spectra are one DDC of that shape.
@@ -152,8 +148,6 @@ class PackedTransforms:
     spec: np.ndarray | DDC
     energy: np.ndarray
     s0: complex
-    s0_dd: DDC | None = None
-    abs_sum: float | None = None
 
     def sums(self) -> ParitySums:
         """Split the packed spectra into one sum per conjugate pair and parity."""
@@ -273,10 +267,10 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     Keys are (invariant, kernels): Parseval sum |Y|^2 = h sum |y|^2 on both
     rows, and on the even row the principal sums Y_0 = sum y, whose real
     and imaginary parts are the principal LNGAMMA (times _REAL_SCALE) and
-    ZETA2 sums; the terms of y are read from pt.
-    Double-double transforms are checked in binary64 against the high
-    words of their inputs, and their principal sums once more in dd ("s0
-    dd"), against one tree sum, relative to sum |y|.
+    ZETA2 sums; the terms of y are read from pt.  The same four keys come
+    back in both precisions: double-double transforms are checked here in
+    binary64 against the high words of their inputs (dd_dft has checked
+    the zero bin of each row in dd).
     """
     spec = pt.spec.to_complex() if isinstance(pt.spec, DDC) else pt.spec
     energy, total = pt.energy, _row_energy(spec)
@@ -286,8 +280,4 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     lg, z2 = PACKED_KERNELS[EVEN]
     for kernel, got, want in ((lg, s0.real, total0.real), (z2, s0.imag, total0.imag)):
         out["s0", kernel.value] = abs(float(got - want)) / max(1.0, abs(float(got)))
-    if pt.s0_dd is not None:
-        diff = (pt.spec[EVEN, 0] - pt.s0_dd).to_complex()
-        for kernel, d in zip((lg, z2), (diff.real, diff.imag)):
-            out["s0 dd", kernel.value] = abs(float(d)) / pt.abs_sum
     return out

@@ -13,10 +13,11 @@ Newton step on it.  The roots of unity of an even n are powers of one root
 up to a quarter turn and exact reflections of them.  The DFT's convolution
 is taken exactly: the double-double rows are cut into signed integer slices
 of b bits, the slices are convolved on binary64 FFTs (scipy.fft) with an
-error bound below 1/8, and rint recovers the integer convolutions, which
-are summed back in double-double.  No fused-multiply-add is assumed.  The
-DFT takes its chirp table from the caller: a record's twiddles
-exp(2 pi i k / (q-1)) are that table, so one root of unity serves both.
+error bound below 1/8, and rint recovers the integer convolutions, which are
+summed back in double-double; every row's zero bin is checked against its dd
+sum.  No fused-multiply-add is assumed.  The DFT takes its chirp table from
+the caller: a record's twiddles exp(2 pi i k / (q-1)) are that table, so one
+root of unity serves both.
 Last come the record's kernels log Gamma(a/q) and zeta''(0, a/q), from the
 Taylor series at 3/2 of special_functions (dd_gamma_zeta_kernels).
 """
@@ -371,8 +372,20 @@ def roots_of_unity(n: int) -> DDC:
 
 
 class RoundingError(ArithmeticError):
-    """An FFT convolution of integer slices came out too far from integers."""
+    """One of dd_dft's exactness checks failed: a slice convolution or a zero bin."""
 
+
+# Error model of dd_dft's zero bins.  The X_0 = sum x of each row x of length
+# n is checked in dd, against one tree sum, relative to S = sum |x|.  With u =
+# 2^-53, a dd product is within 7u^2 relative (Joldes, Muller and Popescu, ACM
+# TOMS 44(2), 2017) and a dd sum within 3u^2 (|a| + |b|), so a DDC product is
+# within rho = 15u^2 |a| |b|.  dd_dft gives X_0 = c_0 conv_0 with c_0 = 1
+# exactly and conv_0 = sum_k (x_k c_k) conj(c_k), the chirp c_k = +-w^i or
+# +-conj(w^i), i <= n/2, from roots_of_unity: the root is within u^2/2 of |w|
+# = 1 and w^i takes at most i products, so ||c_k|^2 - 1| <= 4n (u^2/2 + rho).
+# Beyond that, relative to S, the products x_k c_k add rho, the slice bits
+# dropped past 106 3u^2 n (data) and 3u^2 (filter), the count group sums 6
+# count u^2, the tree of depth d 3 d u^2 and the difference 6u^2.
 
 # Error model of slice_plan.  A Bluestein convolution of length m = 2^k
 # convolves a data row of n <= m/2 points with a filter of 2n - 1 < m
@@ -464,16 +477,18 @@ def dd_dft(x: DDC, u: DDC) -> DDC:
     of length m >= 2n-1, a power of two.  The data rows and the filter conj
     c are cut into integer slices (split_slices, widths from slice_plan),
     whose convolutions convolve_slices takes exactly on binary64 FFTs; the
-    groups are summed back in double-double from the smallest.
+    groups are summed back in double-double from the smallest.  Raises
+    RoundingError if a convolution is inexact or a row's X[0] strays from its dd sum.
     """
     n = x.shape[-1]
     if n == 1:
         return x.copy()
     m = 1 << (2 * n - 1).bit_length()
     rows = math.prod(x.shape[:-1])
+    xr = x.reshape(rows, n)
     chirp = u[(np.arange(n, dtype=np.int64) ** 2) % (2 * n)]
     # the data rows x c and, last, the filter conj c, parts interleaved in the words
-    a = DD.stack([x.reshape(rows, n) * chirp, chirp.conj().reshape(1, n)], join=np.concatenate)
+    a = DD.stack([xr * chirp, chirp.conj().reshape(1, n)], join=np.concatenate)
     b, count = slice_plan(m)
     stack = np.zeros((count, rows + 1, m), dtype=np.complex128)
     e = split_slices(a.hi.view(np.float64), a.lo.view(np.float64), b,
@@ -486,7 +501,17 @@ def dd_dft(x: DDC, u: DDC) -> DDC:
         conv = conv + z[g] * 2.0 ** (b * (count - 1 - g))
     conv = conv.scale_pow2(np.ldexp(1.0, e[:rows] + e[rows] - b * (count + 1)))
     conv = _dd(conv.hi.view(np.complex128), conv.lo.view(np.complex128))
-    return (conv * chirp).reshape(*x.shape)
+    y = conv * chirp
+    # each row's zero bin against its tree sum, in the zero-bin model above
+    d = (y[:, 0] - xr.sum()).to_complex()
+    residual, scale = np.maximum(np.abs(d.real), np.abs(d.imag)), np.sum(np.abs(xr.hi), axis=-1)
+    tol = (65 * n + 6 * count + 3 * (n - 1).bit_length() + 24) * 2.0 ** -106
+    bad = np.flatnonzero(~(residual <= tol * scale))  # a product: an all-zero row passes
+    if bad.size:
+        r = bad[0]
+        raise RoundingError(f"zero bin of row {r} off its sum by {residual[r]:.3e}, more than "
+                            f"{tol:.3e} of its sum |x| {scale[r]:.3e} ({count} slices, length {n})")
+    return y.reshape(*x.shape)
 
 
 # -- double-double kernels at rational points a/q -----------------------

@@ -49,8 +49,12 @@ class EkRecord:
     r: float
     gamma_plus: float
     gamma: float
-    delta: float
     flags: NeighborFlags
+
+    @property
+    def delta(self) -> float:
+        """kappa - r, derived: the CSV writes it and the reader checks it."""
+        return self.kappa - self.r
 
 
 @dataclass(frozen=True)
@@ -134,22 +138,6 @@ def assemble_dd(sums: ParitySums) -> dict[str, DD]:
 _SPECTRUM_TOL = {"s0": 1e-12, "parseval": 1e-9}
 
 
-# The dd principal sums Y_0 = sum y of the even row are checked in dd, against
-# one tree sum, relative to S = sum |y|.  With u = 2^-53, a dd product is within
-# 7u^2 relative (Joldes, Muller and Popescu, ACM TOMS 44(2), 2017) and a dd sum
-# within 3u^2 (|a| + |b|), so a DDC product is within rho = 15u^2 |a| |b|.
-# dd_dft gives Y_0 = c_0 conv_0 with c_0 = 1 exactly and conv_0 = sum_k (y_k c_k)
-# conj(c_k), the chirp c_k = +-w^i or +-conj(w^i), i <= h/2, from roots_of_unity:
-# the root is within u^2/2 of |w| = 1 and w^i takes at most i products, so
-# ||c_k|^2 - 1| <= 4h (u^2/2 + rho).  Beyond that, relative to S, the products
-# y_k c_k add rho, the slice bits dropped past 106 3u^2 h (data) and 3u^2
-# (filter), the count group sums 6 count u^2, the tree of depth d 3 d u^2 and
-# the difference 6u^2.
-def _s0_dd_tolerance(h: int) -> float:
-    count = ddm.slice_plan(1 << (2 * h - 1).bit_length())[1]
-    return (65 * h + 6 * count + 3 * (h - 1).bit_length() + 24) * 2.0 ** -106
-
-
 def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
     """The two packed parity transforms of ctx.q in binary64 (see charsum)."""
     lg, z2 = kernel_values(ctx, KernelId.LNGAMMA), kernel_values(ctx, KernelId.ZETA2)
@@ -175,7 +163,7 @@ def _parity_sums(ctx: PrimeContext, mode: str) -> ParitySums:
     """The parity sums of ctx.q in the precision mode, from transforms that pass their checks."""
     pt = parity_transforms(ctx) if mode == "double" else character_sums_dd(ctx)
     for (name, kernels), residual in spectrum_checks(pt).items():
-        tol = _s0_dd_tolerance(pt.spec.shape[-1]) if name == "s0 dd" else _SPECTRUM_TOL[name]
+        tol = _SPECTRUM_TOL[name]
         if not residual <= tol:
             raise record_error(f"spectrum invariant '{name}' failed: residual {residual:.3e} "
                                f"> {tol:g}", pt.q, kernels, f"{mode} spectrum check")
@@ -201,8 +189,7 @@ def compute_record(q: int, mode: str = PRECISIONS[0]) -> EkRecord:
     else:
         parts = assemble_dd(sums)
         kap, r, gplus, g = (float(parts[k].hi) for k in ("kappa", "r", "gamma_plus", "gamma"))
-    return EkRecord(q=ctx.q, kappa=kap, r=r, gamma_plus=gplus, gamma=g,
-                    delta=kap - r, flags=flags)
+    return EkRecord(q=ctx.q, kappa=kap, r=r, gamma_plus=gplus, gamma=g, flags=flags)
 
 
 def kummer_check(q: int) -> KummerCheck:

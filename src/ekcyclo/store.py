@@ -4,13 +4,14 @@ CSV schema (one row per odd prime, ordered by q, LF endings):
 
     q,kappa,r,delta,gamma_plus,gamma,sg2p,sg2m,sg4p,sg4m
 
-Reals carry 17 significant digits (lossless binary64 round-trip), booleans
-are 0/1, and q ascends.  A run holds an exclusive lock on its CSV and writes
-a sidecar checkpoint (the run's range and precision, a digest of the code,
-and the byte count and digest of the rows emitted, the last of which names
-the last completed q) at most every _CHECKPOINT_S seconds, so an interrupted
-range resumes to a byte-identical file, and a checkpoint of another run or
-other code is refused; output bytes do not depend on the worker count.
+Reals are finite with 17 significant digits (lossless binary64 round-trip:
+delta reads back as exactly kappa - r), booleans are 0/1, and q ascends.  A
+run holds an exclusive lock on its CSV and writes a sidecar checkpoint (the
+run's range and precision, a digest of the code, and the byte count and
+digest of the rows emitted, the last of which names the last completed q) at
+most every _CHECKPOINT_S seconds, so an interrupted range resumes to a
+byte-identical file, and a checkpoint of another run or other code is
+refused; output bytes do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -65,13 +66,16 @@ def parse_record(line: str, lineno: int) -> EkRecord:
         if any("_" in v or v != v.strip() for v in parts[1:6]):
             raise ValueError("real fields must not hold '_' or whitespace")
         kappa, r, delta, gamma_plus, gamma = (float(v) for v in parts[1:6])
+        if not all(map(math.isfinite, (kappa, r, gamma_plus, gamma))):
+            raise ValueError("real fields must be finite")
+        if delta != kappa - r:  # format_record writes kappa - r, which reads back exactly
+            raise ValueError(f"delta field {parts[3]} is not kappa - r")
         if any(v not in ("0", "1") for v in parts[6:10]):
             raise ValueError("flag fields must be 0/1")
     except ValueError as exc:
         raise StoreError(f"line {lineno}: {exc}") from exc
     flags = NeighborFlags(*(v == "1" for v in parts[6:10]))
-    return EkRecord(q=q, kappa=kappa, r=r, gamma_plus=gamma_plus, gamma=gamma,
-                    delta=delta, flags=flags)
+    return EkRecord(q=q, kappa=kappa, r=r, gamma_plus=gamma_plus, gamma=gamma, flags=flags)
 
 
 def _ascii_line(line: str, lineno: int) -> str:

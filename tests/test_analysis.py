@@ -13,8 +13,7 @@ from ekcyclo.reference import kappa_reference
 
 
 def _fake_record(q, kappa, r=0.0):
-    return EkRecord(q=q, kappa=kappa, r=r, gamma_plus=0.0, gamma=0.0,
-                    delta=kappa - r, flags=neighbor_flags(q))
+    return EkRecord(q=q, kappa=kappa, r=r, gamma_plus=0.0, gamma=0.0, flags=neighbor_flags(q))
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +142,10 @@ def test_envelope_check(table_records):
 
 
 def test_histogram_rejects_nan():
-    with pytest.raises(ValueError, match="value 1 is NaN"):
-        histogram([0.1, float("nan"), 0.2])
+    # no cell holds NaN, and an infinity would make the mean inf and sigma NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^histogram value 1 is {bad}, not finite$"):
+            histogram([0.1, bad, 0.2])
 
 
 def test_histogram_rejects_grid_size():

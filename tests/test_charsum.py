@@ -15,7 +15,7 @@ from ekcyclo.charsum import (_FREE_PLANS_LENGTH, EVEN, ComputationError, KernelI
                              character_sums_dd, kernel_values, pack_parities, spectrum_checks,
                              transform_kernel)
 from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels
-from ekcyclo.ek_core import _s0_dd_tolerance, parity_transforms
+from ekcyclo.ek_core import parity_transforms
 from ekcyclo.primes import primitive_root
 
 from _oracles import bits_equal, character_table, dft_direct, direct_parity_sums
@@ -66,6 +66,21 @@ def test_transform_overwrites_its_rows(monkeypatch, h):
         row = x[0].copy()
         assert np.shares_memory(transform_kernel(row), row) and row.tobytes() == want[0].tobytes()
         assert in_place == [True] * 3
+
+
+@pytest.mark.parametrize("h", [97, 262147])
+def test_transform_copies_back_spectra_not_written_in_place(monkeypatch, h):
+    """overwrite_x permits an ifft to write in place, it does not promise it:
+    spectra returned in a new array are copied back into the rows, batched
+    and a row at a time alike."""
+    rng = np.random.default_rng(h)
+    x = rng.standard_normal((2, h)) + 1j * rng.standard_normal((2, h))
+    real_ifft = scipy.fft.ifft
+    want = real_ifft(x, norm="forward")
+    monkeypatch.setattr(scipy.fft, "ifft",
+                        lambda a, *args, overwrite_x=False, **kwargs: real_ifft(a, *args, **kwargs))
+    got = x.copy()
+    assert np.shares_memory(transform_kernel(got), got) and got.tobytes() == want.tobytes()
 
 
 def test_dft_matches_quadratic_oracle():
@@ -172,13 +187,12 @@ def test_character_identification(q):
 @pytest.mark.parametrize("q", [7, 61, 499, 997])
 def test_spectrum_invariants(q):
     ctx = primitive_root(q)
-    tol = {"s0": 1e-12, "parseval": 1e-9, "s0 dd": _s0_dd_tolerance((q - 1) // 2)}
-    for pt, dd_keys in ((parity_transforms(ctx), set()),
-                        (character_sums_dd(ctx), {("s0 dd", "lngamma"), ("s0 dd", "zeta2")})):
+    tol = {"s0": 1e-12, "parseval": 1e-9}
+    for pt in (parity_transforms(ctx), character_sums_dd(ctx)):
         res = spectrum_checks(pt)
         assert set(res) == {("parseval", "lngamma+zeta2 (even)"),
                             ("parseval", "linear+lngamma (odd)"),
-                            ("s0", "lngamma"), ("s0", "zeta2")} | dd_keys
+                            ("s0", "lngamma"), ("s0", "zeta2")}
         for (name, _), residual in res.items():
             assert residual < tol[name]
 

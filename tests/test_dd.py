@@ -329,6 +329,21 @@ def test_wide_slices_trip_residual_check(monkeypatch):
         dd_dft(rows(257), roots_of_unity(514))
 
 
+def test_dd_dft_checks_each_zero_bin():
+    # a chirp table whose u[0] is off by 1e-20 moves X[0] = c_0 conv_0 of a
+    # row far past the zero-bin bound; an all-zero row passes, even then
+    n = 30
+    rng = np.random.default_rng(30)
+    x = DDC(DD(rng.uniform(-3, 3, (2, n))), DD(rng.uniform(-3, 3, (2, n))))
+    x[0] = DDC.zeros(n)
+    u = roots_of_unity(2 * n)
+    assert not dd_dft(DDC.zeros((2, n)), u).hi.any()
+    u.lo[0] += 1e-20
+    with pytest.raises(RoundingError,
+                       match=r"^zero bin of row 1 off its sum by .* \(\d+ slices, length 30\)$"):
+        dd_dft(x, u)
+
+
 def test_gamma_zeta_kernels_against_mpmath():
     q = 61
     b = np.arange(1, 31)

@@ -276,6 +276,16 @@ def _inexact_dd_transform(monkeypatch):
     monkeypatch.setattr(ddm, "slice_plan", lambda m: (26, 5) if m == 1024 else real(m))
 
 
+def _dd_zero_bin(monkeypatch):
+    real = ddm.convolve_slices  # +1 on the integer at point 0 of the odd row, group 1
+
+    def shifted(stack, n):
+        z = real(stack, n)
+        z[1, 1, 0] += 1
+        return z
+    monkeypatch.setattr(ddm, "convolve_slices", shifted)
+
+
 def _failed_invariant(monkeypatch):
     import ekcyclo.ek_core as ek_core
     monkeypatch.setattr(ek_core, "spectrum_checks", lambda pt: {("s0", "linear (odd)"): 1.0})
@@ -295,11 +305,14 @@ def _vanishing_sums(monkeypatch):
     (521, "dd", _inexact_dd_transform,
      r"^FFT convolution off an integer by .* \(q=521, kernel lngamma\+zeta2 \(even\) and "
      r"linear\+lngamma \(odd\), stage dd transform\)$"),
+    (61, "dd", _dd_zero_bin,
+     r"^zero bin of row 1 off its sum by .* \(q=61, kernel lngamma\+zeta2 \(even\) and "
+     r"linear\+lngamma \(odd\), stage dd transform\)$"),
     (23, "double", _failed_invariant,
      r"^spectrum invariant 's0' failed: residual 1\.000e\+00 > 1e-12 "
      r"\(q=23, kernel linear \(odd\), stage double spectrum check\)$"),
     (13, "double", _vanishing_sums, r"^vanishing B1 sum \(q=13, kernel linear, stage assembly\)$"),
-], ids=["kernel", "dd-kernel", "dd-transform", "spectrum-check", "assembly"])
+], ids=["kernel", "dd-kernel", "dd-transform", "dd-zero-bin", "spectrum-check", "assembly"])
 def test_every_record_failure_is_one_computation_error(monkeypatch, q, mode, patch, message):
     """Each stage of compute_record fails with a ComputationError and nothing
     else, worded as (q, kernel, stage), that a pool worker can pickle back."""
@@ -307,7 +320,7 @@ def test_every_record_failure_is_one_computation_error(monkeypatch, q, mode, pat
     with pytest.raises(ComputationError, match=message) as info:
         compute_record(q, mode)
     assert type(info.value) is ComputationError
-    if patch is _inexact_dd_transform:
+    if patch in (_inexact_dd_transform, _dd_zero_bin):
         assert isinstance(info.value.__cause__, ddm.RoundingError)
     copy = pickle.loads(pickle.dumps(info.value))
     assert type(copy) is ComputationError and str(copy) == str(info.value)
@@ -333,22 +346,29 @@ def test_dd_vanishing_sum_raises_as_binary64(field, message):
 
 
 def test_dd_principal_sum_gate(monkeypatch):
-    """A dd Y_0 whose lo word is off by 1e-20 of sum |y| passes the binary64
-    checks and fails the dd one, naming q, the kernel and the stage."""
+    """A zero bin off by 1e-20 of itself in its lo word passes the binary64
+    checks; a chirp table whose u[0] is off by 1e-20 moves the zero bins as
+    much from inside dd_dft, which fails the record, naming q, the kernels
+    and the stage."""
+    import ekcyclo.charsum as charsum
     import ekcyclo.ek_core as mod
-    real_dd = mod.character_sums_dd
+    pt = character_sums_dd(primitive_root(61))
+    spec = pt.spec.copy()
+    spec.lo[:, 0] += 1e-20 * spec.hi[:, 0]
+    residuals = spectrum_checks(dataclasses.replace(pt, spec=spec))
+    assert len(residuals) == 4
+    assert all(v <= mod._SPECTRUM_TOL[name] for (name, _), v in residuals.items())
+    real_dft = charsum.dd_dft
 
-    def shifted(ctx):
-        pt = real_dd(ctx)
-        pt.spec.real.lo[0, 0] += 1e-20 * pt.abs_sum
-        return pt
+    def shifted(x, u):
+        u = u.copy()
+        u.lo[0] += 1e-20
+        return real_dft(x, u)
 
-    residuals = spectrum_checks(shifted(primitive_root(61)))
-    binary64 = {key: v for key, v in residuals.items() if key[0] != "s0 dd"}
-    assert binary64 and all(v <= mod._SPECTRUM_TOL[name] for (name, _), v in binary64.items())
-    monkeypatch.setattr(mod, "character_sums_dd", shifted)
-    with pytest.raises(ComputationError,
-                       match=r"'s0 dd' failed.*\(q=61, kernel lngamma, stage dd spectrum check\)"):
+    monkeypatch.setattr(charsum, "dd_dft", shifted)
+    with pytest.raises(ComputationError, match=r"^zero bin of row 0 off its sum by .* "
+                       r"\(q=61, kernel lngamma\+zeta2 \(even\) and linear\+lngamma "
+                       r"\(odd\), stage dd transform\)$"):
         compute_record(61, mode="dd")
 
 

@@ -695,7 +695,14 @@ def test_read_records_rejects_malformed(tmp_path):
                          ("3,0.1,0.2,-0.1,0.5, 0.4,1,0,0,1", "real fields"),
                          ("3,0.1,0.2,-0.1,0.5,0.4, 1,0,0,1", "flag fields must be 0/1"),
                          ("3,0.1,0.2,-0.1,0.5,0.4,1,+0,0,1", "flag fields must be 0/1"),
-                         ("3,0.1,0.2,-0.1,0.5,0.4,1,0,0,1\r", "flag fields must be 0/1")):
+                         ("3,0.1,0.2,-0.1,0.5,0.4,1,0,0,1\r", "flag fields must be 0/1"),
+                         # compute_record returns finite reals, and delta = kappa - r
+                         ("3,inf,0.2,-inf,0.5,0.4,1,0,0,1", "real fields must be finite"),
+                         ("3,1e999,0.2,-0.1,0.5,0.4,1,0,0,1", "real fields must be finite"),
+                         ("3,nan,0.2,-0.1,0.5,0.4,1,0,0,1", "real fields must be finite"),
+                         ("3,-Infinity,0.2,-0.1,0.5,0.4,1,0,0,1", "real fields must be finite"),
+                         ("3,0.1,0.2,-0.099999999999999992,0.5,0.4,1,0,0,1",
+                          "delta field -0.099999999999999992 is not kappa - r")):
         bad.write_bytes(f"{CSV_HEADER}\n{row}\n".encode())
         with pytest.raises(StoreError, match=re.escape(f"{bad}: line 2: {message}")):
             read_records(bad)
@@ -888,7 +895,8 @@ def test_cli_analyze_rejects_nan_kappa(tmp_path, capsys):
     lines[2] = ",".join(fields)
     out.write_text("\n".join(lines) + "\n")
     assert cli_main(["analyze", "--in", str(out), "--out-prefix", str(tmp_path / "p_")]) == 2
-    assert "value 1 is NaN" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {out}: line 3: real fields must be finite\n"
+    assert list(tmp_path.glob("p_*")) == []
 
 
 @pytest.mark.parametrize("rows, message", [
