@@ -17,8 +17,8 @@ MAX_BINS = 10 ** 6
 
 def pi_star(Q: float) -> int:
     """pi(Q) - pi(Q/2): the prime count in (Q/2, Q]."""
-    if Q < 2:
-        raise ValueError("Q must be >= 2")
+    if not 2 <= Q < math.inf:  # NaN fails too
+        raise ValueError(f"Q must be >= 2 and finite, got {Q}")
     return count_primes_in(int(Q / 2), int(Q))
 
 

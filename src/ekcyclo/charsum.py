@@ -19,11 +19,11 @@ exp(2 pi i / n):
 Two real rows go into one complex transform: the even row packs LNGAMMA +
 i ZETA2, the odd row LINEAR + i LNGAMMA (the odd part of LINEAR is exactly
 2 a_k / q - 1).  Both precisions run one pipeline on one (2, h) batch per
-q: pack_parities fills the rows, the caller applies the twiddles w^k and
-takes the row_terms that the checks read before the transform overwrites
-the rows, and PackedTransforms.sums separates the spectra by conjugate
-symmetry into one sum per conjugate pair of characters, with its fold
-weight.
+q: pack_parities fills the rows, twiddles the odd one by w^k and returns
+the terms that the checks read before the transform overwrites the rows;
+spectrum_checks judges the residuals against SPECTRUM_TOL, and
+PackedTransforms.sums separates the spectra by conjugate symmetry into
+one sum per conjugate pair of characters, with its fold weight.
 """
 from __future__ import annotations
 
@@ -126,19 +126,12 @@ def _row_energy(z: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", v, v)
 
 
-def row_terms(packed: np.ndarray | DDC) -> dict:
-    """The fields of PackedTransforms that the checks read of the (2, h)
-    packed rows, complex128 or DDC (its hi words), taken before the transform."""
-    y = getattr(packed, "hi", packed)
-    return {"energy": y.shape[-1] * _row_energy(y), "s0": np.sum(y[EVEN])}
-
-
 @dataclass(frozen=True)
 class PackedTransforms:
-    """The length-h DFTs of the packed rows y (EVEN, ODD) of one q, and what
-    spectrum_checks reads of y, the same terms in both precisions: energy =
-    h sum |y|^2 per row and s0 = sum y of the even row, over the hi words of
-    dd rows.
+    """The length-h DFTs of the packed rows y (EVEN, ODD) of one q, and the
+    terms of y that pack_parities returns for spectrum_checks, the same in
+    both precisions: energy = h sum |y|^2 per row and s0 = sum y of the even
+    row, over the hi words of dd rows.
 
     Binary64 spectra are complex128 arrays of shape (2, h), which overwrite
     their rows; double-double spectra are one DDC of that shape.
@@ -186,8 +179,10 @@ def _twiddles(n: int) -> np.ndarray:
     return out
 
 
-def pack_parities(ctx: PrimeContext, lg, z2, lin, packed):
-    """Fill the (2, h) packed rows, before twiddles, from kernel rows in power order.
+def pack_parities(ctx: PrimeContext, lg, z2, lin, twiddles, packed) -> dict:
+    """Fill the (2, h) packed rows from kernel rows in power order, times
+    twiddles[:h] = w^k on the odd row, and return the PackedTransforms terms
+    that spectrum_checks reads of the rows (over the hi words of a DDC).
 
     lg and z2 are the LNGAMMA and ZETA2 values (length 2h) of ctx.q, lin =
     (2 a_k - q)/q for k < h the odd part of LINEAR.  The same code fills a
@@ -204,7 +199,9 @@ def pack_parities(ctx: PrimeContext, lg, z2, lin, packed):
     packed.imag[EVEN] = z2[:h] + z2[h:]
     packed.real[ODD] = lin * _REAL_SCALE
     packed.imag[ODD] = lg[:h] - lg[h:]
-    return packed
+    packed[ODD] *= twiddles[:h]
+    y = getattr(packed, "hi", packed)
+    return {"energy": h * _row_energy(y), "s0": np.sum(y[EVEN])}
 
 
 # scipy.fft keeps the complex plans of its last 16 transform lengths (an
@@ -248,12 +245,10 @@ def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
     """The packed parity transforms in double-double, batched in one DFT."""
     q, h = ctx.q, ctx.n // 2
     a = ctx.powers()[:h]
+    packed, u = DDC.zeros((2, h)), roots_of_unity(ctx.n)  # w^k, and the chirp table of length h
     # the kernel rows in power order (a_{k+h} = q - a_k) die in pack_parities
-    packed = pack_parities(ctx, *dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)),
-                           DDC.zeros((2, h)))
-    u = roots_of_unity(ctx.n)  # w^k, and the chirp table of length h
-    packed[ODD] *= u[:h]
-    terms = row_terms(packed)
+    terms = pack_parities(ctx, *dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)),
+                          u, packed)
     try:
         spec = dd_dft(packed, u)
     except RoundingError as exc:
@@ -261,8 +256,12 @@ def character_sums_dd(ctx: PrimeContext) -> PackedTransforms:
     return PackedTransforms(q=q, spec=spec, **terms)
 
 
+SPECTRUM_TOL = {"s0": 1e-12, "parseval": 1e-9}
+
+
 def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
-    """Residuals of the identities of each packed transform y -> Y.
+    """Residuals of the identities of each packed transform y -> Y; the first
+    above its SPECTRUM_TOL raises, naming the kernels and the precision.
 
     Keys are (invariant, kernels): Parseval sum |Y|^2 = h sum |y|^2 on both
     rows, and on the even row the principal sums Y_0 = sum y, whose real
@@ -272,7 +271,8 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     binary64 against the high words of their inputs (dd_dft has checked
     the zero bin of each row in dd).
     """
-    spec = pt.spec.to_complex() if isinstance(pt.spec, DDC) else pt.spec
+    dd = isinstance(pt.spec, DDC)
+    spec = pt.spec.to_complex() if dd else pt.spec
     energy, total = pt.energy, _row_energy(spec)
     out = {("parseval", label): abs(float(total[row] - energy[row])) / max(1.0, float(energy[row]))
            for row, label in enumerate(PACKED_LABELS)}
@@ -280,4 +280,9 @@ def spectrum_checks(pt: PackedTransforms) -> dict[tuple[str, str], float]:
     lg, z2 = PACKED_KERNELS[EVEN]
     for kernel, got, want in ((lg, s0.real, total0.real), (z2, s0.imag, total0.imag)):
         out["s0", kernel.value] = abs(float(got - want)) / max(1.0, abs(float(got)))
+    for (name, kernels), residual in out.items():
+        if not residual <= SPECTRUM_TOL[name]:
+            raise record_error(f"spectrum invariant '{name}' failed: residual {residual:.3e} > "
+                               f"{SPECTRUM_TOL[name]:g}", pt.q, kernels,
+                               f"{'dd' if dd else 'double'} spectrum check")
     return out

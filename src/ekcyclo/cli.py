@@ -76,6 +76,8 @@ def _pair(text: str, flag: str, form: str, kind):
 
 def _cmd_analyze(args) -> int:
     # every option and value is checked before the first output file is written
+    if args.exclusive and not args.spike:
+        raise ValueError("--exclusive needs --spike")
     records = read_records(args.in_path)
     lo, hi = _pair(args.range_, "--range", "LO:HI", float)
     hist = analysis.histogram([r.kappa for r in records], args.bins, lo, hi)

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dd as ddm
-from .charsum import (ODD, ComputationError, KernelId, PackedTransforms, ParitySums, _twiddles,
-                      character_sums_dd, kernel_values, pack_parities, record_error, row_terms,
-                      spectrum_checks, transform_kernel)
+from .charsum import (ComputationError, KernelId, PackedTransforms, ParitySums, _twiddles,
+                      character_sums_dd, kernel_values, pack_parities, spectrum_checks,
+                      transform_kernel)
 from .dd import DD, DDC, dd_exp, dd_log
 from .primes import NeighborFlags, PrimeContext, neighbor_flags, primitive_root
 from .special_functions import CONSTANTS, compensated_sum
@@ -135,21 +135,17 @@ def assemble_dd(sums: ParitySums) -> dict[str, DD]:
     return {"kappa": kap, "r": r, "gamma_plus": gplus, "gamma": gamma}
 
 
-_SPECTRUM_TOL = {"s0": 1e-12, "parseval": 1e-9}
-
-
 def parity_transforms(ctx: PrimeContext) -> PackedTransforms:
     """The two packed parity transforms of ctx.q in binary64 (see charsum)."""
     lg, z2 = kernel_values(ctx, KernelId.LNGAMMA), kernel_values(ctx, KernelId.ZETA2)
     h = ctx.n // 2
     lin = (2 * ctx.powers()[:h] - ctx.q) / ctx.q
-    packed = pack_parities(ctx, lg, z2, lin, np.empty((2, h), dtype=np.complex128))
-    packed[ODD] *= _twiddles(ctx.n)
+    packed = np.empty((2, h), dtype=np.complex128)
+    terms = pack_parities(ctx, lg, z2, lin, _twiddles(ctx.n), packed)
     # the kernel rows die after the twiddles, before the transform.  Freed
     # before the twiddles, they left the transform 10% more page faults at
     # q ~ 1e6, and large-q 4% fewer records/s
     del lg, z2, lin
-    terms = row_terms(packed)  # the transform overwrites the rows
     return PackedTransforms(q=ctx.q, spec=transform_kernel(packed), **terms)
 
 
@@ -162,11 +158,7 @@ def check_precision(mode: str) -> None:
 def _parity_sums(ctx: PrimeContext, mode: str) -> ParitySums:
     """The parity sums of ctx.q in the precision mode, from transforms that pass their checks."""
     pt = parity_transforms(ctx) if mode == "double" else character_sums_dd(ctx)
-    for (name, kernels), residual in spectrum_checks(pt).items():
-        tol = _SPECTRUM_TOL[name]
-        if not residual <= tol:
-            raise record_error(f"spectrum invariant '{name}' failed: residual {residual:.3e} "
-                               f"> {tol:g}", pt.q, kernels, f"{mode} spectrum check")
+    spectrum_checks(pt)
     return pt.sums()
 
 

@@ -61,8 +61,8 @@ def _power_terms(x: float) -> np.ndarray:
 
 def truncated_sums(qs, x: float) -> dict[int, TruncatedSums]:
     """f/g/v/w for several moduli in a single pass over the primes <= x."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
+    if not 2 <= x < math.inf:  # NaN fails too
+        raise ValueError(f"x must be >= 2 and finite, got {x}")
     qs = list(dict.fromkeys(_check_modulus(q) for q in qs))  # each modulus once, in order
     inv = {q: [] for q in qs}  # signed class sums per segment, m = 1
     logp = {q: [] for q in qs}
@@ -131,8 +131,8 @@ def s12(q: int, cutoff: int) -> OrderSums:
 def bias(t: float, q: int) -> int:
     """pi(t; q, 1) - pi(t; q, -1) via the segmented sieve."""
     q = _check_modulus(q)
-    if t < 2:
-        raise ValueError("t must be >= 2")
+    if not 2 <= t < math.inf:  # NaN fails too
+        raise ValueError(f"t must be >= 2 and finite, got {t}")
     plus = minus = 0
     for p in prime_blocks(0, int(t)):
         residues = p % q

@@ -328,17 +328,17 @@ def own_root_dd_dft(x):
 
 
 def own_root_dd_spectra(ctx: PrimeContext):
-    """(packed rows, spectra) of charsum.character_sums_dd with the twiddles
-    and the chirp each from a roots_of_unity table of their own and
-    own_root_dd_dft."""
-    from ekcyclo.charsum import ODD, pack_parities
+    """(packed rows, their check terms, spectra) of charsum.character_sums_dd
+    with the twiddles and the chirp each from a roots_of_unity table of their
+    own and own_root_dd_dft."""
+    from ekcyclo.charsum import pack_parities
     from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels, roots_of_unity
     q, h = ctx.q, ctx.n // 2
     a = ctx.powers()[:h]
     lg, z2 = dd_gamma_zeta_kernels(a, q)
-    packed = pack_parities(ctx, lg, z2, DD(2 * a - q) / DD(float(q)), DDC.zeros((2, h)))
-    packed[ODD] *= roots_of_unity(ctx.n)[:h]
-    return packed, own_root_dd_dft(packed)
+    packed = DDC.zeros((2, h))
+    terms = pack_parities(ctx, lg, z2, DD(2 * a - q) / DD(float(q)), roots_of_unity(ctx.n), packed)
+    return packed, terms, own_root_dd_dft(packed)
 
 
 def resultant(f: list, g: list) -> Fraction:

@@ -25,8 +25,9 @@ def test_pi_star_examples():
     assert pi_star(10) == 1   # pi(10) - pi(5) = 4 - 3
     assert pi_star(4) == 1    # pi(4) - pi(2) = 2 - 1
     assert pi_star(2) == 1
-    with pytest.raises(ValueError, match="Q must be >= 2"):
-        pi_star(1.5)
+    for q in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"Q must be >= 2 and finite, got {q}"):
+            pi_star(q)
 
 
 def test_pi_star_matches_primes_in():

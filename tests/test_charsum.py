@@ -11,10 +11,10 @@ import scipy.fft
 
 import ekcyclo
 import ekcyclo.dd as ddm
-from ekcyclo.charsum import (_FREE_PLANS_LENGTH, EVEN, ComputationError, KernelId, _twiddles,
+from ekcyclo.charsum import (_FREE_PLANS_LENGTH, ComputationError, KernelId, _twiddles,
                              character_sums_dd, kernel_values, pack_parities, spectrum_checks,
                              transform_kernel)
-from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels
+from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels, roots_of_unity
 from ekcyclo.ek_core import parity_transforms
 from ekcyclo.primes import primitive_root
 
@@ -236,7 +236,9 @@ def test_dd_spectra_match_double():
 
 def test_dd_packing_and_unpacking_scale_exactly(monkeypatch):
     # the packing and unpacking scalings by 4, 0.5 and 0.125 are powers of
-    # two: a dd record takes no two-product for them
+    # two: a dd record takes no two-product for them, and the packing takes
+    # only the four part products of the odd row's one DDC product by its
+    # twiddles
     import ekcyclo.charsum as mod
     ctx = primitive_root(97)
     q, h = ctx.q, ctx.n // 2
@@ -245,13 +247,14 @@ def test_dd_packing_and_unpacking_scale_exactly(monkeypatch):
     pt = character_sums_dd(ctx)
     want = pt.sums()
     a = ctx.powers()[:h]
-    rows = (*dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)))
+    rows = (*dd_gamma_zeta_kernels(a, q), DD(2 * a - q) / DD(float(q)), roots_of_unity(ctx.n))
     real, calls = ddm._two_prod, []
-    monkeypatch.setattr(ddm, "_two_prod", lambda x, y: calls.append(1) or real(x, y))
-    packed = pack_parities(ctx, *rows, DDC.zeros((2, h)))
+    monkeypatch.setattr(ddm, "_two_prod", lambda *args: calls.append(1) or real(*args))
+    packed = DDC.zeros((2, h))
+    pack_parities(ctx, *rows, packed)
     got = pt.sums()
-    assert not calls
-    assert bits_equal(packed[EVEN], seen[0][EVEN])
+    assert len(calls) == 4
+    assert bits_equal(packed, seen[0])
     for field in ("b1", "lg_odd", "lg_even", "z2"):
         assert bits_equal(getattr(got, field), getattr(want, field))
 

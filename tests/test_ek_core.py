@@ -10,8 +10,8 @@ from mpmath import mp
 
 import ekcyclo.dd as ddm
 from ekcyclo.analysis import envelope_check
-from ekcyclo.charsum import (KernelId, PackedTransforms, character_sums_dd, kernel_values,
-                             row_terms, spectrum_checks)
+from ekcyclo.charsum import (EVEN, SPECTRUM_TOL, KernelId, PackedTransforms, character_sums_dd,
+                             kernel_values, spectrum_checks)
 from ekcyclo.dd import DD, DDC, dd_log
 from ekcyclo.ek_core import (ComputationError, assemble_dd, compute_record, gamma_pair, kappa,
                              kummer_check, kummer_r, log_deriv_ratios, parity_transforms)
@@ -45,10 +45,10 @@ def test_dd_record_matches_own_root_reference(monkeypatch, q):
     monkeypatch.setattr(charsum, "dd_dft", lambda x, u: seen.append(x.copy()) or real_dft(x, u))
     ctx = primitive_root(q)
     pt = character_sums_dd(ctx)
-    packed, spec = own_root_dd_spectra(ctx)
+    packed, terms, spec = own_root_dd_spectra(ctx)
     assert len(seen) == 1 and bits_equal(seen[0], packed) and bits_equal(pt.spec, spec)
     got = assemble_dd(pt.sums())
-    want = assemble_dd(PackedTransforms(q=q, spec=spec, **row_terms(packed)).sums())
+    want = assemble_dd(PackedTransforms(q=q, spec=spec, **terms).sums())
     assert got.keys() == want.keys()
     for name in got:
         assert bits_equal(got[name], want[name]), name
@@ -173,10 +173,25 @@ def test_kummer_check_refuses_large_q():
         kummer_check(101)
 
 
+def _shift_zeta2_principal_sum(spec):
+    """Y_0 of the even row moved by 1e-10 of its ZETA2 part, which leaves
+    Parseval within 1e-9 but not the principal ZETA2 sum."""
+    y = spec.hi if isinstance(spec, DDC) else spec
+    y[EVEN, 0] += 1e-10 * abs(y[EVEN, 0].imag) * 1j
+    return spec
+
+
 def test_kummer_check_runs_spectrum_checks(monkeypatch):
     import ekcyclo.ek_core as ek_core
-    monkeypatch.setattr(ek_core, "spectrum_checks", lambda pt: {("s0", "linear (odd)"): 1.0})
-    with pytest.raises(ComputationError, match=r"q=23, kernel linear \(odd\), stage dd spectrum check"):
+    real = ek_core.character_sums_dd
+
+    def shifted(ctx):
+        pt = real(ctx)
+        return dataclasses.replace(pt, spec=_shift_zeta2_principal_sum(pt.spec))
+
+    monkeypatch.setattr(ek_core, "character_sums_dd", shifted)
+    with pytest.raises(ComputationError, match=r"'s0' failed: residual \d\.\d{3}e-10 > 1e-12 "
+                       r"\(q=23, kernel zeta2, stage dd spectrum check\)$"):
         kummer_check(23)
 
 
@@ -288,7 +303,9 @@ def _dd_zero_bin(monkeypatch):
 
 def _failed_invariant(monkeypatch):
     import ekcyclo.ek_core as ek_core
-    monkeypatch.setattr(ek_core, "spectrum_checks", lambda pt: {("s0", "linear (odd)"): 1.0})
+    real = ek_core.transform_kernel
+    monkeypatch.setattr(ek_core, "transform_kernel",
+                        lambda packed: _shift_zeta2_principal_sum(real(packed)))
 
 
 def _vanishing_sums(monkeypatch):
@@ -309,8 +326,8 @@ def _vanishing_sums(monkeypatch):
      r"^zero bin of row 1 off its sum by .* \(q=61, kernel lngamma\+zeta2 \(even\) and "
      r"linear\+lngamma \(odd\), stage dd transform\)$"),
     (23, "double", _failed_invariant,
-     r"^spectrum invariant 's0' failed: residual 1\.000e\+00 > 1e-12 "
-     r"\(q=23, kernel linear \(odd\), stage double spectrum check\)$"),
+     r"^spectrum invariant 's0' failed: residual \d\.\d{3}e-10 > 1e-12 "
+     r"\(q=23, kernel zeta2, stage double spectrum check\)$"),
     (13, "double", _vanishing_sums, r"^vanishing B1 sum \(q=13, kernel linear, stage assembly\)$"),
 ], ids=["kernel", "dd-kernel", "dd-transform", "dd-zero-bin", "spectrum-check", "assembly"])
 def test_every_record_failure_is_one_computation_error(monkeypatch, q, mode, patch, message):
@@ -351,13 +368,12 @@ def test_dd_principal_sum_gate(monkeypatch):
     much from inside dd_dft, which fails the record, naming q, the kernels
     and the stage."""
     import ekcyclo.charsum as charsum
-    import ekcyclo.ek_core as mod
     pt = character_sums_dd(primitive_root(61))
     spec = pt.spec.copy()
     spec.lo[:, 0] += 1e-20 * spec.hi[:, 0]
     residuals = spectrum_checks(dataclasses.replace(pt, spec=spec))
     assert len(residuals) == 4
-    assert all(v <= mod._SPECTRUM_TOL[name] for (name, _), v in residuals.items())
+    assert all(v <= SPECTRUM_TOL[name] for (name, _), v in residuals.items())
     real_dft = charsum.dd_dft
 
     def shifted(x, u):
@@ -404,13 +420,7 @@ def test_principal_sum_check_names_kernel(monkeypatch):
     """An even principal sum that disagrees with its kernel row fails 's0' for that kernel."""
     import ekcyclo.ek_core as mod
     real = mod.transform_kernel
-
-    def shifted(packed):
-        spec = real(packed)
-        # a 1e-10 shift of Y_0 leaves Parseval within 1e-9 but not the principal sum
-        spec[0, 0] += 1e-10 * abs(spec[0, 0].imag) * 1j
-        return spec
-
-    monkeypatch.setattr(mod, "transform_kernel", shifted)
+    monkeypatch.setattr(mod, "transform_kernel",
+                        lambda packed: _shift_zeta2_principal_sum(real(packed)))
     with pytest.raises(ComputationError, match=r"'s0' failed.*q=61, kernel zeta2, stage double"):
         compute_record(61)

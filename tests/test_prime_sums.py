@@ -43,8 +43,9 @@ def test_v_q_hand_enumeration():
 
 
 def test_domain_guards():
-    with pytest.raises(ValueError):
-        truncated_sums([3], 1.5)
+    for x in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"x must be >= 2 and finite, got {x}"):
+            truncated_sums([3], x)
     # below 3 the classes +1 and -1 mod q are not distinct
     for call in (lambda q: truncated_sums([3, q], 100), lambda q: bias(100, q),
                  lambda q: s12(q, 100)):
@@ -53,8 +54,9 @@ def test_domain_guards():
                 call(q)
     with pytest.raises(ValueError, match="cutoff must be >= 2"):
         s12(7, 1)
-    with pytest.raises(ValueError, match="t must be >= 2"):
-        bias(1.5, 7)
+    for t in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"t must be >= 2 and finite, got {t}"):
+            bias(t, 7)
 
 
 def test_modulus_must_be_an_integer():

@@ -1011,7 +1011,9 @@ def test_cli_constants(capsys):
     (["--bins", "5"], "0.24 cells, not 1 to 1000000"),
     (["--bins", "0.007"], "171.429 cells, not 1 to 1000000 whole cells"),
     (["--spike", "3:+1"], "m must be a positive even integer"),
-], ids=["delta-cap", "delta-cap-nan", "bins-fine", "bins-wide", "bins-uneven", "spike"])
+    (["--exclusive"], "error: --exclusive needs --spike\n"),
+], ids=["delta-cap", "delta-cap-nan", "bins-fine", "bins-wide", "bins-uneven", "spike",
+        "exclusive"])
 def test_cli_analyze_usage_error_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "r.csv"
     run_range(RunConfig(3, 20, str(out)))
