@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .dd import DD, DDC, RoundingError, _complex, dd_dft, dd_gamma_zeta_kernels, roots_of_unity
+from .dd import DD, DDC, RoundingError, dd_dft, dd_gamma_zeta_kernels, roots_of_unity
 from .primes import PrimeContext
 from .special_functions import hurwitz_z2_at_rationals, ln_gamma
 
@@ -107,17 +107,26 @@ class ParitySums:
 
 def _unpack(y, start: int, size: int):
     """(U, V) at the characters y[start:start + size] of Y = DFT(_REAL_SCALE u + i v),
-    u, v real, as (re, im) pairs.
+    u, v real, in the precision of y.
 
     Their partners, the conjugate characters, are y[h-1], y[h-2], ... in
     turn, so U = (Y + conj Y')/(2 _REAL_SCALE) and V = (Y - conj Y')/(2i).
-    Works on complex128 and DDC rows alike; every scale is an exact power of
-    two.
+    Every scale is an exact power of two.  Binary64 writes U and V straight
+    into two complex128 arrays and scales each part in place.
     """
     a, b = y[start:start + size], y[::-1][:size]
     scale = 0.5 / _REAL_SCALE
-    return (((a.real + b.real) * scale, (a.imag - b.imag) * scale),
-            ((a.imag + b.imag) * 0.5, (b.real - a.real) * 0.5))
+    if isinstance(y, DDC):
+        return (DDC((a.real + b.real) * scale, (a.imag - b.imag) * scale),
+                DDC((a.imag + b.imag) * 0.5, (b.real - a.real) * 0.5))
+    u, v = np.empty(size, np.complex128), np.empty(size, np.complex128)
+    np.add(a.real, b.real, out=u.real)
+    np.subtract(a.imag, b.imag, out=u.imag)
+    np.add(a.imag, b.imag, out=v.real)
+    np.subtract(b.real, a.real, out=v.imag)
+    for part, s in ((u.real, scale), (u.imag, scale), (v.real, 0.5), (v.imag, 0.5)):
+        part *= s
+    return u, v
 
 
 def _row_energy(z: np.ndarray) -> np.ndarray:
@@ -143,18 +152,18 @@ class PackedTransforms:
     s0: complex
 
     def sums(self) -> ParitySums:
-        """Split the packed spectra into one sum per conjugate pair and parity."""
+        """Split the packed spectra into one sum per conjugate pair and parity;
+        each binary64 sum is written into its own array, in place (_unpack)."""
         spec = self.spec
         h = spec.shape[-1]
-        join = DDC if isinstance(spec, DDC) else _complex
         # j = 2m for m = 1..h//2, j = 2m + 1 for m < (h+1)/2; each sum stands
         # for j and its conjugate -j, but j = h is its own
         lg_even, z2 = _unpack(spec[EVEN], 1, h // 2)
         b1, lg_odd = _unpack(spec[ODD], 0, (h + 1) // 2)
         w_even, w_odd = np.full(h // 2, 2.0), np.full((h + 1) // 2, 2.0)
         (w_odd if h % 2 else w_even)[-1:] = 1.0
-        return ParitySums(q=self.q, b1=join(*b1), lg_odd=join(*lg_odd),
-                          lg_even=join(*lg_even), z2=join(*z2), w_odd=w_odd, w_even=w_even)
+        return ParitySums(q=self.q, b1=b1, lg_odd=lg_odd, lg_even=lg_even, z2=z2,
+                          w_odd=w_odd, w_even=w_even)
 
 
 def _twiddles(n: int) -> np.ndarray:
@@ -174,8 +183,10 @@ def _twiddles(n: int) -> np.ndarray:
     c, s = np.cos(phi), np.sin(phi)
     out = np.empty(h, dtype=np.complex128)
     out.real[:k1], out.imag[:k1] = c[:k1], s[:k1]
-    out.real[k1:top], out.imag[k1:top] = -s[k1:], c[k1:]
-    out[top:] = -np.conj(out[h - top:0:-1])
+    np.negative(s[k1:], out=out.real[k1:top])
+    out.imag[k1:top] = c[k1:]
+    np.negative(out.real[h - top:0:-1], out=out.real[top:])
+    out.imag[top:] = out.imag[h - top:0:-1]
     return out
 
 
@@ -185,9 +196,10 @@ def pack_parities(ctx: PrimeContext, lg, z2, lin, twiddles, packed) -> dict:
     that spectrum_checks reads of the rows (over the hi words of a DDC).
 
     lg and z2 are the LNGAMMA and ZETA2 values (length 2h) of ctx.q, lin =
-    (2 a_k - q)/q for k < h the odd part of LINEAR.  The same code fills a
-    complex128 array from float rows and a DDC from DD rows, and refuses a
-    non-finite LNGAMMA, then ZETA2, value (the hi word of a DD).
+    (2 a_k - q)/q for k < h the odd part of LINEAR.  It fills a DDC from DD
+    rows, and writes a complex128 array from float rows in place, with no
+    row temporary; either way it first refuses a non-finite LNGAMMA, then
+    ZETA2, value (the hi word of a DD).
     """
     for kernel, vals in ((KernelId.LNGAMMA, lg), (KernelId.ZETA2, z2)):
         bad = np.flatnonzero(~np.isfinite(getattr(vals, "hi", vals)))
@@ -195,10 +207,17 @@ def pack_parities(ctx: PrimeContext, lg, z2, lin, twiddles, packed) -> dict:
             raise record_error(f"non-finite value at k={bad[0]}, a={ctx.powers()[bad[0]]}",
                                ctx.q, kernel.value, "kernel evaluation")
     h = packed.shape[-1]
-    packed.real[EVEN] = (lg[:h] + lg[h:]) * _REAL_SCALE
-    packed.imag[EVEN] = z2[:h] + z2[h:]
-    packed.real[ODD] = lin * _REAL_SCALE
-    packed.imag[ODD] = lg[:h] - lg[h:]
+    if isinstance(packed, DDC):
+        packed.real[EVEN] = (lg[:h] + lg[h:]) * _REAL_SCALE
+        packed.imag[EVEN] = z2[:h] + z2[h:]
+        packed.real[ODD] = lin * _REAL_SCALE
+        packed.imag[ODD] = lg[:h] - lg[h:]
+    else:
+        np.add(lg[:h], lg[h:], out=packed.real[EVEN])
+        packed.real[EVEN] *= _REAL_SCALE
+        np.add(z2[:h], z2[h:], out=packed.imag[EVEN])
+        np.multiply(lin, _REAL_SCALE, out=packed.real[ODD])
+        np.subtract(lg[:h], lg[h:], out=packed.imag[ODD])
     packed[ODD] *= twiddles[:h]
     y = getattr(packed, "hi", packed)
     return {"energy": h * _row_energy(y), "s0": np.sum(y[EVEN])}

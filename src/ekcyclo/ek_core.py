@@ -67,22 +67,29 @@ class KummerCheck:
 
 def kappa(sums: ParitySums) -> float:
     """kappa(q) = (gamma_q+ - gamma_q)/log q from the odd LINEAR and LNGAMMA sums."""
-    ratios = sums.lg_odd / sums.b1
-    total = compensated_sum(sums.w_odd * ratios.real)
+    ratios = (sums.lg_odd / sums.b1).real
+    ratios *= sums.w_odd
+    total = compensated_sum(ratios)
     return -(0.5 * (sums.q - 1) * _C + total) / math.log(sums.q)
 
 
 def kummer_r(sums: ParitySums) -> float:
     """r(q) = log R(q), the log of the product of |L(1, chi)| over odd chi."""
     base = 0.5 * (sums.q - 1) * (math.log(math.pi) - 0.5 * math.log(sums.q))
-    return base + compensated_sum(sums.w_odd * np.log(np.abs(sums.b1)))
+    logs = np.abs(sums.b1)
+    np.log(logs, out=logs)
+    logs *= sums.w_odd
+    return base + compensated_sum(logs)
 
 
 def gamma_pair(sums: ParitySums, kap: float) -> tuple[float, float]:
     """(gamma_q+, gamma_q) given kappa(q) and the even LNGAMMA and ZETA2 sums;
     the even sums are empty for q = 3 (gamma_q+ = gamma)."""
-    u = (sums.z2 / (2.0 * sums.lg_even)).real
-    gplus = CONSTANTS.euler_gamma + compensated_sum(sums.w_even * (_C - u))
+    d = 2.0 * sums.lg_even
+    u = np.divide(sums.z2, d, out=d).real
+    np.subtract(_C, u, out=u)
+    u *= sums.w_even
+    gplus = CONSTANTS.euler_gamma + compensated_sum(u)
     return gplus, gplus - kap * math.log(sums.q)
 
 

@@ -151,7 +151,8 @@ def _power_table(g: int, q: int, n: int) -> np.ndarray:
     for i in range(nblocks):
         col[i] = acc
         acc = acc * gB % q
-    table = (col[:, None] * row[None, :]) % q
+    table = col[:, None] * row[None, :]
+    table %= q
     return table.reshape(-1)[:n]
 
 

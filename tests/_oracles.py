@@ -96,6 +96,23 @@ def direct_parity_sums(ctx: PrimeContext) -> dict[str, np.ndarray]:
     return {"b1": odd[:, 0], "lg_odd": odd[:, 1], "lg_even": even[:, 1], "z2": even[:, 2]}
 
 
+def negated_conj_twiddles(n: int) -> np.ndarray:
+    """charsum._twiddles as each half was first written: the quarter turn by
+    -sin, and the mirror half w^k = -conj(w^(n/2 - k)) by negating a conjugate."""
+    h = n // 2
+    top = h // 2 + 1
+    r = np.arange(0, 4 * top, 4, dtype=np.int64)
+    k1 = -(-n // 8)
+    r[k1:] -= n
+    phi = (0.5 * np.pi) * (r / n)
+    c, s = np.cos(phi), np.sin(phi)
+    out = np.empty(h, dtype=np.complex128)
+    out.real[:k1], out.imag[:k1] = c[:k1], s[:k1]
+    out.real[k1:top], out.imag[k1:top] = -s[k1:], c[k1:]
+    out[top:] = -np.conj(out[h - top:0:-1])
+    return out
+
+
 def mirrored_prime_sum(q: int, x: float, weight: str) -> float:
     """Class-swapped (+1 <-> -1) truncated sums by direct enumeration."""
     total = 0.0

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from ekcyclo.dd import DD, DDC, dd_gamma_zeta_kernels, roots_of_unity
 from ekcyclo.ek_core import parity_transforms
 from ekcyclo.primes import primitive_root
 
-from _oracles import bits_equal, character_table, dft_direct, direct_parity_sums
+from _oracles import (bits_equal, character_table, dft_direct, direct_parity_sums,
+                      negated_conj_twiddles)
 
 LNGAMMA_THIRD_DIFF = 0.6822703717802435005113112
 
@@ -222,6 +224,49 @@ def test_twiddles_reduce_exactly():
         tw = _twiddles(n)
         assert tw.shape == (n // 2,)
         assert np.max(np.abs(tw - np.exp(2j * np.pi * np.arange(n // 2) / n))) < 1e-15
+
+
+def test_twiddles_match_the_negated_conjugate_form():
+    # the mirror half is negated and copied part by part: the same bits as -conj
+    for n in (*range(2, 201, 2), 1000002):
+        assert _twiddles(n).tobytes() == negated_conj_twiddles(n).tobytes(), n
+
+
+def _traced_peak(f):
+    """(f(), the peak of traced memory above its start); numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        return f(), tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_binary64_sums_allocate_only_their_outputs():
+    """Each binary64 parity sum is written into its own array and scaled in
+    place: beyond its outputs (four complex and two float rows of about h/2),
+    sums() holds less than one row of h/2 doubles."""
+    pt = parity_transforms(primitive_root(100003))
+    h = pt.spec.shape[-1]
+    sums, peak = _traced_peak(pt.sums)
+    held = sum(getattr(sums, f).nbytes for f in ("b1", "lg_odd", "lg_even", "z2", "w_odd", "w_even"))
+    assert peak < held + 8 * (h // 2), (peak / h, held / h)
+
+
+def test_binary64_packing_allocates_only_its_masks():
+    """pack_parities writes the binary64 rows with out= and in place: its
+    peak is the finiteness mask of a kernel's 2h values and its negation
+    (4h bytes) plus less than a quarter row of h doubles, where one row
+    temporary alone would take 8h."""
+    ctx = primitive_root(100003)
+    h = ctx.n // 2
+    lg, z2 = kernel_values(ctx, KernelId.LNGAMMA), kernel_values(ctx, KernelId.ZETA2)
+    lin, twiddles = (2 * ctx.powers()[:h] - ctx.q) / ctx.q, _twiddles(ctx.n)
+    packed = np.empty((2, h), dtype=np.complex128)
+    _, peak = _traced_peak(lambda: pack_parities(ctx, lg, z2, lin, twiddles, packed))
+    assert peak < 2 * lg.size + 2 * h, peak / h
 
 
 def test_dd_spectra_match_double():

@@ -195,6 +195,19 @@ def test_kummer_check_runs_spectrum_checks(monkeypatch):
         kummer_check(23)
 
 
+@pytest.mark.parametrize("q", [3, 61, 997])
+def test_binary64_folds_leave_their_sums_unchanged(q):
+    # kappa, kummer_r and gamma_pair write into arrays of their own, never into the sums
+    sums = parity_transforms(primitive_root(q)).sums()
+    fields = [f.name for f in dataclasses.fields(sums) if f.name != "q"]
+    before = {name: getattr(sums, name).copy() for name in fields}
+    gamma_pair(sums, kappa(sums))
+    kummer_r(sums)
+    for name in fields:
+        got, want = getattr(sums, name), before[name]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("q", [5, 13, 61, 293])
 def test_realness_of_parity_sums(q):
     """The weighted folds of real parts over the parity sums equal the sums of
